@@ -4,8 +4,9 @@
 // Runs in two stages: first a fixed scalar-vs-SIMD comparison pass that
 // writes bench_results/kernels.json (GFLOP/s per supported microkernel arm
 // and for the dispatched default, speedup over the pre-microkernel scalar
-// baseline, bitwise checksums across ISA arms and thread counts), then the
-// google-benchmark suite for ad-hoc exploration.
+// baseline, bitwise checksums across ISA arms, thread counts and conv
+// lowerings, forward and backward), then the google-benchmark suite for
+// ad-hoc exploration. Exits non-zero if any checksum differs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -250,7 +251,9 @@ double time_best(int reps, const Fn& fn) {
   return best;
 }
 
-void run_kernel_summary() {
+/// Returns false when any checksum differs between arms, thread counts or
+/// conv lowerings.
+bool run_kernel_summary() {
   bench::banner("bench_kernels: scalar vs dispatched microkernel sgemm",
                 "single-node kernel efficiency underpins the time-to-accuracy "
                 "scaling argument (paper Sec. 1: 'ImageNet training in "
@@ -342,8 +345,6 @@ void run_kernel_summary() {
                   static_cast<unsigned long long>(sum_simd));
     summary.add_string(prefix + "_checksum", hex);
   }
-  summary.add("checksum_match", static_cast<std::int64_t>(all_checksums_match));
-
   bench::section("conv3x3 64->64 on 8x64x16x16: direct vs im2col, best of 5");
   {
     nn::Conv2d conv(64, 64, 3, 1, 1);
@@ -391,16 +392,76 @@ void run_kernel_summary() {
     summary.add("conv_checksum_match", static_cast<std::int64_t>(match));
   }
 
+  // Backward (dx + dW + db) on the fused lowering vs im2col: two of the
+  // shapes the fused backward replaced — the 3x3 above and ResNet-50's 7x7
+  // stem at 224x224. dx and the parameter gradients must be byte-equal.
+  struct BwdCase {
+    const char* key;
+    std::int64_t in_c, out_c, k, stride, pad, batch, hw;
+  };
+  const BwdCase bwd_cases[] = {{"conv3x3", 64, 64, 3, 1, 1, 8, 16},
+                               {"conv7x7_stem", 3, 64, 7, 2, 3, 2, 224}};
+  for (const BwdCase& bc : bwd_cases) {
+    nn::Conv2d conv(bc.in_c, bc.out_c, bc.k, bc.stride, bc.pad);
+    Rng rng(10);
+    conv.init(rng);
+    Tensor x({bc.batch, bc.in_c, bc.hw, bc.hw});
+    rng.fill_normal(x.span(), 0.0f, 1.0f);
+    Tensor y, dx;
+    conv.forward(x, y, true);
+    Tensor dy(y.shape());
+    rng.fill_normal(dy.span(), 0.0f, 1.0f);
+    // dW and dx each cost one forward's FLOPs.
+    const double flops = 2.0 * bc.batch * conv.flops(x.shape());
+    auto arm = [&](bool direct, std::uint64_t* sum) {
+      nn::Conv2d::set_direct_enabled(direct);
+      const double t = time_best(5, [&] {
+        for (auto& p : conv.params()) p.grad->zero();
+        conv.backward(x, y, dy, dx);
+      });
+      std::vector<float> bytes(dx.span().begin(), dx.span().end());
+      for (auto& p : conv.params()) {
+        bytes.insert(bytes.end(), p.grad->span().begin(),
+                     p.grad->span().end());
+      }
+      *sum = bits_checksum(bytes);
+      return t;
+    };
+    std::uint64_t sum_im2col = 0, sum_direct = 0;
+    const double t_im2col = arm(false, &sum_im2col);
+    const double t_direct = arm(true, &sum_direct);
+    nn::Conv2d::set_direct_enabled(true);
+    const bool match = sum_im2col == sum_direct;
+    all_checksums_match = all_checksums_match && match;
+    bench::section(std::string(bc.key) + " backward: fused vs im2col, best of 5");
+    std::printf("im2col %8.3f ms (%.2f GF/s)  fused %8.3f ms (%.2f GF/s)  "
+                "%.2fx %s\n",
+                t_im2col * 1e3, flops / t_im2col * 1e-9, t_direct * 1e3,
+                flops / t_direct * 1e-9, t_im2col / t_direct,
+                match ? "" : "CHECKSUM MISMATCH");
+    const std::string key = bc.key;
+    summary.add(key + "_bwd_im2col_ms", t_im2col * 1e3);
+    summary.add(key + "_bwd_direct_ms", t_direct * 1e3);
+    summary.add(key + "_bwd_direct_speedup", t_im2col / t_direct);
+    summary.add(key + "_bwd_checksum_match", static_cast<std::int64_t>(match));
+  }
+  summary.add("checksum_match", static_cast<std::int64_t>(all_checksums_match));
+
   const std::string path = summary.write();
   std::printf("\nwrote %s\n\n", path.c_str());
+  return all_checksums_match;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  run_kernel_summary();
+  const bool checksums_match = run_kernel_summary();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
+  if (!checksums_match) {
+    std::fprintf(stderr, "bench_kernels: CHECKSUM MISMATCH\n");
+    return 1;
+  }
   return 0;
 }

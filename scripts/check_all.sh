@@ -13,6 +13,14 @@
 #                sweep; writes bench_results/memplan.{csv,json}. Runs in
 #                the default build so a plan regression (RSS or throughput)
 #                shows up in the same invocation as the correctness gates
+#   perfbench    the repo benchmark (perfbench/, declared by BENCHMARK.json):
+#                python3 perfbench/selftest.py on its tiny configs, then
+#                perfbench/run.py --seed 1 for every declared workload,
+#                built under build/perfbench-target (CARGO_TARGET_DIR). A
+#                run whose result line says "correct": false fails the
+#                stage, so a final-weights hash that no longer matches
+#                perfbench/reference.json is caught here, not only by the
+#                benchmark
 #   asan-ubsan   rebuild with MINSGD_SANITIZE=address,undefined
 #                (-fno-sanitize-recover=all, no suppression files) and run
 #                the full tier-1 suite under it — includes the elastic
@@ -122,6 +130,29 @@ asan_ubsan_stage() {
       -R '^(test_gemm|test_conv)$'
 }
 
+perfbench_stage() {
+  local target="build/perfbench-target"
+  CARGO_TARGET_DIR="$target" python3 perfbench/selftest.py || return 1
+  local workloads wl result
+  workloads="$(python3 -c 'import json; print(" ".join(
+    w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')" ||
+    return 1
+  for wl in $workloads; do
+    # run.py prints build chatter on stderr and its result as stdout's
+    # last line.
+    result="$(CARGO_TARGET_DIR="$target" python3 perfbench/run.py \
+      --workload "$wl" --seed 1)" || return 1
+    result="$(printf '%s\n' "$result" | tail -n 1)"
+    echo "$wl: $result"
+    if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' "$result"
+    then
+      echo "perfbench: $wl did not report \"correct\": true" >&2
+      return 1
+    fi
+  done
+}
+
 tsan_stage() {
   scripts/tsan_tier2.sh
 }
@@ -138,6 +169,7 @@ else
   skip_stage "tier1"
   skip_stage "bench-memplan"
 fi
+run_stage "perfbench" perfbench_stage || FAILED=1
 if [ "$SKIP_ASAN" -eq 1 ]; then
   skip_stage "asan-ubsan"
 else

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/kernels/conv_direct.hpp"
 
 namespace minsgd::nn {
 namespace {
@@ -75,54 +73,16 @@ Shape Conv2d::output_shape(const Shape& input) const {
   return {input[0], out_c_, out_h, out_w};
 }
 
-void Conv2d::im2col(const Tensor& x, std::int64_t n, float* col,
-                    std::int64_t out_h, std::int64_t out_w) const {
-  const std::int64_t h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t spatial = out_h * out_w;
-  // col is (in_c*k*k) x (out_h*out_w), row-major, channel-major rows, so the
-  // rows belonging to one channel group are contiguous. Every element is
-  // written (padding as explicit zeros), so a dirty reused buffer is fine.
-  for (std::int64_t c = 0; c < in_c_; ++c) {
-    for (std::int64_t ki = 0; ki < k_; ++ki) {
-      for (std::int64_t kj = 0; kj < k_; ++kj) {
-        float* dst = col + ((c * k_ + ki) * k_ + kj) * spatial;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride_ - pad_ + ki;
-          if (ih < 0 || ih >= h) {
-            std::memset(dst + oh * out_w, 0,
-                        static_cast<std::size_t>(out_w) * sizeof(float));
-            continue;
-          }
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride_ - pad_ + kj;
-            dst[oh * out_w + ow] =
-                (iw >= 0 && iw < w) ? x.at(n, c, ih, iw) : 0.0f;
-          }
-        }
-      }
-    }
-  }
+kernels::Conv2dGeom Conv2d::geom(const Shape& input) const {
+  const Shape out = output_shape(input);
+  return {in_c_, input[2], input[3], out_c_, out[2], out[3],
+          k_,    stride_,  pad_};
 }
 
-void Conv2d::col2im(const float* col, Tensor& dx, std::int64_t n,
-                    std::int64_t out_h, std::int64_t out_w) const {
-  const std::int64_t h = dx.shape()[2], w = dx.shape()[3];
-  const std::int64_t spatial = out_h * out_w;
-  for (std::int64_t c = 0; c < in_c_; ++c) {
-    for (std::int64_t ki = 0; ki < k_; ++ki) {
-      for (std::int64_t kj = 0; kj < k_; ++kj) {
-        const float* src = col + ((c * k_ + ki) * k_ + kj) * spatial;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride_ - pad_ + ki;
-          if (ih < 0 || ih >= h) continue;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride_ - pad_ + kj;
-            if (iw >= 0 && iw < w) dx.at(n, c, ih, iw) += src[oh * out_w + ow];
-          }
-        }
-      }
-    }
-  }
+kernels::ConvLowering Conv2d::lowering(const Shape& input,
+                                       kernels::ConvPass pass) const {
+  if (!direct_enabled()) return kernels::ConvLowering::kIm2col;
+  return kernels::conv2d_lowering(geom(input), groups_, pass);
 }
 
 std::int64_t Conv2d::backward_chunks(std::int64_t batch) const {
@@ -138,51 +98,58 @@ std::int64_t Conv2d::backward_chunks(std::int64_t batch) const {
 
 Shape Conv2d::plan_forward(PlanBuilder& builder, const Shape& input) {
   const std::int32_t step = builder.tick();
-  const Shape out = output_shape(input);
   plan_fwd_col_ = kNoTensor;
-  const bool direct =
-      direct_enabled() &&
-      kernels::conv2d_direct_eligible(k_, stride_, pad_, groups_);
-  if (!direct) {
-    const std::int64_t spatial = out[2] * out[3];
-    const std::int64_t col_elems = in_c_ * k_ * k_ * spatial;
+  if (lowering(input, kernels::ConvPass::kForward) ==
+      kernels::ConvLowering::kIm2col) {
+    const kernels::Conv2dGeom g = geom(input);
     const std::int64_t chunks = ComputeContext::chunk_count(input[0], 1);
-    plan_fwd_col_ = builder.scratch(chunks * col_elems, step);
+    plan_fwd_col_ = builder.scratch(chunks * g.kdim() * g.spatial(), step);
   }
-  return out;
+  return output_shape(input);
 }
 
 void Conv2d::plan_backward(PlanBuilder& builder, const Shape& input) {
   const std::int32_t step = builder.tick();
-  const Shape out = output_shape(input);
+  const kernels::Conv2dGeom g = geom(input);
   const std::int64_t chunks = backward_chunks(input[0]);
   plan_bwd_dw_ = builder.scratch(chunks * w_.numel(), step);
   plan_bwd_db_ =
       has_bias_ ? builder.scratch(chunks * out_c_, step) : kNoTensor;
   plan_bwd_col_ = kNoTensor;
   plan_bwd_dcol_ = kNoTensor;
-  const bool direct1x1 = direct_enabled() && groups_ == 1 && k_ == 1 &&
-                         stride_ == 1 && pad_ == 0;
-  if (!direct1x1) {
-    const std::int64_t col_elems = in_c_ * k_ * k_ * out[2] * out[3];
-    plan_bwd_col_ = builder.scratch(chunks * col_elems, step);
-    plan_bwd_dcol_ = builder.scratch(chunks * col_elems, step);
+  plan_bwd_dcol_block_ = kNoTensor;
+  switch (lowering(input, kernels::ConvPass::kBackward)) {
+    case kernels::ConvLowering::kIm2col:
+      plan_bwd_col_ = builder.scratch(chunks * g.kdim() * g.spatial(), step);
+      plan_bwd_dcol_ = builder.scratch(chunks * g.kdim() * g.spatial(), step);
+      break;
+    case kernels::ConvLowering::kFused:
+      plan_bwd_dcol_block_ = builder.scratch(
+          chunks * kernels::conv2d_dcol_block_rows(g) * g.spatial(), step);
+      break;
+    case kernels::ConvLowering::kGemm:
+      break;
   }
 }
 
 void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
                         const ComputeContext& ctx, PlanContext& pc) {
-  const Shape out = output_shape(x.shape());
-  y.resize(out);
+  const kernels::Conv2dGeom geo = geom(x.shape());
+  y.resize(output_shape(x.shape()));
   const std::int64_t batch = x.shape()[0];
-  const std::int64_t out_h = out[2], out_w = out[3];
-  const std::int64_t spatial = out_h * out_w;
+  const std::int64_t spatial = geo.spatial();
   const std::int64_t kdim = (in_c_ / groups_) * k_ * k_;  // per-group depth
   const std::int64_t g_out = out_c_ / groups_;
 
-  const bool direct = direct_enabled() &&
-                      kernels::conv2d_direct_eligible(k_, stride_, pad_, groups_);
-  if (direct && k_ == 1) {
+  const kernels::ConvLowering low =
+      lowering(x.shape(), kernels::ConvPass::kForward);
+  if (low == kernels::ConvLowering::kFused) {
+    kernels::conv2d_forward_direct(ctx, x.data(), w_.data(),
+                                   has_bias_ ? b_.data() : nullptr, y.data(),
+                                   batch, geo);
+    return;
+  }
+  if (low == kernels::ConvLowering::kGemm) {
     // 1x1 stride-1 unpadded: the conv IS a GEMM on the input plane — no
     // gather at all. Bit-identical to the im2col path (whose col buffer
     // equals the input slice bytewise), so this needs no separate oracle.
@@ -204,22 +171,13 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
         });
     return;
   }
-  if (direct) {
-    // Stride-1 3x3: fused direct conv — im2col folded into B-panel packing.
-    const kernels::Conv2dGeom geom{in_c_, x.shape()[2], x.shape()[3],
-                                   out_c_,  out_h,       out_w,
-                                   k_,      stride_,     pad_};
-    kernels::conv2d_forward_direct(ctx, x.data(), w_.data(),
-                                   has_bias_ ? b_.data() : nullptr, y.data(),
-                                   batch, geom);
-    return;
-  }
 
   // Batch-parallel with per-chunk im2col scratch; each image's output rows
   // are disjoint, so no reduction is needed. The inner sgemm runs inline
   // (nested region). The chunk-strided scratch block is requested up front
   // so worker threads never allocate.
-  const std::int64_t col_elems = in_c_ * k_ * k_ * spatial;
+  const std::int64_t col_elems = geo.kdim() * spatial;
+  const std::int64_t in_plane = in_c_ * geo.h * geo.w;
   const std::int64_t chunks = ComputeContext::chunk_count(batch, /*grain=*/1);
   const std::span<float> cols = pc.floats(plan_fwd_col_, chunks * col_elems);
   ctx.for_chunks(
@@ -227,7 +185,7 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
       [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
         float* col = cols.data() + c * col_elems;
         for (std::int64_t n = lo; n < hi; ++n) {
-          im2col(x, n, col, out_h, out_w);
+          kernels::im2col(x.data() + n * in_plane, col, geo);
           for (std::int64_t g = 0; g < groups_; ++g) {
             // y[n, group g] = W_g (g_out x kdim) * col_g (kdim x spatial)
             sgemm(ctx, Trans::kNo, Trans::kNo, g_out, spatial, kdim, 1.0f,
@@ -246,14 +204,14 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
       });
 }
 
-void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                         Tensor& dx, const ComputeContext& ctx,
-                         PlanContext& pc) {
-  const Shape out = y.shape();
+void Conv2d::do_backward(const Tensor& x, const Tensor& /*y*/,
+                         const Tensor& dy, Tensor& dx,
+                         const ComputeContext& ctx, PlanContext& pc) {
+  const kernels::Conv2dGeom geo = geom(x.shape());
   const std::int64_t batch = x.shape()[0];
-  const std::int64_t out_h = out[2], out_w = out[3];
-  const std::int64_t spatial = out_h * out_w;
-  const std::int64_t kdim = (in_c_ / groups_) * k_ * k_;
+  const std::int64_t spatial = geo.spatial();
+  const std::int64_t in_plane = in_c_ * geo.h * geo.w;
+  const std::int64_t kdim = (in_c_ / groups_) * k_ * k_;  // per-group depth
   const std::int64_t g_out = out_c_ / groups_;
 
   dx.resize(x.shape());
@@ -271,16 +229,27 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
   const std::span<float> db_parts =
       has_bias_ ? pc.floats(plan_bwd_db_, chunks * out_c_) : std::span<float>{};
 
-  // 1x1 stride-1 unpadded skips the col buffers entirely: the column
-  // matrix is the input slice and dcol is dx itself. Bit-identical to
-  // the im2col path (col2im adds each dcol element once onto zero).
-  const bool direct1x1 = direct_enabled() && groups_ == 1 && k_ == 1 &&
-                         stride_ == 1 && pad_ == 0;
-  const std::int64_t col_elems = direct1x1 ? 0 : in_c_ * k_ * k_ * spatial;
-  const std::span<float> cols =
-      direct1x1 ? std::span<float>{} : pc.floats(plan_bwd_col_, chunks * col_elems);
-  const std::span<float> dcols =
-      direct1x1 ? std::span<float>{} : pc.floats(plan_bwd_dcol_, chunks * col_elems);
+  // Lowering-specific scratch, all requested before the region:
+  //   kGemm    none — the column matrix is the input slice and dcol is dx
+  //            itself (col2im adds each dcol element once onto zero);
+  //   kFused   one L2-sized dcol row block per chunk, plus Wᵀ packed once
+  //            on this thread;
+  //   kIm2col  whole col and dcol matrices per chunk.
+  const kernels::ConvLowering low =
+      lowering(x.shape(), kernels::ConvPass::kBackward);
+  std::int64_t col_elems = 0;
+  std::int64_t dcol_elems = 0;
+  std::span<float> cols, dcols;
+  const float* wt = nullptr;
+  if (low == kernels::ConvLowering::kIm2col) {
+    col_elems = dcol_elems = geo.kdim() * spatial;
+    cols = pc.floats(plan_bwd_col_, chunks * col_elems);
+    dcols = pc.floats(plan_bwd_dcol_, chunks * dcol_elems);
+  } else if (low == kernels::ConvLowering::kFused) {
+    dcol_elems = kernels::conv2d_dcol_block_rows(geo) * spatial;
+    dcols = pc.floats(plan_bwd_dcol_block_, chunks * dcol_elems);
+    wt = kernels::conv2d_pack_weight_t(w_.data(), geo);
+  }
 
   ctx.for_chunks_n(
       batch, chunks, [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
@@ -291,24 +260,26 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
           dbp = db_parts.data() + c * out_c_;
           std::fill_n(dbp, static_cast<std::size_t>(out_c_), 0.0f);
         }
-        float* col = direct1x1 ? nullptr : cols.data() + c * col_elems;
-        float* dcol = direct1x1 ? nullptr : dcols.data() + c * col_elems;
+        float* col = cols.data() + c * col_elems;
+        float* dcol = dcols.data() + c * dcol_elems;
         for (std::int64_t n = lo; n < hi; ++n) {
-          if (direct1x1) {
-            const float* dy_n = dy.data() + n * out_c_ * spatial;
+          const float* xn = x.data() + n * in_plane;
+          const float* dy_n = dy.data() + n * out_c_ * spatial;
+          float* dxn = dx.data() + n * in_plane;
+          if (low == kernels::ConvLowering::kGemm) {
             // dW(partial) += dy_n (out_c x spatial) * x_n^T (spatial x in_c)
             sgemm(ctx, Trans::kNo, Trans::kYes, out_c_, in_c_, spatial, 1.0f,
-                  dy_n, spatial, x.data() + n * in_c_ * spatial, spatial, 1.0f,
-                  dwp, in_c_);
+                  dy_n, spatial, xn, spatial, 1.0f, dwp, in_c_);
             // dx_n = W^T (in_c x out_c) * dy_n (out_c x spatial)
             sgemm(ctx, Trans::kYes, Trans::kNo, in_c_, spatial, out_c_, 1.0f,
-                  w_.data(), in_c_, dy_n, spatial, 0.0f,
-                  dx.data() + n * in_c_ * spatial, spatial);
+                  w_.data(), in_c_, dy_n, spatial, 0.0f, dxn, spatial);
+          } else if (low == kernels::ConvLowering::kFused) {
+            kernels::conv2d_backward_weight_direct(xn, dy_n, dwp, geo);
+            kernels::conv2d_backward_data_direct(wt, dy_n, dxn, dcol, geo);
           } else {
-            im2col(x, n, col, out_h, out_w);
+            kernels::im2col(xn, col, geo);
             for (std::int64_t g = 0; g < groups_; ++g) {
-              const float* dy_g =
-                  dy.data() + (n * out_c_ + g * g_out) * spatial;
+              const float* dy_g = dy_n + g * g_out * spatial;
               // dW_g(partial) += dy_g (g_out x spatial) * col_g^T (spatial x kdim)
               sgemm(ctx, Trans::kNo, Trans::kYes, g_out, kdim, spatial, 1.0f,
                     dy_g, spatial, col + g * kdim * spatial, spatial,
@@ -318,11 +289,11 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                     w_.data() + g * g_out * kdim, kdim, dy_g, spatial, 0.0f,
                     dcol + g * kdim * spatial, spatial);
             }
-            col2im(dcol, dx, n, out_h, out_w);
+            kernels::col2im_add(dcol, 0, geo.kdim(), dxn, geo);
           }
           if (has_bias_) {
             for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-              const float* src = dy.data() + (n * out_c_ + oc) * spatial;
+              const float* src = dy_n + oc * spatial;
               double acc = 0.0;
               for (std::int64_t s = 0; s < spatial; ++s) acc += src[s];
               dbp[oc] += static_cast<float>(acc);

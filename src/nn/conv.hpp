@@ -1,5 +1,14 @@
-// Conv2d: 2-D convolution lowered to im2col + sgemm, with a direct
-// (im2col-free) fast path for 1x1 and stride-1 3x3 ungrouped shapes.
+// Conv2d: 2-D convolution on the packed sgemm microkernels. Each pass picks
+// one of three lowerings through kernels::conv2d_lowering, the predicate
+// plan and run share:
+//   gemm    1x1 stride-1 unpadded — the input plane is the column matrix;
+//   fused   every other ungrouped shape where the im2col sgemm would take
+//           its packed path (and stride-1 3x3 forward at any size) — im2col
+//           folded into panel packing for forward, dW and dx, with no
+//           materialized col/dcol (tensor/kernels/conv_direct.hpp);
+//   im2col  grouped convs, shapes at or below kSmallGemmFlops, and
+//           everything under MINSGD_CONV_DIRECT=off — the reference.
+// Fused and gemm bytes equal the im2col bytes wherever they apply.
 #pragma once
 
 #include <cstdint>
@@ -7,6 +16,7 @@
 
 #include "nn/layer.hpp"
 #include "nn/plan.hpp"
+#include "tensor/kernels/conv_direct.hpp"
 
 namespace minsgd::nn {
 
@@ -37,13 +47,24 @@ class Conv2d final : public Layer {
   Shape plan_forward(PlanBuilder& builder, const Shape& input) override;
   void plan_backward(PlanBuilder& builder, const Shape& input) override;
 
-  /// Process-wide toggle for the direct (im2col-free) conv path. On by
-  /// default; MINSGD_CONV_DIRECT=off/0/false disables it at startup. The
-  /// im2col path stays the semantic reference — for shapes where sgemm takes
-  /// its packed path the two produce bit-identical outputs, so tests and
-  /// benches flip this to compare them.
+  /// Process-wide toggle for the direct (gemm and fused) lowerings. On by
+  /// default; MINSGD_CONV_DIRECT=off/0/false disables it at startup, sending
+  /// every pass through im2col. The im2col path stays the semantic
+  /// reference — the direct lowerings apply only where they reproduce its
+  /// bytes (plus stride-1 3x3 forward at every size), so tests and benches
+  /// flip this to compare them.
   static void set_direct_enabled(bool on);
   static bool direct_enabled();
+
+  /// The lowering `pass` takes at `input` under the current gate.
+  kernels::ConvLowering lowering(const Shape& input,
+                                 kernels::ConvPass pass) const;
+
+  /// True when the last plan walk reserved whole backward col/dcol
+  /// matrices — only the im2col lowering needs them.
+  bool plans_backward_columns() const {
+    return plan_bwd_col_ != kNoTensor || plan_bwd_dcol_ != kNoTensor;
+  }
 
  protected:
   void do_forward(const Tensor& x, Tensor& y, bool training,
@@ -53,10 +74,7 @@ class Conv2d final : public Layer {
                    PlanContext& pc) override;
 
  private:
-  void im2col(const Tensor& x, std::int64_t n, float* col,
-              std::int64_t out_h, std::int64_t out_w) const;
-  void col2im(const float* col, Tensor& dx, std::int64_t n, std::int64_t out_h,
-              std::int64_t out_w) const;
+  kernels::Conv2dGeom geom(const Shape& input) const;
 
   /// Backward dW-partial chunk count: a function of (batch, weight size)
   /// only, shared by plan_backward and do_backward so the planned scratch
@@ -72,6 +90,7 @@ class Conv2d final : public Layer {
   TensorId plan_fwd_col_ = kNoTensor;
   TensorId plan_bwd_col_ = kNoTensor;
   TensorId plan_bwd_dcol_ = kNoTensor;
+  TensorId plan_bwd_dcol_block_ = kNoTensor;  // fused: one dcol row block
   TensorId plan_bwd_dw_ = kNoTensor;
   TensorId plan_bwd_db_ = kNoTensor;
 };

@@ -51,11 +51,6 @@ void gemm_small(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   }
 }
 
-// Below this FLOP count the small path wins; above it the packed microkernel
-// path does. The threshold is a function of shape only, so which path runs
-// never depends on the thread count or the dispatched ISA.
-constexpr std::int64_t kSmallGemmFlops = std::int64_t{1} << 18;
-
 }  // namespace
 
 void sgemm(const ComputeContext& ctx, Trans ta, Trans tb, std::int64_t m,

@@ -17,6 +17,13 @@ class ComputeContext;
 
 enum class Trans { kNo, kYes };
 
+/// sgemm runs problems with m*n*k at or below this on a direct scalar path
+/// and larger ones on the packed microkernels. A function of shape only, so
+/// which path runs never depends on the thread count or the dispatched ISA;
+/// drivers that must reproduce sgemm's bytes (kernels::conv2d_lowering)
+/// test against this same constant.
+inline constexpr std::int64_t kSmallGemmFlops = std::int64_t{1} << 18;
+
 /// Row-major sgemm. A is (M x K) if ta==kNo else (K x M); B is (K x N) if
 /// tb==kNo else (N x K); C is always (M x N) with leading dimension N.
 /// lda/ldb are the leading dimensions of A/B as stored.

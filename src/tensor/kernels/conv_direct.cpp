@@ -5,6 +5,7 @@
 
 #include "core/check.hpp"
 #include "tensor/context.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernels/microkernel.hpp"
 #include "tensor/kernels/pack.hpp"
 
@@ -63,13 +64,70 @@ void pack_b_im2col(const float* xn, const Conv2dGeom& g, std::int64_t p0,
   }
 }
 
+// The transposed gather for dW: the (kc x nc) block of colᵀ starting at
+// output position s0 (depth) and tap row r0 (lanes), in B-panel layout.
+// Each lane walks its tap's input row along the output row, so the x reads
+// stay contiguous for stride 1; the panel (kc x kNR per micro-panel) stays
+// L1-resident while its lanes fill in.
+void pack_bt_im2col(const float* xn, const Conv2dGeom& g, std::int64_t s0,
+                    std::int64_t r0, std::int64_t kc, std::int64_t nc,
+                    float* bp) {
+  const std::int64_t ntiles = (nc + kNR - 1) / kNR;
+  for (std::int64_t jt = 0; jt < ntiles; ++jt) {
+    float* tile = bp + jt * kc * kNR;
+    const std::int64_t nr = std::min(kNR, nc - jt * kNR);
+    for (std::int64_t q = 0; q < nr; ++q) {
+      const std::int64_t row = r0 + jt * kNR + q;
+      const std::int64_t ci = row / (g.k * g.k);
+      const std::int64_t ki = (row % (g.k * g.k)) / g.k;
+      const std::int64_t kj = row % g.k;
+      const float* plane = xn + ci * g.h * g.w;
+      std::int64_t p = 0;
+      while (p < kc) {
+        const std::int64_t s = s0 + p;
+        const std::int64_t oh = s / g.out_w;
+        const std::int64_t ow = s % g.out_w;
+        const std::int64_t run = std::min(g.out_w - ow, kc - p);
+        float* dst = tile + p * kNR + q;
+        const std::int64_t ih = oh * g.stride - g.pad + ki;
+        if (ih < 0 || ih >= g.h) {
+          for (std::int64_t t = 0; t < run; ++t) dst[t * kNR] = 0.0f;
+        } else {
+          const float* src = plane + ih * g.w;
+          for (std::int64_t t = 0; t < run; ++t) {
+            const std::int64_t iw = (ow + t) * g.stride - g.pad + kj;
+            dst[t * kNR] = (iw >= 0 && iw < g.w) ? src[iw] : 0.0f;
+          }
+        }
+        p += run;
+      }
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
+      for (std::int64_t q = nr; q < kNR; ++q) tile[p * kNR + q] = 0.0f;
+    }
+  }
+}
+
+// Target footprint of one dcol row block: kKC x kNC floats (512 KiB), the
+// size of a gemm_packed B panel, leaving room in a 1-2 MiB L2 for the
+// packed dy panels it is multiplied against. Blocks never shrink below
+// kMinDcolTiles row tiles: on large planes (the 7x7 stem's 112x112) fewer
+// rows would re-stream the whole packed dy once per handful of rows.
+constexpr std::int64_t kDcolBlockFloats = kKC * kNC;
+constexpr std::int64_t kMinDcolTiles = 4;
+
 }  // namespace
 
-bool conv2d_direct_eligible(std::int64_t k, std::int64_t stride,
-                            std::int64_t pad, std::int64_t groups) {
-  if (groups != 1) return false;
-  if (k == 1 && stride == 1 && pad == 0) return true;
-  return k == 3 && stride == 1;
+ConvLowering conv2d_lowering(const Conv2dGeom& g, std::int64_t groups,
+                             ConvPass pass) {
+  if (groups != 1) return ConvLowering::kIm2col;
+  if (g.k == 1 && g.stride == 1 && g.pad == 0) return ConvLowering::kGemm;
+  if (pass == ConvPass::kForward && g.k == 3 && g.stride == 1) {
+    return ConvLowering::kFused;
+  }
+  return g.out_c * g.kdim() * g.spatial() > kSmallGemmFlops
+             ? ConvLowering::kFused
+             : ConvLowering::kIm2col;
 }
 
 void conv2d_forward_direct(const ComputeContext& ctx, const float* x,
@@ -79,8 +137,8 @@ void conv2d_forward_direct(const ComputeContext& ctx, const float* x,
                    g.pad >= 0 && g.out_h > 0 && g.out_w > 0,
                "conv2d_forward_direct: bad geometry");
   if (batch <= 0) return;
-  const std::int64_t kdim = g.in_c * g.k * g.k;
-  const std::int64_t spatial = g.out_h * g.out_w;
+  const std::int64_t kdim = g.kdim();
+  const std::int64_t spatial = g.spatial();
   const std::int64_t in_plane = g.in_c * g.h * g.w;
   const std::int64_t out_plane = g.out_c * spatial;
   const MicrokernelFn ukr = microkernel_for(active());
@@ -141,6 +199,158 @@ void conv2d_forward_direct(const ComputeContext& ctx, const float* x,
           }
         }
       });
+}
+
+void conv2d_backward_weight_direct(const float* xn, const float* dyn,
+                                   float* dw, const Conv2dGeom& g) {
+  const std::int64_t kdim = g.kdim();
+  const std::int64_t spatial = g.spatial();
+  const MicrokernelFn ukr = microkernel_for(active());
+  // m = out_c rows of dy, n = kdim columns of colᵀ, depth = spatial. The
+  // whole dy row block is packed once per depth block, so each gathered
+  // colᵀ panel is reused across every out_c row tile.
+  const std::int64_t mtiles = (g.out_c + kMR - 1) / kMR;
+  float* const apack = pack_scratch(
+      kPackScratchConvDy,
+      static_cast<std::size_t>(mtiles * kMR * std::min(kKC, spatial)));
+  float* const bpack =
+      pack_scratch(kPackScratchConvB, static_cast<std::size_t>(kKC * kNC));
+  for (std::int64_t p0 = 0; p0 < spatial; p0 += kKC) {
+    const std::int64_t kc = std::min(kKC, spatial - p0);
+    pack_a_panel(dyn, spatial, Trans::kNo, 0, p0, g.out_c, kc, /*alpha=*/1.0f,
+                 apack);
+    for (std::int64_t j0 = 0; j0 < kdim; j0 += kNC) {
+      const std::int64_t nc = std::min(kNC, kdim - j0);
+      const std::int64_t ntiles = (nc + kNR - 1) / kNR;
+      pack_bt_im2col(xn, g, p0, j0, kc, nc, bpack);
+      for (std::int64_t jt = 0; jt < ntiles; ++jt) {
+        const std::int64_t nr = std::min(kNR, nc - jt * kNR);
+        const float* btile = bpack + jt * kc * kNR;
+        for (std::int64_t it = 0; it < mtiles; ++it) {
+          const std::int64_t mr = std::min(kMR, g.out_c - it * kMR);
+          ukr(kc, apack + it * kc * kMR, btile,
+              dw + it * kMR * kdim + j0 + jt * kNR, kdim, mr, nr);
+        }
+      }
+    }
+  }
+}
+
+const float* conv2d_pack_weight_t(const float* w, const Conv2dGeom& g) {
+  // Wᵀ as the A operand of dcol = Wᵀ · dy: m = kdim, depth = out_c. Depth
+  // block p0 starts at mtiles*kMR*p0 (footprints are proportional to kc).
+  const std::int64_t kdim = g.kdim();
+  const std::int64_t mtiles = (kdim + kMR - 1) / kMR;
+  float* const wt = pack_scratch(
+      kPackScratchConvW, static_cast<std::size_t>(mtiles * kMR * g.out_c));
+  for (std::int64_t p0 = 0; p0 < g.out_c; p0 += kKC) {
+    const std::int64_t kc = std::min(kKC, g.out_c - p0);
+    pack_a_panel(w, kdim, Trans::kYes, 0, p0, kdim, kc, /*alpha=*/1.0f,
+                 wt + mtiles * kMR * p0);
+  }
+  return wt;
+}
+
+std::int64_t conv2d_dcol_block_rows(const Conv2dGeom& g) {
+  const std::int64_t fit = kDcolBlockFloats / g.spatial() / kMR * kMR;
+  return std::min(g.kdim(), std::max(kMinDcolTiles * kMR, fit));
+}
+
+void conv2d_backward_data_direct(const float* wt, const float* dyn,
+                                 float* dxn, float* dcol,
+                                 const Conv2dGeom& g) {
+  const std::int64_t kdim = g.kdim();
+  const std::int64_t spatial = g.spatial();
+  const MicrokernelFn ukr = microkernel_for(active());
+  // dy_n (out_c x spatial) as the B operand, packed once for the image:
+  // block (p0, j0) lives at p0*sp_pad + kc*j0, because every j0 block but
+  // the last is a whole number of kNR lanes wide.
+  const std::int64_t sp_pad = (spatial + kNR - 1) / kNR * kNR;
+  float* const dypack = pack_scratch(
+      kPackScratchConvDy, static_cast<std::size_t>(g.out_c * sp_pad));
+  for (std::int64_t p0 = 0; p0 < g.out_c; p0 += kKC) {
+    const std::int64_t kc = std::min(kKC, g.out_c - p0);
+    for (std::int64_t j0 = 0; j0 < spatial; j0 += kNC) {
+      pack_b_panel(dyn, spatial, Trans::kNo, p0, j0, kc,
+                   std::min(kNC, spatial - j0), dypack + p0 * sp_pad + kc * j0);
+    }
+  }
+
+  // dcol row blocks in ascending order: zero, accumulate each kKC depth
+  // block of out_c, then scatter-add into dx_n. Blocks start on a kMR
+  // boundary, so their tiles are the packed Wᵀ tiles from r0/kMR on.
+  const std::int64_t kmtiles = (kdim + kMR - 1) / kMR;
+  const std::int64_t block_rows = conv2d_dcol_block_rows(g);
+  for (std::int64_t r0 = 0; r0 < kdim; r0 += block_rows) {
+    const std::int64_t rows = std::min(block_rows, kdim - r0);
+    const std::int64_t mtiles = (rows + kMR - 1) / kMR;
+    const std::int64_t t0 = r0 / kMR;
+    std::memset(dcol, 0,
+                static_cast<std::size_t>(rows * spatial) * sizeof(float));
+    for (std::int64_t p0 = 0; p0 < g.out_c; p0 += kKC) {
+      const std::int64_t kc = std::min(kKC, g.out_c - p0);
+      const float* apanel = wt + kmtiles * kMR * p0;
+      for (std::int64_t j0 = 0; j0 < spatial; j0 += kNC) {
+        const std::int64_t nc = std::min(kNC, spatial - j0);
+        const std::int64_t ntiles = (nc + kNR - 1) / kNR;
+        const float* bpanel = dypack + p0 * sp_pad + kc * j0;
+        for (std::int64_t jt = 0; jt < ntiles; ++jt) {
+          const std::int64_t nr = std::min(kNR, nc - jt * kNR);
+          const float* btile = bpanel + jt * kc * kNR;
+          for (std::int64_t it = 0; it < mtiles; ++it) {
+            const std::int64_t mr = std::min(kMR, rows - it * kMR);
+            ukr(kc, apanel + (t0 + it) * kc * kMR, btile,
+                dcol + it * kMR * spatial + j0 + jt * kNR, spatial, mr, nr);
+          }
+        }
+      }
+    }
+    col2im_add(dcol, r0, rows, dxn, g);
+  }
+}
+
+void im2col(const float* xn, float* col, const Conv2dGeom& g) {
+  const std::int64_t spatial = g.spatial();
+  for (std::int64_t row = 0; row < g.kdim(); ++row) {
+    const std::int64_t c = row / (g.k * g.k);
+    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
+    const std::int64_t kj = row % g.k;
+    const float* plane = xn + c * g.h * g.w;
+    float* dst = col + row * spatial;
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride - g.pad + ki;
+      if (ih < 0 || ih >= g.h) {
+        std::memset(dst + oh * g.out_w, 0,
+                    static_cast<std::size_t>(g.out_w) * sizeof(float));
+        continue;
+      }
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::int64_t iw = ow * g.stride - g.pad + kj;
+        dst[oh * g.out_w + ow] =
+            (iw >= 0 && iw < g.w) ? plane[ih * g.w + iw] : 0.0f;
+      }
+    }
+  }
+}
+
+void col2im_add(const float* dcol, std::int64_t r0, std::int64_t rows,
+                float* dxn, const Conv2dGeom& g) {
+  const std::int64_t spatial = g.spatial();
+  for (std::int64_t row = r0; row < r0 + rows; ++row) {
+    const std::int64_t c = row / (g.k * g.k);
+    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
+    const std::int64_t kj = row % g.k;
+    float* plane = dxn + c * g.h * g.w;
+    const float* src = dcol + (row - r0) * spatial;
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride - g.pad + ki;
+      if (ih < 0 || ih >= g.h) continue;
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::int64_t iw = ow * g.stride - g.pad + kj;
+        if (iw >= 0 && iw < g.w) plane[ih * g.w + iw] += src[oh * g.out_w + ow];
+      }
+    }
+  }
 }
 
 }  // namespace minsgd::kernels

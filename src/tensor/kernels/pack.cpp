@@ -9,8 +9,10 @@ namespace minsgd::kernels {
 
 float* pack_scratch(int slot, std::size_t elems) {
   // minsgd-analyze: allow(hot-path-alloc): grow-only thread_local scratch
-  // shared by gemm_packed and conv2d_forward_direct; it reaches steady-state
-  // size on the first block and never reallocates on the planned hot path.
+  // shared by gemm_packed, conv2d_forward_direct, conv2d_pack_weight_t,
+  // conv2d_backward_weight_direct and conv2d_backward_data_direct; it
+  // reaches steady-state size on the first call and never reallocates on
+  // the planned hot path.
   static thread_local std::vector<float> buffers[kPackScratchSlots];
   std::vector<float>& buf = buffers[slot];
   if (buf.size() < elems) buf.resize(elems);

@@ -26,11 +26,20 @@ namespace minsgd::kernels {
 // Thread-local, grow-only scratch backing packed panels, so the blocked
 // drivers never allocate on the planned hot path (hot-path-alloc contract).
 // Distinct slots keep concurrent users on one thread from aliasing:
-//   kPackScratchA / kPackScratchB       gemm_packed, inside its region
-//   kPackScratchConvB                   conv2d_forward_direct, per chunk
-//   kPackScratchConvW                   conv2d_forward_direct, packed on the
-//                                       calling thread before its region and
-//                                       read-only inside it
+//   kPackScratchA / kPackScratchB  gemm_packed, inside its region
+//   kPackScratchConvB              gathered im2col panels, per chunk:
+//                                  conv2d_forward_direct (col) and
+//                                  conv2d_backward_weight_direct (colᵀ)
+//   kPackScratchConvW              one conv call's packed weights: W for
+//                                  conv2d_forward_direct, Wᵀ from
+//                                  conv2d_pack_weight_t. Packed on the
+//                                  calling thread before the region and
+//                                  read-only inside it
+//   kPackScratchConvDy             one image's packed dy, per chunk: A
+//                                  panels in conv2d_backward_weight_direct,
+//                                  then B panels for the whole image in
+//                                  conv2d_backward_data_direct (the two
+//                                  uses never overlap)
 // Buffers reach steady-state size after the first block and are reused dirty;
 // that is bitwise-safe because every pack fully overwrites the region the
 // microkernels read, zero-filling edge lanes (see layout notes above).
@@ -38,7 +47,8 @@ inline constexpr int kPackScratchA = 0;
 inline constexpr int kPackScratchB = 1;
 inline constexpr int kPackScratchConvB = 2;
 inline constexpr int kPackScratchConvW = 3;
-inline constexpr int kPackScratchSlots = 4;
+inline constexpr int kPackScratchConvDy = 4;
+inline constexpr int kPackScratchSlots = 5;
 
 /// Returns this thread's scratch buffer for `slot`, grown to at least
 /// `elems` floats. The pointer stays valid until the next pack_scratch call

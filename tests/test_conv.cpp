@@ -6,6 +6,7 @@
 #include "grad_check.hpp"
 #include "nn/conv.hpp"
 #include "tensor/context.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernels/conv_direct.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "tensor/rng.hpp"
@@ -300,8 +301,8 @@ TEST(ConvOracle, Direct1x1BitIdenticalToIm2colForwardBackward) {
             0);
 }
 
-// Forward and backward (y, dx, dW, db) of every conv lowering ResNet-50
-// uses — fused 3x3 s1, direct 1x1, im2col 3x3 s2 and the 7x7 s2 stem — at
+// Forward and backward (y, dx, dW, db) of every conv shape ResNet-50 uses
+// — 3x3 s1, 1x1 s1 (gemm lowering), 3x3 s2 and the 7x7 s2 stem (fused) — at
 // sizes where the inner sgemm takes the packed path: every supported ISA
 // arm must reproduce the forced-portable bytes.
 TEST(ConvOracle, EveryConvPathBitIdenticalAcrossIsaPaths) {
@@ -349,6 +350,80 @@ TEST(ConvOracle, EveryConvPathBitIdenticalAcrossIsaPaths) {
     }
   }
   kernels::clear_force();
+}
+
+// The fused lowering must reproduce the im2col bytes for y, dx, dW and db
+// wherever it applies, at 1 and 4 threads: stride 1 and 2, 1x1 s2, the 7x7
+// stem, a 7x7 output plane, out_c > kKC (two depth blocks for dx), kdim >
+// kNC (two column blocks for dW), spatial > kNC, more than one dcol row
+// block, and a batch of 3 (three backward chunks). A shape just below
+// kSmallGemmFlops keeps the im2col lowering and its bytes.
+TEST(ConvOracle, FusedBackwardBitIdenticalToIm2col) {
+  DirectPathGuard guard;
+  struct Case {
+    std::int64_t in_c, out_c, k, stride, pad, hw;
+    bool fused;
+  };
+  const Case cases[] = {
+      {16, 24, 3, 1, 0, 14, true},   // 3x3 s1, pad 0
+      {16, 24, 3, 1, 1, 12, true},   // 3x3 s1, pad 1
+      {32, 48, 3, 2, 1, 16, true},   // 3x3 s2
+      {64, 96, 1, 2, 0, 14, true},   // 1x1 s2 projection
+      {3, 64, 7, 2, 3, 32, true},    // 7x7 s2 p3 stem
+      {64, 64, 3, 1, 1, 7, true},    // 7x7 output plane
+      {16, 264, 3, 1, 1, 6, true},   // out_c > kKC
+      {64, 16, 3, 1, 1, 16, true},   // kdim > kNC, two dcol row blocks
+      {8, 16, 3, 1, 1, 24, true},    // spatial > kNC
+      {16, 28, 3, 2, 1, 16, false},  // 28*144*64 just below kSmallGemmFlops
+  };
+  const ComputeContext ctx1(1), ctx4(4);
+  for (const Case& c : cases) {
+    Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, /*bias=*/true);
+    Rng rng(static_cast<std::uint64_t>(c.in_c * 131 + c.out_c * 7 + c.k));
+    conv.init(rng);
+    rng.fill_normal(conv.bias().span(), 0.0f, 0.5f);
+    Tensor x({3, c.in_c, c.hw, c.hw});
+    rng.fill_normal(x.span(), 0.0f, 1.0f);
+    const Shape out = conv.output_shape(x.shape());
+    Tensor dy(out);
+    rng.fill_normal(dy.span(), 0.0f, 1.0f);
+    const std::int64_t kdim = c.in_c * c.k * c.k;
+    ASSERT_EQ(c.out_c * kdim * out[2] * out[3] > kSmallGemmFlops, c.fused)
+        << "case geometry does not test what it claims";
+
+    // y, dx, then every parameter gradient, concatenated.
+    auto run = [&](bool direct, const ComputeContext& ctx) {
+      Conv2d::set_direct_enabled(direct);
+      if (direct) {
+        const auto want = c.fused ? kernels::ConvLowering::kFused
+                                  : kernels::ConvLowering::kIm2col;
+        EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kBackward),
+                  want);
+        EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kForward),
+                  want);
+      }
+      Tensor y, dx;
+      conv.forward(x, y, true, ctx);
+      for (auto& p : conv.params()) p.grad->zero();
+      conv.backward(x, y, dy, dx, ctx);
+      std::vector<float> res(y.span().begin(), y.span().end());
+      res.insert(res.end(), dx.span().begin(), dx.span().end());
+      for (auto& p : conv.params()) {
+        res.insert(res.end(), p.grad->span().begin(), p.grad->span().end());
+      }
+      return res;
+    };
+    const std::vector<float> ref = run(false, ctx1);
+    for (const ComputeContext* ctx : {&ctx1, &ctx4}) {
+      const std::vector<float> got = run(true, *ctx);
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(
+          std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)), 0)
+          << "in_c=" << c.in_c << " out_c=" << c.out_c << " k=" << c.k
+          << " stride=" << c.stride << " pad=" << c.pad << " hw=" << c.hw
+          << " threads=" << ctx->threads();
+    }
+  }
 }
 
 TEST(ConvOracle, ZeroBatchDirectKernelNoOp) {

@@ -319,6 +319,33 @@ TEST(ExecutionPlan, SteadyStateAllocsAreZero) {
   EXPECT_EQ(allocs.value(), before) << "planned steady state must not allocate";
 }
 
+TEST(ExecutionPlan, SteadyStateAllocsAreZeroOnFusedConvs) {
+  // Same bar on tiny-resnet, whose 3x3 convs take the fused backward
+  // (small_resnetish's convs are below kSmallGemmFlops and stay im2col).
+  auto net = nn::tiny_resnet(/*blocks_per_stage=*/1, /*classes=*/10,
+                             /*resolution=*/16);
+  Rng r(78);
+  net->init(r);
+  const ComputeContext ctx(4);
+  const Tensor x = random_tensor(Shape({4, 3, 16, 16}), 8);
+  nn::ExecutionPlan plan;
+  Tensor y, dx, dy;
+  auto iterate = [&] {
+    net->zero_grad();
+    auto pc = plan.context(*net, x.shape());
+    net->forward(x, y, /*training=*/true, ctx, &pc);
+    dy.resize(y.shape());
+    dy.fill(0.5f);
+    net->backward(x, y, dy, dx, ctx, &pc);
+  };
+  iterate();
+  iterate();
+  auto& allocs = obs::metrics().counter("tensor.allocs");
+  const auto before = allocs.value();
+  for (int i = 0; i < 3; ++i) iterate();
+  EXPECT_EQ(allocs.value(), before) << "planned steady state must not allocate";
+}
+
 TEST(ExecutionPlan, LegacyPathAllocatesPerIteration) {
   // Control for the test above: without a plan the conv scratch is
   // allocated per call, so the counter must keep moving.
@@ -364,6 +391,56 @@ TEST(ExecutionPlan, TinyResnetPlans) {
   EXPECT_TRUE(bits_equal(legacy.y, planned.y));
   EXPECT_TRUE(bits_equal(legacy.dx, planned.dx));
   EXPECT_TRUE(bits_equal(legacy.grads, planned.grads));
+}
+
+/// Restores the process-wide conv lowering gate on scope exit.
+struct ConvDirectGuard {
+  bool prev = nn::Conv2d::direct_enabled();
+  ~ConvDirectGuard() { nn::Conv2d::set_direct_enabled(prev); }
+};
+
+TEST(ExecutionPlan, FusedConvsReserveNoColumnBuffers) {
+  ConvDirectGuard guard;
+  // The fused backward needs one L2-sized dcol row block per chunk instead
+  // of whole col and dcol matrices, so tiny-resnet's arena shrinks.
+  auto net = nn::tiny_resnet(/*blocks_per_stage=*/2, /*classes=*/10,
+                             /*resolution=*/16);
+  const Shape input({8, 3, 16, 16});
+  nn::ExecutionPlan direct, reference;
+  nn::Conv2d::set_direct_enabled(true);
+  direct.ensure(*net, input);
+  nn::Conv2d::set_direct_enabled(false);
+  reference.ensure(*net, input);
+  EXPECT_LT(direct.arena_bytes(), reference.arena_bytes());
+
+  // tiny-resnet's conv shapes at their input planes: every fused backward
+  // plans without col/dcol; the im2col ones (the stem and the 1x1
+  // projections, all at or below kSmallGemmFlops) keep them.
+  struct Case {
+    std::int64_t in_c, out_c, k, stride, pad, hw;
+    bool fused;
+  };
+  const Case cases[] = {
+      {3, 16, 3, 1, 1, 16, false}, {16, 16, 3, 1, 1, 16, true},
+      {16, 32, 3, 2, 1, 16, true}, {16, 32, 1, 2, 0, 16, false},
+      {32, 32, 3, 1, 1, 8, true},  {32, 64, 3, 2, 1, 8, true},
+      {32, 64, 1, 2, 0, 8, false}, {64, 64, 3, 1, 1, 4, true}};
+  for (const bool on : {true, false}) {
+    nn::Conv2d::set_direct_enabled(on);
+    for (const Case& c : cases) {
+      nn::Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, /*bias=*/false);
+      const Shape in({8, c.in_c, c.hw, c.hw});
+      nn::PlanBuilder builder(1, nn::PlanOptions{});
+      conv.plan_backward(builder, in);
+      const bool fused = on && c.fused;
+      EXPECT_EQ(conv.lowering(in, kernels::ConvPass::kBackward) ==
+                    kernels::ConvLowering::kFused,
+                fused)
+          << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
+      EXPECT_EQ(conv.plans_backward_columns(), !fused)
+          << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
+    }
+  }
 }
 
 }  // namespace
