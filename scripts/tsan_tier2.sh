@@ -10,6 +10,8 @@
 # generations add cross-thread handoffs that must also be race-free.
 # test_obs carries the flight recorder's seqlock: concurrent writers racing
 # a snapshot reader must be exact under TSan, not just in practice.
+# test_fault's restart driver tears the shared SyncReplica engine (and its
+# overlap comm worker) down mid-collective before rebuilding the cluster.
 # test_gemm/test_conv cover the packed-panel kernels' per-chunk scratch;
 # test_plan covers planned forward/backward, where many layers share one
 # arena block and any cross-chunk overlap would be a real race.
@@ -26,7 +28,7 @@ cmake -B "$BUILD_DIR" -S . \
 
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_comm test_train test_overlap test_context test_determinism \
-           test_elastic test_obs test_gemm test_conv test_plan
+           test_elastic test_obs test_fault test_gemm test_conv test_plan
 
 # TSan findings must fail the gate, not just print.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 exitcode=66}"

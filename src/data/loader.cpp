@@ -36,6 +36,14 @@ std::int64_t ShardedLoader::iterations_per_epoch() const {
 
 Batch ShardedLoader::load_train(std::int64_t epoch, std::int64_t iter,
                                 const ComputeContext& ctx) const {
+  Batch b;
+  load_train_into(epoch, iter, ctx, b);
+  return b;
+}
+
+void ShardedLoader::load_train_into(std::int64_t epoch, std::int64_t iter,
+                                    const ComputeContext& ctx,
+                                    Batch& b) const {
   if (epoch < 0 || iter < 0) {
     throw std::invalid_argument("ShardedLoader::load_train: negative index");
   }
@@ -57,13 +65,12 @@ Batch ShardedLoader::load_train(std::int64_t epoch, std::int64_t iter,
   const std::int64_t lb = local_batch();
   const std::int64_t r = dataset_.resolution();
   const std::int64_t img = dataset_.image_numel();
-  Batch b;
-  b.x = Tensor({lb, 3, r, r});
+  b.x.resize({lb, 3, r, r});
   b.labels.resize(static_cast<std::size_t>(lb));
   const std::int64_t base = iter * global_batch_ + rank_ * lb;
-  // Each sample writes a disjoint slice of b.x and draws from its own
+  // Each sample overwrites a disjoint slice of b.x and draws from its own
   // (epoch, sample)-keyed RNG, so batch-parallel materialization is safe and
-  // thread-count-invariant.
+  // thread-count-invariant, and reused storage needs no clearing.
   ctx.parallel_for(
       0, lb,
       [&](std::int64_t lo, std::int64_t hi) {
@@ -86,7 +93,6 @@ Batch ShardedLoader::load_train(std::int64_t epoch, std::int64_t iter,
         }
       },
       /*grain=*/1);
-  return b;
 }
 
 Batch ShardedLoader::load_test(std::int64_t start, std::int64_t count) const {

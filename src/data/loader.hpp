@@ -46,6 +46,13 @@ class ShardedLoader {
       std::int64_t epoch, std::int64_t iter,
       const ComputeContext& ctx = ComputeContext::default_ctx()) const;
 
+  /// load_train into caller-owned storage: `b`'s x/labels are resized in
+  /// place, so a trainer that keeps one Batch across iterations allocates
+  /// nothing once its capacity fits the local batch. Same bytes as
+  /// load_train.
+  void load_train_into(std::int64_t epoch, std::int64_t iter,
+                       const ComputeContext& ctx, Batch& b) const;
+
   /// Sequential test batches (no sharding, no augmentation); `start` is the
   /// first test index, count capped at the split size.
   Batch load_test(std::int64_t start, std::int64_t count) const;

@@ -1,46 +1,17 @@
 #include "train/elastic.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/check.hpp"
-#include "nn/loss.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "tensor/ops.hpp"
 #include "train/checkpoint.hpp"
-#include "train/overlap.hpp"
+#include "train/sync_replica.hpp"
 
 namespace minsgd::train {
 namespace {
-
-/// Window-aggregated metrics (a "window" is one base-geometry epoch:
-/// train_size / base_global_batch iterations, fixed across resizes so the
-/// records of runs with different membership histories line up).
-struct WindowAgg {
-  double lr = 0.0;
-  double loss_sum = 0.0;
-  std::int64_t correct = 0;
-  std::int64_t iters = 0;     // iterations actually booked (faults may skip)
-  std::int64_t examples = 0;  // global-batch sizes summed over booked iters
-  double test_acc = 0.0;
-};
-
-struct SharedState {
-  std::mutex mu;
-  std::map<std::int64_t, WindowAgg> windows;
-  bool diverged = false;
-  std::vector<float> final_weights;
-  std::string final_state;
-  std::int64_t iterations = 0;
-};
 
 /// Broadcasts the root's serialized v2 checkpoint (plus the divergence
 /// baseline) over the group and loads it on every other member. Raw bytes
@@ -48,18 +19,18 @@ struct SharedState {
 /// hi*65536 + lo (both < 2^24, so exact in float) and the baseline. The
 /// root does not round-trip its own state: serialize/deserialize is exact,
 /// so skipping the reload preserves bit-identity trivially.
-void broadcast_state(comm::Communicator& gc, int root, nn::Network& net,
-                     optim::Optimizer& opt, TrainCheckpoint& meta,
-                     bool& has_first, double& first_loss) {
+void broadcast_state(comm::Communicator& gc, int root, SyncReplica& replica,
+                     TrainCheckpoint& meta) {
   std::string bytes;
   if (gc.rank() == root) {
     std::ostringstream os;
-    save_train_checkpoint(os, net, opt, meta);
+    save_train_checkpoint(os, replica.net(), replica.opt(), meta);
     bytes = os.str();
   }
+  const auto first = replica.first_loss();
   float hdr[4] = {static_cast<float>(bytes.size() / 65536),
                   static_cast<float>(bytes.size() % 65536),
-                  has_first ? 1.0f : 0.0f, static_cast<float>(first_loss)};
+                  first ? 1.0f : 0.0f, static_cast<float>(first.value_or(0.0))};
   gc.broadcast(std::span<float>(hdr, 4), root);
   const std::size_t len = static_cast<std::size_t>(hdr[0]) * 65536 +
                           static_cast<std::size_t>(hdr[1]);
@@ -74,11 +45,13 @@ void broadcast_state(comm::Communicator& gc, int root, nn::Network& net,
     std::string raw(len, '\0');
     std::memcpy(raw.data(), payload.data(), len);
     std::istringstream is(raw);
-    load_train_checkpoint(is, net, opt, meta, /*expect_world=*/0);
-    has_first = hdr[2] != 0.0f;
+    load_train_checkpoint(is, replica.net(), replica.opt(), meta,
+                          /*expect_world=*/0);
     // The baseline crossed the wire as a float; every member (including
     // the root, which rounded at capture) now holds the identical double.
-    first_loss = static_cast<double>(hdr[3]);
+    replica.set_first_loss(hdr[2] != 0.0f
+                               ? std::optional<double>(hdr[3])
+                               : std::nullopt);
   }
 }
 
@@ -125,18 +98,8 @@ ElasticResult train_sync_elastic(
     std::shared_ptr<comm::FaultInjector> injector) {
   options.validate();
   const TrainOptions& t = options.train;
-  if (t.compress_one_bit) {
-    throw std::invalid_argument(
-        "train_sync_elastic: compress_one_bit is unsupported");
-  }
-  if (t.accumulation_steps != 1) {
-    throw std::invalid_argument(
-        "train_sync_elastic: accumulation_steps is unsupported");
-  }
-  if (t.bucket_bytes < 0 || (t.bucket_bytes > 0 && t.bucket_bytes < 4)) {
-    throw std::invalid_argument(
-        "train_sync_elastic: bucket_bytes must be 0 (single bucket) or >= 4");
-  }
+  validate_sync_options(t, options.local_batch * options.initial_world,
+                        options.initial_world, SyncDriver::kElastic);
   const std::int64_t base_gb =
       options.base_global_batch != 0
           ? options.base_global_batch
@@ -174,76 +137,61 @@ ElasticResult train_sync_elastic(
   copts.max_rounds = options.max_reconfig_rounds;
   comm::ElasticCoordinator coordinator(cluster, init, options.events, copts);
 
-  SharedState shared;
+  RunLog log;
+  std::string final_state;  // guarded by log.mu
 
   auto rank_fn = [&](comm::Communicator& comm) {
     const int phys = comm.rank();  // full-world: physical identity
-    auto net = model_factory();
-    Rng init_rng(t.init_seed);
-    net->init(init_rng);
-    auto opt = opt_factory();
-    auto params = net->params();
-    nn::SoftmaxCrossEntropy loss;
+    // The replica (and its execution plan) survives generation changes;
+    // the plan rebuilds on the batch-geometry change after a resize.
+    SyncReplica replica(model_factory, opt_factory, t, options.algo);
     optim::ElasticLrScale lrs(schedule, base_gb);
-    Tensor logits, dlogits, dx;
-    nn::ExecutionPlan plan;       // survives generation changes; rebuilds on
-                                  // batch-geometry change after a resize
-    std::vector<float> flat_own;  // hoisted serial-path allreduce buffer
+    const RunShape shape{lrs, dataset, t, ipw, total_iters,
+                         /*print_world=*/true};
 
     // Per-generation state, rebuilt by adopt() after every commit.
     std::unique_ptr<comm::Communicator> gc;
     std::unique_ptr<data::ShardedLoader> loader;
-    std::unique_ptr<OverlapAllreducer> overlap;
-    const ComputeContext* ctx = nullptr;
-    std::int64_t ipe = 1, gb = 0;
-    float inv_world = 1.0f;
 
     std::int64_t global_iter = 0;  // next iteration to execute
-    std::int64_t steps_done = 0;   // optimizer steps applied to the replica
     bool has_state = false;        // replica holds real training state
-    double first_loss = 0.0;       // divergence baseline (float-rounded)
-    bool has_first = false;
     bool diverged = false;
     bool active = phys < options.initial_world;
 
     auto teardown = [&] {
-      overlap.reset();  // joins the comm worker before transport changes
+      replica.detach();  // joins the comm worker before transport changes
       loader.reset();
       gc.reset();
-      ctx = nullptr;
     };
 
     auto adopt = [&](const comm::MembershipView& view) {
-      overlap.reset();
+      teardown();
       gc = std::make_unique<comm::Communicator>(cluster, phys, view, 0);
-      ctx = &gc->ctx();
-      gb = options.local_batch * view.world();
+      const std::int64_t gb = options.local_batch * view.world();
       loader = std::make_unique<data::ShardedLoader>(dataset, gb, gc->rank(),
                                                      view.world(), t.augment);
-      ipe = loader->iterations_per_epoch();
       lrs.set_batch(gb);
-      inv_world = 1.0f / static_cast<float>(view.world());
-      if (t.overlap_comm) {
-        overlap = std::make_unique<OverlapAllreducer>(*net, *gc,
-                                                      t.bucket_bytes,
-                                                      options.algo);
-      }
+      replica.attach(*gc, *loader);
+    };
+
+    // The v2 checkpoint header for position `gi` in this generation.
+    auto meta_at = [&](std::int64_t gi) {
+      TrainCheckpoint meta;
+      meta.global_iter = gi;
+      meta.epoch = gi / loader->iterations_per_epoch();
+      meta.iter = gi % loader->iterations_per_epoch();
+      meta.world = gc->world();
+      meta.global_batch = loader->global_batch();
+      meta.rng = Rng(t.init_seed).state();
+      return meta;
     };
 
     auto state_sync = [&](const comm::ReconfigOutcome& oc) {
-      TrainCheckpoint meta;
-      if (oc.is_root) {
-        meta.global_iter = oc.resume_iter;
-        meta.epoch = oc.resume_iter / ipe;
-        meta.iter = oc.resume_iter % ipe;
-        meta.world = gc->world();
-        meta.global_batch = gb;
-        meta.rng = Rng(t.init_seed).state();
-      }
-      broadcast_state(*gc, oc.state_root, *net, *opt, meta, has_first,
-                      first_loss);
+      TrainCheckpoint meta =
+          oc.is_root ? meta_at(oc.resume_iter) : TrainCheckpoint{};
+      broadcast_state(*gc, oc.state_root, replica, meta);
       global_iter = oc.resume_iter;
-      steps_done = oc.resume_iter;
+      replica.set_steps_done(oc.resume_iter);
       has_state = true;
     };
 
@@ -254,10 +202,10 @@ ElasticResult train_sync_elastic(
     auto do_reconfig = [&]() -> bool {
       int sync_failures = 0;
       for (;;) {
-        overlap.reset();
+        replica.detach();
         try {
-          const auto oc =
-              coordinator.reconfigure(phys, has_state ? steps_done : -1);
+          const auto oc = coordinator.reconfigure(
+              phys, has_state ? replica.steps_done() : -1);
           if (oc.role != comm::MemberRole::kMember) {
             teardown();
             return active = false;
@@ -291,128 +239,20 @@ ElasticResult train_sync_elastic(
       if (!options.resume_state.empty()) {
         std::istringstream is(options.resume_state);
         TrainCheckpoint meta;
-        load_train_checkpoint(is, *net, *opt, meta, /*expect_world=*/0);
+        load_train_checkpoint(is, replica.net(), replica.opt(), meta,
+                              /*expect_world=*/0);
         global_iter = meta.global_iter;
-        steps_done = meta.global_iter;
+        replica.set_steps_done(meta.global_iter);
       }
       has_state = true;
     }
-
-    auto one_iteration = [&] {
-      const std::int64_t epoch = global_iter / ipe;
-      const std::int64_t it = global_iter % ipe;
-      data::Batch batch;
-      {
-        obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
-        batch = loader->load_train(epoch, it, *ctx);
-      }
-      net->zero_grad();
-      nn::LossResult lres;
-      auto pc = plan.context(*net, batch.x.shape());
-      {
-        obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-        net->forward(batch.x, logits, /*training=*/true, *ctx, &pc);
-        lres = loss.forward_backward(logits, batch.labels, &dlogits, *ctx);
-      }
-      if (overlap) overlap->begin_iteration();
-      {
-        obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-        net->backward(batch.x, logits, dlogits, dx, *ctx, &pc);
-      }
-      // Sum gradients across the members, then average by the live world.
-      // Bucket boundaries match the fixed trainer's, so a run that never
-      // resizes is bit-identical to train_sync_data_parallel.
-      std::span<float> flat;
-      if (overlap) {
-        flat = overlap->finish();
-      } else {
-        net->flatten_grads_into(flat_own);
-        flat = flat_own;
-        if (t.bucket_bytes > 0) {
-          const auto bucket = static_cast<std::size_t>(t.bucket_bytes / 4);
-          std::span<float> rest(flat);
-          while (!rest.empty()) {
-            const auto n = std::min(bucket, rest.size());
-            gc->allreduce_sum(rest.subspan(0, n), options.algo);
-            rest = rest.subspan(n);
-          }
-        } else {
-          gc->allreduce_sum(flat, options.algo);
-        }
-      }
-      {
-        obs::ScopedSpan sp("phase.step", obs::cat::kPhase);
-        scale(*ctx, inv_world, flat);
-        net->unflatten_grads(flat);
-        opt->step(params, lrs.lr(global_iter), *ctx);
-      }
-      MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
-                    gc->generation(), 0, global_iter);
-      // The step is applied: the replica's state is now "global_iter done".
-      // Tracked separately from global_iter so a fault later in the
-      // iteration still reports a state-consistent position.
-      ++steps_done;
-
-      float stats[2] = {static_cast<float>(lres.loss),
-                        static_cast<float>(lres.correct)};
-      gc->allreduce_sum(std::span<float>(stats, 2), options.algo);
-      const double mean_loss =
-          stats[0] / static_cast<double>(gc->world());
-      if (!has_first) {
-        // Round through float so members that later receive the baseline
-        // over the wire (joiners) hold the identical double.
-        first_loss = static_cast<double>(static_cast<float>(mean_loss));
-        has_first = true;
-      }
-      if (t.detect_divergence &&
-          (!std::isfinite(mean_loss) ||
-           mean_loss > t.divergence_factor * first_loss)) {
-        diverged = true;  // same scalars everywhere: every member agrees
-      }
-
-      const std::int64_t window = global_iter / ipw;
-      if (gc->rank() == 0) {
-        std::lock_guard lk(shared.mu);
-        WindowAgg& w = shared.windows[window];
-        if (w.iters == 0) w.lr = lrs.lr(window * ipw);
-        w.loss_sum += mean_loss;
-        w.correct += static_cast<std::int64_t>(stats[1]);
-        w.examples += gb;
-        ++w.iters;
-      }
-      ++global_iter;
-
-      const bool boundary = (global_iter % ipw == 0) ||
-                            global_iter >= total_iters || diverged;
-      if (boundary) {
-        if (gc->rank() == 0) {
-          const bool eval_now = (window % t.eval_every == 0) ||
-                                global_iter >= total_iters || diverged;
-          const double acc =
-              eval_now ? evaluate(*net, dataset, 256, *ctx) : 0.0;
-          std::lock_guard lk(shared.mu);
-          shared.windows[window].test_acc = acc;
-          if (t.verbose) {
-            const WindowAgg& w = shared.windows[window];
-            std::printf(
-                "window %3lld  world %d  lr %.5f  loss %.4f  test_acc "
-                "%.4f\n",
-                static_cast<long long>(window), gc->world(), w.lr,
-                w.iters ? w.loss_sum / static_cast<double>(w.iters) : 0.0,
-                acc);
-            std::fflush(stdout);
-          }
-        }
-        gc->barrier();  // keep members aligned across rank 0's evaluation
-      }
-    };
 
     for (;;) {
       if (!active) {
         if (!coordinator.await_admission(phys)) break;
         try {
-          const auto oc =
-              coordinator.reconfigure(phys, has_state ? steps_done : -1);
+          const auto oc = coordinator.reconfigure(
+              phys, has_state ? replica.steps_done() : -1);
           if (oc.role == comm::MemberRole::kMember) {
             adopt(oc.view);
             state_sync(oc);
@@ -432,20 +272,12 @@ ElasticResult train_sync_elastic(
 
       if (diverged || global_iter >= total_iters) {
         if (gc->rank() == 0) {
-          TrainCheckpoint meta;
-          meta.global_iter = global_iter;
-          meta.epoch = global_iter / ipe;
-          meta.iter = global_iter % ipe;
-          meta.world = gc->world();
-          meta.global_batch = gb;
-          meta.rng = Rng(t.init_seed).state();
           std::ostringstream os;
-          save_train_checkpoint(os, *net, *opt, meta);
-          std::lock_guard lk(shared.mu);
-          shared.final_state = os.str();
-          shared.final_weights = net->flatten_params();
-          shared.iterations = global_iter;
-          shared.diverged = diverged;
+          save_train_checkpoint(os, replica.net(), replica.opt(),
+                                meta_at(global_iter));
+          log.finish(replica, global_iter, diverged);
+          std::lock_guard lk(log.mu);
+          final_state = os.str();
         }
         coordinator.finish(phys);
         break;
@@ -457,7 +289,7 @@ ElasticResult train_sync_elastic(
       }
 
       try {
-        one_iteration();
+        run_iteration(replica, shape, log, global_iter, diverged);
       } catch (const comm::RankFailure&) {
         coordinator.report_death(phys);
         teardown();
@@ -487,41 +319,15 @@ ElasticResult train_sync_elastic(
   }
 
   ElasticResult out;
-  {
-    std::lock_guard lk(shared.mu);
-    out.final_weights = std::move(shared.final_weights);
-    out.final_state = std::move(shared.final_state);
-    out.iterations = shared.iterations;
-    out.result.diverged = shared.diverged;
-    for (const auto& [window, w] : shared.windows) {
-      EpochRecord rec;
-      rec.epoch = window;
-      rec.lr = w.lr;
-      rec.train_loss =
-          w.iters ? w.loss_sum / static_cast<double>(w.iters) : 0.0;
-      rec.train_acc = w.examples ? static_cast<double>(w.correct) /
-                                       static_cast<double>(w.examples)
-                                 : 0.0;
-      rec.test_acc = w.test_acc;
-      out.result.epochs.push_back(rec);
-      out.result.iterations_run += w.iters;
-      if (rec.test_acc > out.result.best_test_acc) {
-        out.result.best_test_acc = rec.test_acc;
-      }
-    }
-    if (!out.result.epochs.empty()) {
-      out.result.final_test_acc = out.result.epochs.back().test_acc;
-    }
-  }
+  out.result = log.result();
+  out.final_weights = std::move(log.final_weights);
+  out.final_state = std::move(final_state);
+  out.iterations = log.iterations;
   out.reconfigs = coordinator.records();
   out.reconfigurations = static_cast<int>(out.reconfigs.size());
   out.traffic = cluster.total_traffic();
   out.faults = cluster.total_faults();
-  // Persist wire traffic past the cluster's lifetime, like the fixed
-  // trainer does, so post-run metric snapshots still see it.
-  auto& reg = obs::metrics();
-  reg.counter("train.traffic.messages").add(out.traffic.messages);
-  reg.counter("train.traffic.bytes").add(out.traffic.bytes);
+  publish_run_metrics(cluster, log.exposed_ns, log.total_ns);
   return out;
 }
 

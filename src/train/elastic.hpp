@@ -1,13 +1,16 @@
 // Elastic synchronous data-parallel training.
 //
-// train_sync_elastic is the overlap-enabled sync trainer wired into dynamic
-// world membership (comm/membership.hpp): ranks leave on schedule or by
-// crashing, standby ranks join mid-run, and the surviving members keep
-// training without a full-cluster restart. Across a membership change the
-// trainer:
+// train_sync_elastic is a driver over the shared synchronous step engine
+// (train/sync_replica.hpp) wired into dynamic world membership
+// (comm/membership.hpp): ranks leave on schedule or by crashing, standby
+// ranks join mid-run, and the surviving members keep training without a
+// full-cluster restart. Each rank's SyncReplica outlives generations; the
+// step math, trace spans and per-window records are the fixed trainer's.
+// What the driver adds is elastic: across a membership change it
 //
 //   * re-forms the Communicator over the committed view (fresh generation
-//     tag prefix, so stale in-flight ops can never collide),
+//     tag prefix, so stale in-flight ops can never collide) and re-attaches
+//     the replica to it,
 //   * re-shards the dataset deterministically from the new (rank, world)
 //     — ShardedLoader batches are a pure function of geometry, so the
 //     post-change sample order equals a fixed-world run of the new size,

@@ -1,23 +1,26 @@
 // Fault-tolerant synchronous data-parallel training.
 //
-// train_sync_data_parallel assumes a perfect cluster: one crashed rank used
-// to deadlock every peer inside the allreduce, and a restart had to begin
-// from scratch. This driver wraps the same per-iteration math (identical
-// update sequence, so the no-fault run is bit-equal to the plain sync
-// trainer) in a checkpoint/restart loop:
+// train_sync_data_parallel assumes a perfect cluster: one crashed rank
+// unwinds every peer and a rerun starts from scratch. This driver runs the
+// fixed trainer's rank loop over the same step engine (train/sync_replica
+// .hpp) — the identical per-iteration math, so a no-fault run is bit-equal
+// to the plain sync trainer — and adds two things:
 //
-//   * every `checkpoint_every` global iterations, rank 0 atomically writes
-//     a v2 train checkpoint (weights + optimizer + schedule position + RNG;
-//     see train/checkpoint.hpp) — legal because synchronous SGD keeps every
-//     rank's replica identical after the step;
-//   * when a rank dies (injected RankFailure, CommTimeout, or the
-//     cooperative ClusterAborted unwind), the driver catches the FaultError,
-//     builds a fresh cluster, and resumes all ranks from the last
-//     checkpoint;
-//   * because batches are a pure function of (epoch, iteration) and the
-//     checkpoint restores the full trajectory state, the recovered run's
-//     final weights are bit-identical to an uninterrupted run's — the
-//     integration tests assert exactly that.
+//   * a checkpoint hook: every `checkpoint_every` global iterations, rank 0
+//     atomically writes a v2 train checkpoint (weights + optimizer +
+//     schedule position + RNG; see train/checkpoint.hpp) — legal because
+//     synchronous SGD keeps every rank's replica identical after the step;
+//   * a restart driver: when a rank dies (injected RankFailure, CommTimeout,
+//     or the cooperative ClusterAborted unwind), it catches the FaultError,
+//     tears the cluster and its replicas down, builds a fresh cluster, and
+//     resumes all ranks from the last checkpoint.
+//
+// Batches are a pure function of (epoch, iteration) and the checkpoint
+// restores the full trajectory state, so the recovered run's final weights
+// are bit-identical to an uninterrupted run's; the integration tests assert
+// exactly that. Traffic and allreduce-time metrics sum over attempts.
+// compress_one_bit is rejected: the error-feedback residual is not in the
+// checkpoint, so a restart could not be exact.
 //
 // Only FaultError and its subclasses trigger a restart; logic errors (bad
 // arguments, shape mismatches) propagate immediately.

@@ -13,6 +13,22 @@
 
 namespace minsgd::train {
 
+void finalize(TrainResult& result) {
+  for (const auto& e : result.epochs) {
+    if (e.test_acc > result.best_test_acc) result.best_test_acc = e.test_acc;
+  }
+  if (!result.epochs.empty()) {
+    result.final_test_acc = result.epochs.back().test_acc;
+  }
+}
+
+void print_epoch(const EpochRecord& rec) {
+  std::printf("epoch %3lld  lr %.5f  loss %.4f  train_acc %.4f  test_acc %.4f\n",
+              static_cast<long long>(rec.epoch), rec.lr, rec.train_loss,
+              rec.train_acc, rec.test_acc);
+  std::fflush(stdout);
+}
+
 double evaluate(nn::Network& net, const data::SyntheticImageNet& dataset,
                 std::int64_t eval_batch, const ComputeContext& ctx) {
   obs::ScopedSpan span("phase.eval", obs::cat::kEval);

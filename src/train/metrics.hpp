@@ -31,6 +31,12 @@ struct TrainResult {
   double final_test_acc = 0.0;
 };
 
+/// Sets best_test_acc / final_test_acc from the epoch records.
+void finalize(TrainResult& result);
+
+/// The trainers' verbose one-line epoch summary on stdout.
+void print_epoch(const EpochRecord& rec);
+
 /// Top-1 accuracy of `net` on the dataset's test split (eval mode).
 double evaluate(nn::Network& net, const data::SyntheticImageNet& dataset,
                 std::int64_t eval_batch = 256,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "comm/cluster.hpp"
 #include "obs/trace.hpp"
@@ -10,15 +11,20 @@
 
 namespace minsgd::train {
 
+void validate_bucket_bytes(std::int64_t bucket_bytes, const char* who) {
+  if (bucket_bytes < 0 || (bucket_bytes > 0 && bucket_bytes < 4)) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": bucket_bytes must be 0 (single bucket) or >= 4");
+  }
+}
+
 OverlapAllreducer::OverlapAllreducer(nn::Network& net,
                                      comm::Communicator& comm,
                                      std::int64_t bucket_bytes,
                                      comm::AllreduceAlgo algo)
     : net_(net), engine_(comm), algo_(algo) {
-  if (bucket_bytes < 0 || (bucket_bytes > 0 && bucket_bytes < 4)) {
-    throw std::invalid_argument(
-        "OverlapAllreducer: bucket_bytes must be 0 (single bucket) or >= 4");
-  }
+  validate_bucket_bytes(bucket_bytes, "OverlapAllreducer");
   // Map every top-level layer to its contiguous range of the flat gradient
   // (params() walks layers in order, so flatten offsets accumulate).
   std::size_t off = 0;

@@ -6,7 +6,7 @@
 // worker). Gradients are copied into a persistent flat buffer at their
 // flatten_grads() offsets; the buffer is divided into fixed `bucket_bytes`
 // buckets *by flat offset* — exactly the boundaries the serial bucketed
-// loop in train_sync_data_parallel uses — and each bucket's allreduce
+// loop in SyncReplica uses — and each bucket's allreduce
 // launches the moment every parameter overlapping it has reported.
 //
 // Why this is bit-exact against overlap off: a bucket's allreduce result
@@ -30,11 +30,16 @@
 
 namespace minsgd::train {
 
+/// Throws std::invalid_argument (prefixed with `who`) unless `bucket_bytes`
+/// follows the TrainOptions convention: 0 = one bucket, otherwise >= 4.
+void validate_bucket_bytes(std::int64_t bucket_bytes, const char* who);
+
 class OverlapAllreducer {
  public:
   /// Installs itself as `net`'s gradient-ready hook. `bucket_bytes` uses
-  /// the TrainOptions convention: 0 = one bucket spanning the whole
-  /// gradient, otherwise >= 4. The hook is removed on destruction.
+  /// the TrainOptions convention (validate_bucket_bytes): 0 = one bucket
+  /// spanning the whole gradient, otherwise >= 4. The hook is removed on
+  /// destruction.
   OverlapAllreducer(nn::Network& net, comm::Communicator& comm,
                     std::int64_t bucket_bytes, comm::AllreduceAlgo algo);
   ~OverlapAllreducer();

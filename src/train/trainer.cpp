@@ -1,38 +1,15 @@
 #include "train/trainer.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <mutex>
 #include <stdexcept>
 
-#include "comm/compress.hpp"
 #include "nn/loss.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
-#include "train/overlap.hpp"
+#include "train/sync_replica.hpp"
 
 namespace minsgd::train {
-namespace {
-
-void maybe_print(const TrainOptions& opt, const EpochRecord& rec) {
-  if (!opt.verbose) return;
-  std::printf("epoch %3lld  lr %.5f  loss %.4f  train_acc %.4f  test_acc %.4f\n",
-              static_cast<long long>(rec.epoch), rec.lr, rec.train_loss,
-              rec.train_acc, rec.test_acc);
-  std::fflush(stdout);
-}
-
-void finalize(TrainResult& res) {
-  for (const auto& e : res.epochs) {
-    if (e.test_acc > res.best_test_acc) res.best_test_acc = e.test_acc;
-  }
-  if (!res.epochs.empty()) res.final_test_acc = res.epochs.back().test_acc;
-}
-
-}  // namespace
 
 TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
                          const optim::LrSchedule& schedule,
@@ -60,6 +37,7 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
         "train_single: accumulation_steps exceeds iterations per epoch");
   }
   Tensor logits, dlogits, dx;
+  data::Batch batch;  // reused: steady-state loads allocate nothing
   // One memory plan per trainer, kept across iterations; context() is a
   // no-op while the batch geometry is stable and a rebuild when it changes.
   nn::ExecutionPlan plan;
@@ -75,10 +53,9 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
       net.zero_grad();
       double step_loss = 0.0;
       for (std::int64_t micro = 0; micro < accum; ++micro) {
-        data::Batch batch;
         {
           obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
-          batch = loader.load_train(epoch, it * accum + micro, ctx);
+          loader.load_train_into(epoch, it * accum + micro, ctx, batch);
         }
         nn::LossResult lres;
         auto pc = plan.context(net, batch.x.shape());
@@ -116,7 +93,7 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
         EpochRecord rec{epoch, epoch_lr, step_loss,
                         0.0, evaluate(net, dataset, 256, ctx)};
         res.epochs.push_back(rec);
-        maybe_print(options, rec);
+        if (options.verbose) print_epoch(rec);
         finalize(res);
         return res;
       }
@@ -132,7 +109,7 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
                           (epoch + 1 == options.epochs);
     rec.test_acc = eval_now ? evaluate(net, dataset, 256, ctx) : 0.0;
     res.epochs.push_back(rec);
-    maybe_print(options, rec);
+    if (options.verbose) print_epoch(rec);
   }
   finalize(res);
   return res;
@@ -143,210 +120,33 @@ DistResult train_sync_data_parallel(
     const std::function<std::unique_ptr<optim::Optimizer>()>& opt_factory,
     const optim::LrSchedule& schedule, const data::SyntheticImageNet& dataset,
     const TrainOptions& options, int world, comm::AllreduceAlgo algo) {
-  if (world <= 0) {
-    throw std::invalid_argument("train_sync_data_parallel: world <= 0");
-  }
-  if (options.global_batch % world != 0) {
-    throw std::invalid_argument(
-        "train_sync_data_parallel: global_batch % world != 0");
-  }
-  // Validate the bucket configuration up front, before any cluster thread
-  // is spawned — a bad value used to surface only once the bucket loop ran.
-  if (options.bucket_bytes < 0 ||
-      (options.bucket_bytes > 0 && options.bucket_bytes < 4)) {
-    throw std::invalid_argument(
-        "train_sync_data_parallel: bucket_bytes must be 0 (single bucket) "
-        "or >= 4");
-  }
-  if (options.overlap_comm && options.compress_one_bit) {
-    throw std::invalid_argument(
-        "train_sync_data_parallel: overlap_comm is incompatible with "
-        "compress_one_bit");
-  }
+  validate_sync_options(options, options.global_batch, world,
+                        SyncDriver::kFixed);
   // The P rank threads split one global intra-op budget between them
   // instead of oversubscribing P copies of a process-wide pool.
   comm::SimCluster cluster(
       comm::ClusterOptions{world, options.compute_threads});
-  DistResult out;
-  std::mutex result_mu;
-
+  RunLog log;
   cluster.run([&](comm::Communicator& comm) {
-    // This rank's slice of the cluster-wide compute budget.
-    const ComputeContext& ctx = comm.ctx();
     // Every rank builds an identical replica (same init seed).
-    auto net = model_factory();
-    Rng init_rng(options.init_seed);
-    net->init(init_rng);
-    auto opt = opt_factory();
-    auto params = net->params();
-
+    SyncReplica replica(model_factory, opt_factory, options, algo);
     data::ShardedLoader loader(dataset, options.global_batch, comm.rank(),
                                world, options.augment);
-    nn::SoftmaxCrossEntropy loss;
-    const std::int64_t iters = loader.iterations_per_epoch();
-    Tensor logits, dlogits, dx;
-    nn::ExecutionPlan plan;           // per-replica, lives across iterations
-    std::vector<float> flat_own;      // hoisted serial-path allreduce buffer
-    const float inv_world = 1.0f / static_cast<float>(world);
-    std::unique_ptr<comm::OneBitCompressor> compressor;
-    if (options.compress_one_bit) {
-      compressor = std::make_unique<comm::OneBitCompressor>(
-          static_cast<std::size_t>(net->num_params()));
-    }
-    std::unique_ptr<OverlapAllreducer> overlap;
-    if (options.overlap_comm) {
-      overlap = std::make_unique<OverlapAllreducer>(
-          *net, comm, options.bucket_bytes, algo);
-    }
-    std::int64_t serial_comm_ns = 0;  // gradient-allreduce time, serial path
-
-    TrainResult res;
-    double first_loss = -1.0;
-    std::int64_t global_iter = 0;
-    bool stop = false;
-
-    for (std::int64_t epoch = 0; epoch < options.epochs && !stop; ++epoch) {
-      double epoch_loss = 0.0;
-      std::int64_t epoch_correct = 0;
-      const double epoch_lr = schedule.lr(global_iter);
-      for (std::int64_t it = 0; it < iters && !stop; ++it, ++global_iter) {
-        data::Batch batch;
-        {
-          obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
-          batch = loader.load_train(epoch, it, ctx);
-        }
-        net->zero_grad();
-        nn::LossResult lres;
-        auto pc = plan.context(*net, batch.x.shape());
-        {
-          obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-          net->forward(batch.x, logits, /*training=*/true, ctx, &pc);
-          lres = loss.forward_backward(logits, batch.labels, &dlogits, ctx);
-        }
-        if (overlap) overlap->begin_iteration();
-        {
-          obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-          // With overlap on, the gradient-ready hook fires in here: each
-          // finalized layer is copied into the flat buffer and full buckets
-          // launch on the comm worker while later layers still compute.
-          net->backward(batch.x, logits, dlogits, dx, ctx, &pc);
-        }
-
-        // Sum gradients across ranks, then average: each local gradient is
-        // the mean over the local shard, so the global-batch mean is the
-        // rank-sum divided by world.
-        std::span<float> flat;
-        if (overlap) {
-          flat = overlap->finish();  // wait on all in-flight buckets
-        } else {
-          net->flatten_grads_into(flat_own);
-          flat = flat_own;
-          obs::ScopedSpan sp_comm;
-          if (obs::tracer().enabled()) {
-            sp_comm.start("phase.allreduce", obs::cat::kPhase);
-            sp_comm.set_bytes(static_cast<std::int64_t>(flat.size()) * 4);
-          }
-          const auto comm_t0 = std::chrono::steady_clock::now();
-          if (compressor) {
-            // 1-bit SGD: compress locally (error feedback), allgather the
-            // payloads, reconstruct and sum every rank's contribution.
-            const auto payload = compressor->compress(flat);
-            std::vector<float> all(payload.size() *
-                                   static_cast<std::size_t>(world));
-            comm.allgather(payload, all);
-            std::fill(flat.begin(), flat.end(), 0.0f);
-            for (int r = 0; r < world; ++r) {
-              comm::OneBitCompressor::decompress_add(
-                  std::span<const float>(all).subspan(
-                      static_cast<std::size_t>(r) * payload.size(),
-                      payload.size()),
-                  flat);
-            }
-          } else if (options.bucket_bytes > 0) {
-            const auto bucket =
-                static_cast<std::size_t>(options.bucket_bytes / 4);
-            std::span<float> rest(flat);
-            while (!rest.empty()) {
-              const auto n = std::min(bucket, rest.size());
-              comm.allreduce_sum(rest.subspan(0, n), algo);
-              rest = rest.subspan(n);
-            }
-          } else {
-            comm.allreduce_sum(flat, algo);
-          }
-          serial_comm_ns +=
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - comm_t0)
-                  .count();
-        }
-        {
-          obs::ScopedSpan sp("phase.step", obs::cat::kPhase);
-          scale(ctx, inv_world, flat);
-          net->unflatten_grads(flat);
-          opt->step(params, schedule.lr(global_iter), ctx);
-        }
-        MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0, 0,
-                      0, global_iter);
-
-        // Aggregate the loss/accuracy scalars for reporting.
-        float stats[2] = {static_cast<float>(lres.loss),
-                          static_cast<float>(lres.correct)};
-        comm.allreduce_sum(std::span<float>(stats, 2), algo);
-        const double mean_loss = stats[0] / world;
-        epoch_loss += mean_loss;
-        epoch_correct += static_cast<std::int64_t>(stats[1]);
-
-        if (first_loss < 0) first_loss = mean_loss;
-        if (options.detect_divergence &&
-            (!std::isfinite(mean_loss) ||
-             mean_loss > options.divergence_factor * first_loss)) {
-          res.diverged = true;
-          stop = true;  // all ranks see the same scalars, so all stop
-        }
-        ++res.iterations_run;
-      }
-      EpochRecord rec;
-      rec.epoch = epoch;
-      rec.lr = epoch_lr;
-      rec.train_loss = epoch_loss / static_cast<double>(iters);
-      rec.train_acc =
-          static_cast<double>(epoch_correct) /
-          static_cast<double>(iters * options.global_batch);
-      if (comm.rank() == 0) {
-        const bool eval_now = (epoch % options.eval_every == 0) ||
-                              (epoch + 1 == options.epochs) || stop;
-        rec.test_acc = eval_now ? evaluate(*net, dataset, 256, ctx) : 0.0;
-        maybe_print(options, rec);
-      }
-      res.epochs.push_back(rec);
-      comm.barrier();  // keep epochs aligned (rank 0 evaluates)
-    }
-
-    if (comm.rank() == 0) {
-      finalize(res);
-      std::lock_guard lk(result_mu);
-      out.result = std::move(res);
-      out.iterations = global_iter;
-      out.final_weights = net->flatten_params();
-      out.exposed_comm_ns = overlap ? overlap->exposed_ns() : serial_comm_ns;
-      out.total_comm_ns = overlap ? overlap->comm_ns() : serial_comm_ns;
-    }
+    replica.attach(comm, loader);
+    const std::int64_t ipe = loader.iterations_per_epoch();
+    run_fixed_world(replica, {schedule, dataset, options, ipe,
+                              options.epochs * ipe},
+                    0, log);
   });
 
+  DistResult out;
+  out.result = log.result();
+  out.iterations = log.iterations;
+  out.final_weights = std::move(log.final_weights);
+  out.exposed_comm_ns = log.exposed_ns;
+  out.total_comm_ns = log.total_ns;
   out.traffic = cluster.total_traffic();
-  // Persist the wire traffic past the cluster's lifetime: snapshots taken
-  // after training still see what each collective put on the wire.
-  auto& reg = obs::metrics();
-  reg.counter("train.traffic.messages").add(out.traffic.messages);
-  reg.counter("train.traffic.bytes").add(out.traffic.bytes);
-  // Exposed vs total gradient-allreduce time: with overlap_comm the gap is
-  // the communication the backward pass hid.
-  reg.counter("train.allreduce.exposed_ns").add(out.exposed_comm_ns);
-  reg.counter("train.allreduce.total_ns").add(out.total_comm_ns);
-  for (const auto& [op, st] : cluster.traffic_by_op()) {
-    reg.counter("train.traffic." + op + ".messages").add(st.messages);
-    reg.counter("train.traffic." + op + ".bytes").add(st.bytes);
-  }
+  publish_run_metrics(cluster, out.exposed_comm_ns, out.total_comm_ns);
   return out;
 }
 

@@ -1,9 +1,12 @@
 // Training loops: single-process and synchronous data-parallel.
 //
-// train_single is the sequential reference. train_sync_data_parallel runs P
-// replicas on a SimCluster, allreduces gradient sums each iteration, and
-// applies identical optimizer steps on every rank — the paper's Figure 2(a)
-// structure with the master replaced by an allreduce. The two produce the
+// train_single is the sequential reference. train_sync_data_parallel is the
+// fixed-world driver over the shared step engine (train/sync_replica.hpp):
+// it starts P rank threads on a SimCluster, gives each one SyncReplica, and
+// runs every rank through the same iterations — allreduce the gradient
+// sums, apply identical optimizer steps — the paper's Figure 2(a) with the
+// master replaced by an allreduce. The fault-tolerant and elastic drivers
+// run the same engine. train_single and train_sync_data_parallel produce the
 // same weights for the same global batch when the model has no per-replica
 // stochastic state (no dropout, no per-replica BN batches); that is the
 // "sequential consistency" property the paper leans on, and it is asserted

@@ -8,6 +8,7 @@
 #include "data/augment.hpp"
 #include "data/loader.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace minsgd {
@@ -279,6 +280,35 @@ TEST(Loader, EachEpochTouchesEverySampleOnce) {
     expected.insert(ds.get_train(i, buf));
   }
   EXPECT_EQ(seen, expected);
+}
+
+TEST(Loader, LoadTrainIntoMatchesLoadTrainAndReusesStorage) {
+  // The trainers keep one Batch across iterations: refilling it must give
+  // load_train's exact bytes and labels (augmentation on, a sharded rank,
+  // several epochs/iterations), without moving or regrowing the storage.
+  data::SyntheticImageNet ds(small_cfg());
+  data::ShardedLoader loader(ds, 32, 1, 2, data::AugmentConfig{});
+  const ComputeContext ctx(2);
+  data::Batch reused;
+  loader.load_train_into(0, 0, ctx, reused);
+  const float* storage = reused.x.data();
+  auto& allocs = obs::metrics().counter("tensor.allocs");
+  for (std::int64_t epoch = 0; epoch < 3; ++epoch) {
+    for (std::int64_t it = 0; it < loader.iterations_per_epoch(); ++it) {
+      const auto before = allocs.value();
+      loader.load_train_into(epoch, it, ctx, reused);
+      EXPECT_EQ(allocs.value(), before) << "epoch " << epoch << " it " << it;
+      const auto fresh = loader.load_train(epoch, it, ctx);
+      ASSERT_EQ(reused.x.shape(), fresh.x.shape());
+      ASSERT_EQ(std::vector<float>(reused.x.span().begin(),
+                                   reused.x.span().end()),
+                std::vector<float>(fresh.x.span().begin(),
+                                   fresh.x.span().end()))
+          << "epoch " << epoch << " it " << it;
+      EXPECT_EQ(reused.labels, fresh.labels);
+      EXPECT_EQ(reused.x.data(), storage);
+    }
+  }
 }
 
 TEST(Loader, TestBatchesSequentialAndCapped) {

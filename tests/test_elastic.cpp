@@ -12,7 +12,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "comm/fault.hpp"
 #include "comm/membership.hpp"
@@ -20,6 +22,7 @@
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
+#include "obs/trace.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
 #include "train/elastic.hpp"
@@ -165,6 +168,57 @@ TEST(ElasticTrain, NoEventsOverlapPathBitMatchesFixedOverlapTrainer) {
   ASSERT_FALSE(elastic.final_weights.empty());
   EXPECT_EQ(elastic.final_weights, fixed.final_weights);
 }
+
+#ifndef MINSGD_TRACE_OFF
+TEST(ElasticTrain, SerialPathRecordsOneAllreduceSpanPerStep) {
+  // obs::report reads allreduce time from phase.allreduce spans; elastic's
+  // serial path used to record none, so its column read 0. A traced,
+  // event-free run must record what the fixed trainer records: one span
+  // per rank per step, carrying the whole gradient's bytes.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  optim::ConstantLr lr(0.02);
+  auto eo = elastic_options();
+  eo.initial_world = 2;
+  eo.max_world = 2;
+  eo.total_iterations = 0;
+  eo.train.epochs = 1;
+  train::TrainOptions to = eo.train;
+  to.global_batch = eo.local_batch * 2;
+  auto net = det_model();
+  Rng rng(1);
+  net->init(rng);
+  const std::int64_t grad_bytes = 4 * net->num_params();
+
+  // (phase.allreduce spans, iterations) of one traced run.
+  const auto traced = [&](const std::function<std::int64_t()>& run) {
+    obs::tracer().clear();
+    obs::tracer().set_enabled(true);
+    const std::int64_t iters = run();
+    obs::tracer().set_enabled(false);
+    std::int64_t spans = 0;
+    for (const auto& sp : obs::tracer().snapshot()) {
+      if (sp.name != "phase.allreduce") continue;
+      ++spans;
+      EXPECT_EQ(sp.bytes, grad_bytes);
+    }
+    obs::tracer().clear();
+    return std::make_pair(spans, iters);
+  };
+  const auto elastic = traced([&] {
+    return train::train_sync_elastic(det_model, sgd_factory(), lr, ds, eo)
+        .iterations;
+  });
+  const auto fixed = traced([&] {
+    return train::train_sync_data_parallel(det_model, sgd_factory(), lr, ds,
+                                           to, 2)
+        .iterations;
+  });
+  ASSERT_GT(elastic.second, 0);
+  EXPECT_EQ(elastic.second, fixed.second);
+  EXPECT_EQ(elastic.first, elastic.second * 2);
+  EXPECT_EQ(elastic.first, fixed.first);
+}
+#endif  // MINSGD_TRACE_OFF
 
 TEST(ElasticTrain, ShrinkMatchesFixedWorldResumedFromPreShrinkState) {
   // Shrink determinism: a 3-member run that loses rank 1 at step k must

@@ -17,6 +17,7 @@
 #include "comm/cluster.hpp"
 #include "comm/fault.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
@@ -474,6 +475,30 @@ TEST(FaultTolerantTrain, CrashRecoveryYieldsBitIdenticalWeights) {
   EXPECT_EQ(faulty.iterations, clean.iterations);
 }
 
+TEST(FaultTolerantTrain, PublishesRunMetricsSummedOverAttempts) {
+  // The fault-tolerant driver persists the same run metrics as the fixed
+  // trainer, and a restarted run's counters cover every attempt, the
+  // crashed one included.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  optim::ConstantLr lr(0.02);
+  FaultPlan plan;
+  plan.crash_rank = 1;
+  plan.crash_at_send = 40;
+  auto injector = std::make_shared<FaultInjector>(plan, 2);
+  auto& reg = obs::metrics();
+  const auto bytes = reg.counter("train.traffic.bytes").value();
+  const auto messages = reg.counter("train.traffic.messages").value();
+  const auto total_ns = reg.counter("train.allreduce.total_ns").value();
+  const auto r = train::train_sync_fault_tolerant(
+      det_model, sgd_factory(), lr, ds, ft_options("metrics"), 2, injector);
+  ASSERT_EQ(r.restarts, 1);
+  EXPECT_EQ(reg.counter("train.traffic.bytes").value() - bytes,
+            r.traffic.bytes);
+  EXPECT_EQ(reg.counter("train.traffic.messages").value() - messages,
+            r.traffic.messages);
+  EXPECT_GT(reg.counter("train.allreduce.total_ns").value(), total_ns);
+}
+
 TEST(FaultTolerantTrain, CrashRecoveryIsExactWithDropout) {
   // Dropout layers own private mask streams; the checkpoint must restore
   // them or the resumed run draws different masks and drifts from the
@@ -544,6 +569,14 @@ TEST(FaultTolerantTrain, RejectsBadOptions) {
   o.train.global_batch = 30;
   EXPECT_THROW(
       train::train_sync_fault_tolerant(det_model, sgd_factory(), lr, ds, o, 4),
+      std::invalid_argument);
+  // 1-bit compression used to be silently dropped here. Its error-feedback
+  // residual is not in the v2 checkpoint, so a restart could not be exact:
+  // the option is rejected up front instead.
+  o = ft_options("bad3");
+  o.train.compress_one_bit = true;
+  EXPECT_THROW(
+      train::train_sync_fault_tolerant(det_model, sgd_factory(), lr, ds, o, 2),
       std::invalid_argument);
 }
 

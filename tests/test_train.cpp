@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "data/synthetic.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/pool.hpp"
+#include "obs/metrics.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
 #include "train/async_trainer.hpp"
+#include "train/elastic.hpp"
+#include "train/fault_tolerant.hpp"
+#include "train/sync_replica.hpp"
 #include "train/trainer.hpp"
 
 namespace minsgd {
@@ -179,23 +186,94 @@ TEST(TrainDistributed, RejectsIndivisibleBatch) {
 TEST(TrainDistributed, BucketBytesValidatedUpFront) {
   // Regression: bucket_bytes used to be validated inside the iteration
   // loop, so a bad value surfaced only after a full forward/backward (and
-  // not at all on empty runs). It must throw before any work happens.
+  // not at all on empty runs). It must throw before any work happens, on
+  // every synchronous trainer.
   data::SyntheticImageNet ds(tiny_data_cfg());
   optim::ConstantLr lr(0.01);
-  auto run = [&](std::int64_t bucket_bytes) {
+  const auto model = [] { return det_model(); };
+  const auto sgd = []() -> std::unique_ptr<optim::Optimizer> {
+    return std::make_unique<optim::Sgd>();
+  };
+  const std::pair<const char*,
+                  std::function<std::int64_t(std::int64_t bucket_bytes)>>
+      trainers[] = {
+          {"fixed",
+           [&](std::int64_t bucket_bytes) {
+             train::TrainOptions o;
+             o.global_batch = 32;
+             o.epochs = 1;
+             o.bucket_bytes = bucket_bytes;
+             return train::train_sync_data_parallel(model, sgd, lr, ds, o, 2)
+                 .iterations;
+           }},
+          {"fault_tolerant",
+           [&](std::int64_t bucket_bytes) {
+             train::FaultTolerantOptions o;
+             o.train.global_batch = 32;
+             o.train.epochs = 1;
+             o.train.bucket_bytes = bucket_bytes;
+             o.checkpoint_path = ::testing::TempDir() + "/bucket_ft.ckpt";
+             return train::train_sync_fault_tolerant(model, sgd, lr, ds, o, 2)
+                 .iterations;
+           }},
+          {"elastic",
+           [&](std::int64_t bucket_bytes) {
+             train::ElasticOptions o;
+             o.local_batch = 16;
+             o.initial_world = 2;
+             o.max_world = 2;
+             o.train.epochs = 1;
+             o.train.bucket_bytes = bucket_bytes;
+             return train::train_sync_elastic(model, sgd, lr, ds, o)
+                 .iterations;
+           }},
+      };
+  for (const auto& [name, run] : trainers) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(run(1), std::invalid_argument);   // < one float
+    EXPECT_THROW(run(3), std::invalid_argument);   // still < one float
+    EXPECT_THROW(run(-8), std::invalid_argument);  // negative
+    EXPECT_GT(run(0), 0);                          // 0 = single bucket, valid
+    EXPECT_GT(run(4), 0);                          // minimum legal bucket
+  }
+}
+
+TEST(SyncReplica, SteadyStateAllocsAreZero) {
+  // ExecutionPlan.SteadyStateAllocsAreZero one level up: after two warm-up
+  // steps, a 2-rank replica's whole step (batch load into reused storage,
+  // planned forward/backward, reduce, update, stats allreduce) allocates no
+  // tensors, with the serial and with the overlap reducer.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  auto& allocs = obs::metrics().counter("tensor.allocs");
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap" : "serial");
     train::TrainOptions options;
     options.global_batch = 32;
-    options.epochs = 1;
-    options.bucket_bytes = bucket_bytes;
-    return train::train_sync_data_parallel(
-        [] { return det_model(); },
-        [] { return std::make_unique<optim::Sgd>(); }, lr, ds, options, 2);
-  };
-  EXPECT_THROW(run(1), std::invalid_argument);   // < one float
-  EXPECT_THROW(run(3), std::invalid_argument);   // still < one float
-  EXPECT_THROW(run(-8), std::invalid_argument);  // negative
-  EXPECT_GT(run(0).iterations, 0);               // 0 = single bucket, valid
-  EXPECT_GT(run(4).iterations, 0);               // minimum legal bucket
+    options.overlap_comm = overlap;
+    options.bucket_bytes = overlap ? 1024 : 0;
+    std::int64_t warm = 0, steady = 0;
+    comm::SimCluster cluster(2);
+    cluster.run([&](comm::Communicator& comm) {
+      train::SyncReplica replica(
+          [] { return det_model(); },
+          [] {
+            return std::make_unique<optim::Sgd>(
+                optim::SgdConfig{.momentum = 0.9, .weight_decay = 0.0005});
+          },
+          options, comm::AllreduceAlgo::kRing);
+      data::ShardedLoader loader(ds, options.global_batch, comm.rank(), 2);
+      replica.attach(comm, loader);
+      std::int64_t it = 0;
+      for (; it < 2; ++it) replica.step(0, it, 0.01, it);
+      comm.barrier();
+      if (comm.rank() == 0) warm = allocs.value();
+      comm.barrier();
+      for (; it < 7; ++it) replica.step(0, it, 0.01, it);
+      comm.barrier();
+      if (comm.rank() == 0) steady = allocs.value();
+    });
+    EXPECT_EQ(steady, warm) << "steady-state steps must not allocate";
+  }
 }
 
 TEST(TrainAsync, ParameterServerLearnsOnEasyTask) {
