@@ -5,7 +5,10 @@
 # rank threads, and each rank now drives its own ComputeContext worker
 # pool (nested parallelism), so test_comm / test_train / test_overlap /
 # test_context / test_determinism must stay TSan-clean for the overlap and
-# intra-op paths to be trusted. test_elastic joins the gate: the elastic
+# intra-op paths to be trusted. With overlap on, the comm worker reduces
+# each bucket in place inside the network's live gradient storage
+# (Network::grad_span) while backward still writes other slices of it, so
+# the bucket and layer slices must be provably disjoint. test_elastic joins the gate: the elastic
 # coordinator's rendezvous/watchdog and communicator re-forms across
 # generations add cross-thread handoffs that must also be race-free.
 # test_obs carries the flight recorder's seqlock: concurrent writers racing

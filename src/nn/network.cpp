@@ -1,14 +1,25 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
+#include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace minsgd::nn {
+namespace {
+
+constexpr std::size_t kFlatAlign = 64;  // cacheline, like the plan arena
+
+}  // namespace
 
 Network& Network::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("Network::add: null layer");
+  if (param_buf_) {
+    throw std::logic_error("Network::add: parameters already materialized");
+  }
   layers_.push_back(std::move(layer));
   param_cache_valid_ = false;
   return *this;
@@ -240,77 +251,62 @@ std::int64_t Network::num_params() {
   return flat_size_;
 }
 
-std::int64_t Network::flat_size() {
-  cached_params();
-  return flat_size_;
+void Network::AlignedFree::operator()(float* p) const {
+  ::operator delete[](p, std::align_val_t{kFlatAlign});
+}
+
+void Network::materialize() {
+  const auto& ps = cached_params();
+  const auto n = static_cast<std::size_t>(flat_size_);
+  // Uninitialized allocation: pages become resident as the copies below
+  // touch them, while bind() frees each parameter's old storage.
+  const auto alloc = [n] {
+    return FlatBuffer(static_cast<float*>(::operator new[](
+        n * sizeof(float), std::align_val_t{kFlatAlign})));
+  };
+  param_buf_ = alloc();
+  grad_buf_ = alloc();
+  std::int64_t off = 0;
+  for (const auto& p : ps) {
+    const std::int64_t k = p.value->numel();
+    MINSGD_CHECK(!p.value->bound() && !p.grad->bound() && p.grad->numel() == k,
+                 "Network(", label_, "): parameter ", p.name,
+                 " is already bound into another buffer");
+    for (auto [t, buf] : {std::pair{p.value, param_buf_.get()},
+                          std::pair{p.grad, grad_buf_.get()}}) {
+      std::copy_n(t->data(), k, buf + off);
+      t->bind(buf + off, k, t->shape());
+    }
+    off += k;
+  }
+}
+
+std::span<float> Network::param_span() {
+  if (!param_buf_) materialize();
+  return {param_buf_.get(), static_cast<std::size_t>(flat_size_)};
+}
+
+std::span<float> Network::grad_span() {
+  if (!param_buf_) materialize();
+  return {grad_buf_.get(), static_cast<std::size_t>(flat_size_)};
 }
 
 void Network::zero_grad() {
-  for (const auto& p : cached_params()) p.grad->zero();
+  const std::span<float> g = grad_span();
+  std::fill(g.begin(), g.end(), 0.0f);
 }
 
 std::vector<float> Network::flatten_params() {
-  std::vector<float> flat;
-  flatten_params_into(flat);
-  return flat;
-}
-
-void Network::flatten_params_into(std::vector<float>& flat) {
-  const auto& ps = cached_params();
-  flat.resize(static_cast<std::size_t>(flat_size_));
-  std::size_t off = 0;
-  for (const auto& p : ps) {
-    const auto s = p.value->span();
-    std::copy(s.begin(), s.end(), flat.begin() + static_cast<std::ptrdiff_t>(off));
-    off += s.size();
-  }
+  const std::span<const float> w = param_span();
+  return {w.begin(), w.end()};
 }
 
 void Network::unflatten_params(std::span<const float> flat) {
-  std::size_t off = 0;
-  for (const auto& p : cached_params()) {
-    const auto n = static_cast<std::size_t>(p.value->numel());
-    if (off + n > flat.size()) {
-      throw std::invalid_argument("unflatten_params: flat too small");
-    }
-    copy(flat.subspan(off, n), p.value->span());
-    off += n;
+  const std::span<float> w = param_span();
+  if (flat.size() != w.size()) {
+    throw std::invalid_argument("unflatten_params: size mismatch");
   }
-  if (off != flat.size()) {
-    throw std::invalid_argument("unflatten_params: flat too large");
-  }
-}
-
-std::vector<float> Network::flatten_grads() {
-  std::vector<float> flat;
-  flatten_grads_into(flat);
-  return flat;
-}
-
-void Network::flatten_grads_into(std::vector<float>& flat) {
-  const auto& ps = cached_params();
-  flat.resize(static_cast<std::size_t>(flat_size_));
-  std::size_t off = 0;
-  for (const auto& p : ps) {
-    const auto s = p.grad->span();
-    std::copy(s.begin(), s.end(), flat.begin() + static_cast<std::ptrdiff_t>(off));
-    off += s.size();
-  }
-}
-
-void Network::unflatten_grads(std::span<const float> flat) {
-  std::size_t off = 0;
-  for (const auto& p : cached_params()) {
-    const auto n = static_cast<std::size_t>(p.grad->numel());
-    if (off + n > flat.size()) {
-      throw std::invalid_argument("unflatten_grads: flat too small");
-    }
-    copy(flat.subspan(off, n), p.grad->span());
-    off += n;
-  }
-  if (off != flat.size()) {
-    throw std::invalid_argument("unflatten_grads: flat too large");
-  }
+  std::copy(flat.begin(), flat.end(), w.begin());
 }
 
 }  // namespace minsgd::nn

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,23 +67,23 @@ class Network final : public Layer {
   /// Total learnable parameter count.
   std::int64_t num_params();
 
-  /// Zeroes every parameter gradient.
+  /// Zeroes every parameter gradient: one fill over grad_span().
   void zero_grad();
 
-  /// Copies all parameter values into a single flat vector (and back).
-  /// The flat layout is the order params() returns; it is the unit the
-  /// data-parallel trainer allreduces. The _into variants resize the given
-  /// vector (reusing its capacity) instead of building a fresh one — the
-  /// per-iteration allreduce path hoists one vector and calls them.
-  std::vector<float> flatten_params();
-  void flatten_params_into(std::vector<float>& flat);
-  void unflatten_params(std::span<const float> flat);
-  std::vector<float> flatten_grads();
-  void flatten_grads_into(std::vector<float>& flat);
-  void unflatten_grads(std::span<const float> flat);
+  /// Every parameter value / gradient as one contiguous buffer: params()
+  /// order, no padding between parameters, 64-byte aligned base. The first
+  /// call of either allocates both, copies the current values in and binds
+  /// each ParamRef value/grad onto its slice, so span and tensors are the
+  /// same memory; the data-parallel trainers allreduce the gradient span in
+  /// place. Call on the outermost network: rebinding a parameter is a CHECK
+  /// failure, and add() throws once materialized.
+  std::span<float> param_span();
+  std::span<float> grad_span();
 
-  /// Total float count of the flat parameter/gradient layout (cached).
-  std::int64_t flat_size();
+  /// One copy out of / into param_span() (std::invalid_argument on a size
+  /// mismatch).
+  std::vector<float> flatten_params();
+  void unflatten_params(std::span<const float> flat);
 
   // Gradient-ready observation -------------------------------------------
   /// Hook fired during backward() immediately after layers_[i]->backward()
@@ -119,8 +120,16 @@ class Network final : public Layer {
   }
 
   /// Label-prefixed ParamRef list, built once and reused (the per-iteration
-  /// flatten/unflatten path must not rebuild name strings every call).
+  /// optimizer path must not rebuild name strings every call).
   const std::vector<ParamRef>& cached_params();
+
+  /// Allocates the flat buffers and binds every parameter onto them.
+  void materialize();
+
+  struct AlignedFree {
+    void operator()(float* p) const;
+  };
+  using FlatBuffer = std::unique_ptr<float[], AlignedFree>;
 
   std::string label_ = "net";
   GradReadyHook grad_ready_hook_;
@@ -137,11 +146,12 @@ class Network final : public Layer {
   bool plan_training_ = false;
   bool last_forward_planned_ = false;
 
-  // Cached parameter metadata (satellite of the planning work: the flat
-  // allreduce buffer path was reallocating every call).
+  // Cached parameter metadata and, once materialized, the flat storage
+  // every ParamRef value/grad is bound into.
   std::vector<ParamRef> param_cache_;
   bool param_cache_valid_ = false;
   std::int64_t flat_size_ = 0;
+  FlatBuffer param_buf_, grad_buf_;  // null until materialized
 };
 
 }  // namespace minsgd::nn

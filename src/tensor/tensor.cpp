@@ -91,6 +91,10 @@ Tensor::Tensor(Tensor&& other) noexcept
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
   if (this == &other) return *this;
+  // A bound tensor's storage belongs to its binder (an arena, a network's
+  // flat parameter buffer); taking `other`'s storage would silently detach
+  // the view, so assignment writes through it exactly like copy-assign.
+  if (bound()) return *this = static_cast<const Tensor&>(other);
   shape_ = other.shape_;
   data_ = std::move(other.data_);
   numel_ = other.numel_;

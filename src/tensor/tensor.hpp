@@ -12,8 +12,8 @@
 //     a float capacity; resize() may reshape within that capacity but never
 //     reallocates (exceeding it is a MINSGD_CHECK failure, which is how a
 //     stale memory plan announces itself). Copying a bound tensor yields an
-//     owning deep copy; assigning *into* a bound tensor copies into the
-//     bound storage.
+//     owning deep copy; assigning *into* a bound tensor — copy or move —
+//     copies into the bound storage and leaves the binding in place.
 //
 // Every owning allocation bumps the `tensor.allocs` / `tensor.alloc_bytes`
 // metrics counters, so the memory plan's allocator-traffic reduction is a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -57,11 +58,11 @@ AsyncResult train_async_param_server(
       const ComputeContext ctx(per_worker);
       auto net = model_factory();
       Rng worker_init(options.init_seed);
-      net->init(worker_init);  // allocate param storage; overwritten by pull
-      std::vector<float> weights(
-          static_cast<std::size_t>(net->num_params()));
+      net->init(worker_init);  // overwritten by the pull below
+      // push_pull reads and writes the network's flat storage directly.
+      const std::span<const float> grad = net->grad_span();
+      const std::span<float> weights = net->param_span();
       server.pull(w, weights);
-      net->unflatten_params(weights);
 
       data::ShardedLoader loader(dataset, options.global_batch, w, workers,
                                  options.augment);
@@ -92,13 +93,11 @@ AsyncResult train_async_param_server(
             net->backward(batch.x, logits, dlogits, dx, ctx, &pc);
           }
           const double lr = schedule.lr(server.updates_applied());
-          auto grad = net->flatten_grads();
           {
             obs::ScopedSpan sp("phase.push_pull", obs::cat::kPhase);
             sp.set_bytes(static_cast<std::int64_t>(grad.size()) * 4);
             server.push_pull(w, grad, lr, weights);
           }
-          net->unflatten_params(weights);
           MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
                         0, 0, it);
           last_loss.store(lres.loss, std::memory_order_relaxed);
@@ -121,9 +120,7 @@ AsyncResult train_async_param_server(
   res.max_staleness = server.max_staleness();
   res.final_train_loss = last_loss.load();
   // Evaluate the server's final weights.
-  std::vector<float> weights(static_cast<std::size_t>(init_net->num_params()));
-  server.pull(0, weights);
-  init_net->unflatten_params(weights);
+  server.pull(0, init_net->param_span());
   res.final_test_acc = evaluate(*init_net, dataset);
   return res;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -32,11 +33,12 @@ EasgdResult train_easgd(
     throw std::invalid_argument("train_easgd: communication_period <= 0");
   }
 
-  // The shared center variable, mutex-protected like a parameter server.
+  // The shared center variable, mutex-protected like a parameter server:
+  // the center network's own flat parameter storage.
   auto center_net = model_factory();
   Rng init_rng(options.init_seed);
   center_net->init(init_rng);
-  std::vector<float> center = center_net->flatten_params();
+  const std::span<float> center = center_net->param_span();
   std::mutex center_mu;
   std::atomic<std::int64_t> elastic_updates{0};
   std::atomic<bool> abort{false};
@@ -113,16 +115,15 @@ EasgdResult train_easgd(
           if ((step + 1) % config.communication_period == 0) {
             // Elastic synchronization with the center.
             obs::ScopedSpan sp("phase.elastic", obs::cat::kPhase);
-            auto flat = net->flatten_params();
+            const std::span<float> x = net->param_span();
             {
               std::lock_guard lk(center_mu);
-              for (std::size_t i = 0; i < flat.size(); ++i) {
-                const float diff = flat[i] - center[i];
-                flat[i] -= alpha * diff;
+              for (std::size_t i = 0; i < x.size(); ++i) {
+                const float diff = x[i] - center[i];
+                x[i] -= alpha * diff;
                 center[i] += alpha * diff;
               }
             }
-            net->unflatten_params(flat);
             elastic_updates.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -135,7 +136,6 @@ EasgdResult train_easgd(
   res.diverged = abort.load();
   res.elastic_updates = elastic_updates.load();
   res.final_train_loss = last_loss.load();
-  center_net->unflatten_params(center);
   res.center_test_acc = evaluate(*center_net, dataset);
   return res;
 }

@@ -6,8 +6,8 @@
 #include <string>
 
 #include "comm/cluster.hpp"
+#include "core/check.hpp"
 #include "obs/trace.hpp"
-#include "tensor/ops.hpp"
 
 namespace minsgd::train {
 
@@ -23,23 +23,23 @@ OverlapAllreducer::OverlapAllreducer(nn::Network& net,
                                      comm::Communicator& comm,
                                      std::int64_t bucket_bytes,
                                      comm::AllreduceAlgo algo)
-    : net_(net), engine_(comm), algo_(algo) {
+    : net_(net), engine_(comm), algo_(algo), grad_(net.grad_span()) {
   validate_bucket_bytes(bucket_bytes, "OverlapAllreducer");
-  // Map every top-level layer to its contiguous range of the flat gradient
-  // (params() walks layers in order, so flatten offsets accumulate).
+  // Map every top-level layer to its contiguous range of the gradient span
+  // (params() walks layers in order, so the offsets accumulate).
   std::size_t off = 0;
   layers_.resize(net.size());
   for (std::size_t i = 0; i < net.size(); ++i) {
     LayerRange& lr = layers_[i];
     lr.lo = off;
     for (const auto& p : net.layer(i).params()) {
-      const auto n = static_cast<std::size_t>(p.grad->numel());
-      lr.slots.push_back({p.grad, off, n});
-      off += n;
+      MINSGD_CHECK(p.grad->data() == grad_.data() + off,
+                   "OverlapAllreducer: ", p.name,
+                   " is not bound at its grad_span() offset ", off);
+      off += static_cast<std::size_t>(p.grad->numel());
     }
     lr.hi = off;
   }
-  flat_.resize(off);
   bucket_floats_ = bucket_bytes == 0 ? off
                                      : static_cast<std::size_t>(bucket_bytes) / 4;
   const std::size_t buckets =
@@ -63,22 +63,17 @@ void OverlapAllreducer::begin_iteration() {
 
 std::size_t OverlapAllreducer::bucket_size(std::size_t bucket) const {
   const std::size_t lo = bucket * bucket_floats_;
-  return std::min(bucket_floats_, flat_.size() - lo);
+  return std::min(bucket_floats_, grad_.size() - lo);
 }
 
 void OverlapAllreducer::launch(std::size_t bucket) {
   launched_[bucket] = 1;
   handles_.push_back(engine_.allreduce_sum_async(
-      std::span<float>(flat_).subspan(bucket * bucket_floats_,
-                                      bucket_size(bucket)),
-      algo_));
+      grad_.subspan(bucket * bucket_floats_, bucket_size(bucket)), algo_));
 }
 
 void OverlapAllreducer::on_layer_ready(std::size_t layer_index) {
   const LayerRange& lr = layers_.at(layer_index);
-  for (const auto& s : lr.slots) {
-    copy(s.grad->span(), std::span<float>(flat_).subspan(s.offset, s.numel));
-  }
   if (lr.lo == lr.hi) return;
   // Credit the reported floats to every bucket the layer's range overlaps;
   // a bucket launches the moment its full extent has been credited. Bucket
@@ -106,14 +101,14 @@ std::span<float> OverlapAllreducer::finish() {
   obs::ScopedSpan sp;
   if (obs::tracer().enabled()) {
     sp.start("phase.allreduce.async", obs::cat::kPhase);
-    sp.set_bytes(static_cast<std::int64_t>(flat_.size()) * 4);
+    sp.set_bytes(static_cast<std::int64_t>(grad_.size()) * 4);
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (auto& h : handles_) h.wait();  // rethrows the first failure
   exposed_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-  return flat_;
+  return grad_;
 }
 
 }  // namespace minsgd::train

@@ -3,11 +3,12 @@
 // The glue between the two halves of comm/compute overlap: it subscribes to
 // Network's gradient-ready hook (fired per top-level layer as backward
 // walks output→input) and the async collective engine (a per-rank FIFO comm
-// worker). Gradients are copied into a persistent flat buffer at their
-// flatten_grads() offsets; the buffer is divided into fixed `bucket_bytes`
-// buckets *by flat offset* — exactly the boundaries the serial bucketed
-// loop in SyncReplica uses — and each bucket's allreduce
-// launches the moment every parameter overlapping it has reported.
+// worker). The network's flat gradient storage (Network::grad_span()) is
+// divided into fixed `bucket_bytes` buckets *by flat offset* — exactly the
+// boundaries the serial bucketed loop in SyncReplica uses. A bucket is a
+// view, not a copy: it launches the moment every parameter overlapping it
+// has reported and is reduced in place while backward writes earlier
+// layers' gradients, which lie outside every launched bucket.
 //
 // Why this is bit-exact against overlap off: a bucket's allreduce result
 // depends only on (bucket contents, algorithm, world), not on when or in
@@ -36,8 +37,9 @@ void validate_bucket_bytes(std::int64_t bucket_bytes, const char* who);
 
 class OverlapAllreducer {
  public:
-  /// Installs itself as `net`'s gradient-ready hook. `bucket_bytes` uses
-  /// the TrainOptions convention (validate_bucket_bytes): 0 = one bucket
+  /// Installs itself as `net`'s gradient-ready hook (materializing
+  /// net.grad_span()). `bucket_bytes` uses the TrainOptions convention
+  /// (validate_bucket_bytes): 0 = one bucket
   /// spanning the whole gradient, otherwise >= 4. The hook is removed on
   /// destruction.
   OverlapAllreducer(nn::Network& net, comm::Communicator& comm,
@@ -52,8 +54,8 @@ class OverlapAllreducer {
 
   /// Launches any bucket that has not launched yet (a no-op when the hook
   /// observed every layer) and blocks until all in-flight allreduces
-  /// complete, rethrowing the first failure. Returns the flat rank-summed
-  /// gradient, laid out exactly like Network::flatten_grads().
+  /// complete, rethrowing the first failure. Returns net.grad_span(), now
+  /// holding the rank-summed gradient.
   std::span<float> finish();
 
   /// Wall-clock time finish() spent blocked — the *exposed* communication
@@ -70,21 +72,15 @@ class OverlapAllreducer {
   void launch(std::size_t bucket);
   std::size_t bucket_size(std::size_t bucket) const;
 
-  struct Slot {
-    Tensor* grad = nullptr;   // the parameter's gradient accumulator
-    std::size_t offset = 0;   // its start in the flat layout
-    std::size_t numel = 0;
-  };
   struct LayerRange {
-    std::vector<Slot> slots;
     std::size_t lo = 0, hi = 0;  // [lo, hi): flat floats this layer covers
   };
 
   nn::Network& net_;
   comm::AsyncCollectiveEngine engine_;
   comm::AllreduceAlgo algo_;
+  std::span<float> grad_;  // net_.grad_span(); buckets are subspans of it
   std::size_t bucket_floats_ = 0;
-  std::vector<float> flat_;
   std::vector<LayerRange> layers_;
   std::vector<std::size_t> bucket_fill_;         // floats reported per bucket
   std::vector<char> launched_;

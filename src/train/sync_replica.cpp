@@ -82,6 +82,7 @@ SyncReplica::SyncReplica(
   Rng init_rng(options.init_seed);
   net_->init(init_rng);
   init_rng_state_ = init_rng.state();
+  net_->grad_span();  // bind the flat storage every reducer works in
   opt_ = opt_factory();
   params_ = net_->params();
   if (options.compress_one_bit) {
@@ -142,17 +143,17 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
   {
     obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
     // With overlap on, the gradient-ready hook fires in here: each
-    // finalized layer is copied into the flat buffer and full buckets
-    // launch on the comm worker while later layers still compute.
+    // finalized layer credits its buckets of the gradient span, and full
+    // buckets reduce in place on the comm worker while earlier layers run.
     net_->backward(batch_.x, logits_, dlogits_, dx_, ctx, &pc);
   }
   // Each local gradient is the mean over the local shard, so the
-  // global-batch mean is the rank-sum divided by world.
+  // global-batch mean is the rank-sum divided by world; params_' grads are
+  // bound to the reduced span, so the optimizer reads it as is.
   const std::span<float> flat = reduce();
   {
     obs::ScopedSpan sp("phase.step", obs::cat::kPhase);
     scale(ctx, 1.0f / static_cast<float>(comm_->world()), flat);
-    net_->unflatten_grads(flat);
     opt_->step(params_, lr, ctx);
   }
   MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
@@ -168,8 +169,7 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
 
 std::span<float> SyncReplica::reduce() {
   if (overlap_) return overlap_->finish();  // waits on in-flight buckets
-  net_->flatten_grads_into(flat_own_);
-  const std::span<float> flat(flat_own_);
+  const std::span<float> flat = net_->grad_span();
   obs::ScopedSpan sp;
   if (obs::tracer().enabled()) {
     sp.start("phase.allreduce", obs::cat::kPhase);

@@ -4,7 +4,9 @@
 // The fixed, fault-tolerant and elastic trainers build one SyncReplica per
 // rank and differ only in which iterations it runs over which communicator.
 // The replica owns the network, optimizer, execution plan, loss, activation
-// tensors, batch storage and gradient reducer; attach() binds it to one
+// tensors, batch storage and gradient reducer; the allreduce, the overlap
+// buckets and the optimizer all work in place on the network's flat
+// gradient storage (Network::grad_span). attach() binds it to one
 // communicator generation; step() is the paper's iteration (Figure 2(a),
 // master replaced by an allreduce). run_iteration() adds the bookkeeping
 // the drivers share: divergence guard, per-window records, window-end eval.
@@ -75,7 +77,8 @@ class SyncReplica {
   };
   /// One iteration on batch `it` of `epoch` at `lr`: load, forward + loss,
   /// backward, reduce, scale(1/world), optimizer step, kStep flight event
-  /// (labelled `global_iter`), 2-float stats allreduce. Collective.
+  /// (labelled `global_iter`), 2-float stats allreduce. Collective. Reduce
+  /// and scale run in place on net().grad_span(): no staging copy.
   StepStats step(std::int64_t epoch, std::int64_t it, double lr,
                  std::int64_t global_iter);
 
@@ -119,7 +122,6 @@ class SyncReplica {
   nn::SoftmaxCrossEntropy loss_;
   Tensor logits_, dlogits_, dx_;
   data::Batch batch_;
-  std::vector<float> flat_own_;  // serial-path allreduce buffer
   std::vector<float> gathered_;  // every rank's 1-bit payload
 
   comm::Communicator* comm_ = nullptr;

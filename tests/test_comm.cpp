@@ -11,6 +11,7 @@
 #include "comm/cluster.hpp"
 #include "comm/membership.hpp"
 #include "tensor/rng.hpp"
+#include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {

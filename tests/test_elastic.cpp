@@ -27,6 +27,7 @@
 #include "optim/sgd.hpp"
 #include "train/elastic.hpp"
 #include "train/trainer.hpp"
+#include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {
@@ -104,6 +105,9 @@ TEST(ElasticOptionsDeath, ChecksFireOnBadFields) {
 
 TEST(ElasticOptionsDeath, CoordinatorRejectsMalformedView) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The CHECK failure dumps a postmortem from the dying child; a fixed name
+  // lets this (parent) process remove what the child left behind.
+  testing::ScopedPostmortemPath dump("pm_malformed_view.json");
   comm::SimCluster cluster(2);
   comm::MembershipView empty;
   EXPECT_DEATH(

@@ -25,6 +25,7 @@
 #include "nn/activation.hpp"
 #include "nn/pool.hpp"
 #include "optim/sgd.hpp"
+#include "postmortem_path.hpp"
 #include "train/fault_tolerant.hpp"
 #include "train/trainer.hpp"
 
@@ -591,21 +592,7 @@ TEST(FaultTolerantTrainDeath, NegativeRestartBudgetTripsCheck) {
 
 // ---------------- postmortem black box ----------------
 
-/// RAII: point the postmortem dump at a private temp file for one test and
-/// restore the default afterwards.
-struct ScopedPostmortemPath {
-  std::string path;
-  explicit ScopedPostmortemPath(const char* name)
-      : path(::testing::TempDir() + "/" + name) {
-    obs::set_postmortem_path(path);
-    obs::flight().clear();
-  }
-  ~ScopedPostmortemPath() {
-    std::remove(path.c_str());
-    obs::set_postmortem_path("postmortem.json");
-    obs::flight().clear();
-  }
-};
+using testing::ScopedPostmortemPath;
 
 TEST(Postmortem, StragglerStallIsCountedAndValidated) {
   FaultPlan bad;

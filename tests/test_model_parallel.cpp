@@ -8,6 +8,7 @@
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "tensor/ops.hpp"
+#include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {

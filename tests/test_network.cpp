@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <sstream>
+#include <vector>
+
 #include "grad_check.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
@@ -8,6 +15,7 @@
 #include "nn/norm.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
+#include "nn/serialize.hpp"
 
 namespace minsgd {
 namespace {
@@ -107,7 +115,107 @@ TEST(Network, UnflattenRejectsWrongSize) {
   std::vector<float> too_small(10);
   EXPECT_THROW(net->unflatten_params(too_small), std::invalid_argument);
   std::vector<float> too_big(static_cast<std::size_t>(net->num_params()) + 1);
-  EXPECT_THROW(net->unflatten_grads(too_big), std::invalid_argument);
+  EXPECT_THROW(net->unflatten_params(too_big), std::invalid_argument);
+}
+
+// ---------------- flat parameter / gradient storage ----------------
+
+TEST(NetworkFlatStorage, SpansHoldEveryParameterInParamsOrder) {
+  auto net = small_net();
+  Rng rng(4);
+  net->init(rng);
+  std::vector<float> before;
+  for (const auto& p : net->params()) {
+    before.insert(before.end(), p.value->span().begin(),
+                  p.value->span().end());
+  }
+  const std::span<float> w = net->param_span();
+  const std::span<float> g = net->grad_span();
+  ASSERT_EQ(static_cast<std::int64_t>(w.size()), net->num_params());
+  ASSERT_EQ(static_cast<std::int64_t>(g.size()), net->num_params());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.data()) % 64, 0u);
+  // Materializing copies the values in; no padding between parameters.
+  EXPECT_EQ(std::vector<float>(w.begin(), w.end()), before);
+  std::size_t off = 0;
+  for (const auto& p : net->params()) {
+    EXPECT_TRUE(p.value->bound());
+    EXPECT_TRUE(p.grad->bound());
+    EXPECT_EQ(p.value->data(), w.data() + off) << p.name;
+    EXPECT_EQ(p.grad->data(), g.data() + off) << p.name;
+    off += static_cast<std::size_t>(p.value->numel());
+  }
+  EXPECT_EQ(off, w.size());
+  // A second call returns the same storage.
+  EXPECT_EQ(net->param_span().data(), w.data());
+  EXPECT_EQ(net->grad_span().data(), g.data());
+}
+
+TEST(NetworkFlatStorage, WritesThroughParamRefsShowInTheSpans) {
+  auto net = small_net();
+  Rng rng(5);
+  net->init(rng);
+  const std::span<float> w = net->param_span();
+  const std::span<float> g = net->grad_span();
+  const auto params = net->params();
+  const auto& last = params.back();  // the linear bias: ends both spans
+  last.grad->fill(2.5f);
+  (*last.value)[0] = -7.0f;
+  const std::size_t last_off = w.size() - last.value->numel();
+  EXPECT_EQ(g[last_off], 2.5f);
+  EXPECT_EQ(g.back(), 2.5f);
+  EXPECT_EQ(w[last_off], -7.0f);
+  EXPECT_NE(g[last_off - 1], 2.5f);  // the neighbour is untouched
+  // And the other way round.
+  w[0] = 11.0f;
+  g[0] = 3.0f;
+  EXPECT_EQ((*params[0].value)[0], 11.0f);
+  EXPECT_EQ((*params[0].grad)[0], 3.0f);
+}
+
+TEST(NetworkFlatStorage, ZeroGradClearsTheGradientSpan) {
+  auto net = small_net();
+  Rng rng(6);
+  net->init(rng);
+  const std::span<float> g = net->grad_span();
+  std::fill(g.begin(), g.end(), 1.0f);
+  const auto weights = net->flatten_params();
+  net->zero_grad();
+  for (float v : g) ASSERT_EQ(v, 0.0f);
+  EXPECT_EQ(net->flatten_params(), weights);  // values are left alone
+}
+
+TEST(NetworkFlatStorage, CheckpointLoadsIntoBoundParameters) {
+  auto a = small_net();
+  auto b = small_net();
+  Rng ra(7), rb(8);
+  a->init(ra);
+  b->init(rb);
+  const float* w = b->param_span().data();
+  std::stringstream buf;
+  nn::save_checkpoint(*a, buf);
+  nn::load_checkpoint(*b, buf);
+  EXPECT_EQ(b->param_span().data(), w);  // still the same storage
+  for (const auto& p : b->params()) EXPECT_TRUE(p.value->bound());
+  EXPECT_EQ(b->flatten_params(), a->flatten_params());
+}
+
+TEST(NetworkFlatStorage, AddAfterMaterializationThrows) {
+  auto net = small_net();
+  net->grad_span();
+  EXPECT_THROW(net->emplace<nn::ReLU>(), std::logic_error);
+  EXPECT_EQ(net->size(), 5u);
+}
+
+TEST(NetworkFlatStorage, NestedNetworkCannotRebindItsParameters) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto branch = std::make_unique<nn::Network>("b");
+  branch->emplace<nn::Conv2d>(2, 2, 3, 1, 1, false);
+  nn::Network* inner = branch.get();
+  nn::Network outer("outer");
+  outer.add(std::make_unique<nn::ResidualBlock>(std::move(branch)));
+  outer.param_span();
+  EXPECT_DEATH(inner->grad_span(), "already bound");
 }
 
 TEST(Network, FlopsSumAcrossLayers) {

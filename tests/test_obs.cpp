@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "tensor/threadpool.hpp"
 #include "train/metrics.hpp"
+#include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {
@@ -682,9 +683,7 @@ TEST(Postmortem, AnalyzerJoinsRanksAndNamesTheStraggler) {
 }
 
 TEST(Postmortem, DumpWritesTheConfiguredPath) {
-  TempFile dump("pm_dump_roundtrip.json");
-  obs::set_postmortem_path(dump.path);
-  obs::flight().clear();
+  testing::ScopedPostmortemPath dump("pm_dump_roundtrip.json");
   MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0, 0, 0, 42);
   obs::PostmortemInfo info;
   info.reason = "unit-test dump";
@@ -694,8 +693,6 @@ TEST(Postmortem, DumpWritesTheConfiguredPath) {
   EXPECT_EQ(pm.info.reason, "unit-test dump");
   ASSERT_EQ(pm.events.size(), 1u);
   EXPECT_EQ(pm.events[0].arg, 42);
-  obs::set_postmortem_path("postmortem.json");
-  obs::flight().clear();
 }
 
 // -- tracer buffers across thread exit --------------------------------------

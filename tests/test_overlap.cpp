@@ -29,6 +29,7 @@
 #include "train/fault_tolerant.hpp"
 #include "train/overlap.hpp"
 #include "train/trainer.hpp"
+#include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {
@@ -301,12 +302,10 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
         if (ov) ov->begin_iteration();
         net->backward(batch.x, logits, dlogits, dx);
         std::span<float> flat;
-        std::vector<float> own;
         if (ov) {
           flat = ov->finish();
         } else {
-          own = net->flatten_grads();
-          flat = own;
+          flat = net->grad_span();
           const auto bucket = static_cast<std::size_t>(bucket_bytes / 4);
           std::span<float> rest(flat);
           while (!rest.empty()) {
@@ -315,8 +314,7 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
             rest = rest.subspan(n);
           }
         }
-        scale(1.0f / world, flat);
-        net->unflatten_grads(flat);
+        scale(1.0f / world, flat);  // in place: params' grads see it
         opt.step(params, 0.05);
       }
       if (comm.rank() == 0) {
@@ -338,6 +336,64 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
     for (int k = 0; k < 4; ++k) EXPECT_EQ(rng_on[i].s[k], rng_off[i].s[k]);
     EXPECT_EQ(rng_on[i].has_cached, rng_off[i].has_cached);
     EXPECT_EQ(rng_on[i].cached_normal, rng_off[i].cached_normal);
+  }
+}
+
+TEST(OverlapAllreducer, BucketSpanningTwoLayersReducesInPlace) {
+  // Bucket boundaries every 200 floats; det_model's conv ends at float 224,
+  // so bucket 1 = [200, 400) holds the conv's tail and the linear's head
+  // and is reduced in place only after both layers reported.
+  const int world = 2;
+  const std::size_t bucket_floats = 200;
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  SimCluster cluster(world);
+  std::mutex mu;
+  std::vector<std::vector<float>> local(world), reduced(world);
+  std::size_t conv_floats = 0;
+  cluster.run([&](Communicator& comm) {
+    auto net = det_model();
+    Rng init(7);
+    net->init(init);
+    data::ShardedLoader loader(ds, 32, comm.rank(), world, std::nullopt);
+    nn::SoftmaxCrossEntropy loss;
+    const auto batch = loader.load_train(0, 0);
+    Tensor logits, dlogits, dx;
+    const auto backprop = [&] {
+      net->zero_grad();
+      net->forward(batch.x, logits, /*training=*/true);
+      loss.forward_backward(logits, batch.labels, &dlogits);
+      net->backward(batch.x, logits, dlogits, dx);
+    };
+    backprop();  // this rank's own gradient, before the hook is installed
+    const std::span<const float> g = net->grad_span();
+    std::vector<float> own(g.begin(), g.end());
+
+    train::OverlapAllreducer ov(*net, comm, bucket_floats * 4,
+                                AllreduceAlgo::kRing);
+    ov.begin_iteration();
+    backprop();
+    const std::span<float> flat = ov.finish();
+    EXPECT_EQ(flat.data(), net->grad_span().data());
+    EXPECT_EQ(ov.num_buckets(),
+              (g.size() + bucket_floats - 1) / bucket_floats);
+    std::lock_guard lk(mu);
+    conv_floats = 0;
+    for (const auto& p : net->layer(0).params()) {
+      conv_floats += static_cast<std::size_t>(p.grad->numel());
+    }
+    local[static_cast<std::size_t>(comm.rank())] = std::move(own);
+    reduced[static_cast<std::size_t>(comm.rank())].assign(flat.begin(),
+                                                          flat.end());
+  });
+  ASSERT_EQ(conv_floats, 224u);
+  ASSERT_NE(conv_floats % bucket_floats, 0u);  // the boundary is mid-layer
+  ASSERT_EQ(local[0].size(), local[1].size());
+  // Float addition commutes, so with two addends the ring's sum is
+  // local[0] + local[1] bit for bit, whichever rank adds.
+  for (std::size_t i = 0; i < local[0].size(); ++i) {
+    const float want = local[0][i] + local[1][i];
+    ASSERT_EQ(reduced[0][i], want) << "float " << i;
+    ASSERT_EQ(reduced[1][i], want) << "float " << i;
   }
 }
 

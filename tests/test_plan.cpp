@@ -226,7 +226,8 @@ NetRun run_net(nn::Network& net, const Tensor& x, const ComputeContext& ctx,
   NetRun out;
   out.y.assign(y.span().begin(), y.span().end());
   out.dx.assign(dx.span().begin(), dx.span().end());
-  out.grads = net.flatten_grads();
+  const std::span<const float> g = net.grad_span();
+  out.grads.assign(g.begin(), g.end());
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -88,6 +90,85 @@ TEST(Tensor, SpanViewsData) {
 TEST(Tensor, DefaultIsEmpty) {
   Tensor t;
   EXPECT_TRUE(t.empty());
+}
+
+// ---------------- bound storage ----------------
+
+TEST(TensorBound, CopyAssignWritesThroughTheBinding) {
+  std::vector<float> storage(6, 4.0f);
+  Tensor t;
+  t.bind(storage.data(), 6, {2, 3});
+  const Tensor src({3}, 7.0f);
+  t = src;
+  EXPECT_TRUE(t.bound());
+  EXPECT_EQ(t.data(), storage.data());
+  EXPECT_EQ(t.shape(), Shape({3}));
+  EXPECT_EQ(storage[0], 7.0f);
+  EXPECT_EQ(storage[2], 7.0f);
+  EXPECT_EQ(storage[3], 4.0f);  // beyond the new numel: left as written
+}
+
+TEST(TensorBound, MoveAssignWritesThroughTheBinding) {
+  std::vector<float> storage(4, 0.0f);
+  Tensor t;
+  t.bind(storage.data(), 4, {4});
+  t = Tensor({2, 2}, 3.0f);
+  EXPECT_TRUE(t.bound());
+  EXPECT_EQ(t.bound_capacity(), 4);
+  EXPECT_EQ(t.data(), storage.data());
+  EXPECT_EQ(t.shape(), Shape({2, 2}));
+  for (float v : storage) EXPECT_EQ(v, 3.0f);
+}
+
+TEST(TensorBound, AssignBeyondCapacityFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<float> storage(4, 0.0f);
+  Tensor t;
+  t.bind(storage.data(), 4, {4});
+  EXPECT_DEATH(t = Tensor({5}), "bound capacity");
+  const Tensor big({6});
+  EXPECT_DEATH(t = big, "bound capacity");
+}
+
+TEST(TensorBound, CopyOfBoundTensorOwnsItsData) {
+  std::vector<float> storage(3, 2.0f);
+  Tensor view;
+  view.bind(storage.data(), 3, {3});
+  Tensor copy = view;
+  EXPECT_FALSE(copy.bound());
+  EXPECT_NE(copy.data(), storage.data());
+  copy[0] = 9.0f;
+  EXPECT_EQ(storage[0], 2.0f);
+  EXPECT_EQ(copy[1], 2.0f);
+}
+
+TEST(TensorBound, MoveConstructTransfersTheView) {
+  std::vector<float> storage(3, 1.0f);
+  Tensor view;
+  view.bind(storage.data(), 3, {3});
+  Tensor moved(std::move(view));
+  EXPECT_TRUE(moved.bound());
+  EXPECT_EQ(moved.data(), storage.data());
+  EXPECT_EQ(moved.bound_capacity(), 3);
+  moved[2] = 5.0f;
+  EXPECT_EQ(storage[2], 5.0f);
+}
+
+TEST(TensorBound, ResizeStaysInsideTheCapacity) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<float> storage(8, 1.0f);
+  Tensor t;
+  t.bind(storage.data(), 8, {2, 4});
+  t.resize({4, 2});  // same numel: reshaped in place, data kept
+  EXPECT_EQ(t.data(), storage.data());
+  EXPECT_EQ(storage[0], 1.0f);
+  t.resize({3});  // smaller numel: the new extent is zero-filled
+  EXPECT_TRUE(t.bound());
+  EXPECT_EQ(t.data(), storage.data());
+  EXPECT_EQ(t.numel(), 3);
+  EXPECT_EQ(storage[0], 0.0f);
+  EXPECT_EQ(storage[3], 1.0f);
+  EXPECT_DEATH(t.resize({9}), "exceeds bound capacity");
 }
 
 }  // namespace
