@@ -8,11 +8,6 @@
 #                straggler attribution, exposed/overlapped split)
 #   build        default (RelWithDebInfo) configure + build
 #   tier1        full ctest suite in the default build
-#   bench-memplan  the memory-plan ablation (bench/bench_memplan): peak RSS
-#                and img/s with the execution plan on vs off over a batch
-#                sweep; writes bench_results/memplan.{csv,json}. Runs in
-#                the default build so a plan regression (RSS or throughput)
-#                shows up in the same invocation as the correctness gates
 #   perfbench    the repo benchmark (perfbench/, declared by BENCHMARK.json):
 #                python3 perfbench/selftest.py on its tiny configs, then
 #                perfbench/run.py --seed 1 for every declared workload,
@@ -103,11 +98,6 @@ tier1_stage() {
   ctest --test-dir build -j"$JOBS" --output-on-failure
 }
 
-bench_memplan_stage() {
-  cmake --build build -j"$JOBS" --target bench_memplan &&
-    (cd build && ./bench/bench_memplan)
-}
-
 asan_ubsan_stage() {
   # MINSGD_DCHECK=ON arms the debug invariant layer (tensor bounds, layer
   # contracts) in the same run that arms ASan+UBSan.
@@ -163,11 +153,9 @@ run_stage "analyze" analyze_stage || FAILED=1
 run_stage "trace-analyze" trace_analyze_stage || FAILED=1
 if run_stage "build" build_stage; then
   run_stage "tier1" tier1_stage || FAILED=1
-  run_stage "bench-memplan" bench_memplan_stage || FAILED=1
 else
   FAILED=1
   skip_stage "tier1"
-  skip_stage "bench-memplan"
 fi
 run_stage "perfbench" perfbench_stage || FAILED=1
 if [ "$SKIP_ASAN" -eq 1 ]; then

@@ -8,8 +8,8 @@ void Layer::forward(const Tensor& x, Tensor& y, bool training,
                     const ComputeContext& ctx, PlanContext* pc) {
   MINSGD_CHECK(!x.empty(), name(), "::forward: empty input");
   if (pc != nullptr) {
-    // Scope any legacy scratch this call requests to the call itself, so a
-    // deep stack's un-planned scratch frees layer by layer instead of
+    // Scope any per-call scratch this call requests to the call itself, so
+    // a deep stack's un-planned scratch frees layer by layer instead of
     // accumulating across the pass.
     const std::size_t m = pc->mark();
     do_forward(x, y, training, ctx, *pc);

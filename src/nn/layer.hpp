@@ -8,11 +8,12 @@
 //
 // Per-call scratch (im2col buffers, per-chunk reduction partials) is NOT
 // allocated by layers: do_forward/do_backward request it from the
-// PlanContext they receive (nn/plan.hpp). Under a memory plan those
-// requests resolve to pre-laid-out arena slices; without one they allocate
-// per call, scoped to the layer call by the NVI wrappers — so layer code is
-// identical in both modes and the hot-path-alloc lint rule can hold the
-// line mechanically.
+// PlanContext they receive (nn/plan.hpp). Inside a Network — which always
+// runs on a plan — those requests resolve to pre-laid-out arena slices. A
+// leaf layer called standalone gets a per-call context instead, whose
+// requests allocate, scoped to the layer call by the NVI wrappers — so
+// layer code is identical in both modes and the hot-path-alloc lint rule
+// can hold the line mechanically.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,8 @@ class Layer {
   /// `ctx` supplies the intra-op thread budget; results are bit-identical
   /// for any thread count (see tensor/context.hpp for the chunking rules).
   /// `pc`, when non-null, supplies planned scratch/activation storage; null
-  /// gets a throwaway allocate-per-call context.
+  /// gets a throwaway per-call context (a Network then runs on its own
+  /// plan).
   /// Precondition (checked): x is non-empty.
   void forward(const Tensor& x, Tensor& y, bool training,
                const ComputeContext& ctx = ComputeContext::default_ctx(),
@@ -123,10 +125,11 @@ class Layer {
   virtual void plan_backward(PlanBuilder& builder, const Shape& input);
 
   /// Whether do_backward reads x's / y's float *data* (reading only shapes
-  /// does not count). With PlanOptions.recompute_cheap the planner ends an
-  /// activation's liveness at its last forward read when its producer
-  /// reports backward_reads_output() == false and its consumer
-  /// backward_reads_input() == false. Defaults are conservative.
+  /// does not count). The planner ends an activation's liveness at its last
+  /// forward read when its producer reports backward_reads_output() == false
+  /// and its consumer backward_reads_input() == false, so a wrong `false`
+  /// lets the arena overwrite data backward still needs. Defaults are
+  /// conservative.
   virtual bool backward_reads_input() const { return true; }
   virtual bool backward_reads_output() const { return true; }
 

@@ -67,17 +67,20 @@ void Network::plan_backward(PlanBuilder& builder, const Shape& /*input*/) {
     // i-1's region (extended there on the next loop turn).
     if (i > 0) plan_dact_[i - 1] = builder.add(plan_in_shapes_[i], s0, s1);
     if (i + 1 < n) builder.extend(plan_dact_[i], s1);
-    // Activations read during this region. Without recompute_cheap every
-    // activation conservatively survives into its consumers' backward; with
-    // it, only layers that declare a data dependence extend the interval —
-    // the rest die at their last forward read and the arena aliases them.
-    const bool rec = builder.recompute();
-    if (!rec || layers_[i]->backward_reads_output()) {
-      builder.extend(plan_act_[i], s1);
-    }
-    if (i > 0 && (!rec || layers_[i]->backward_reads_input())) {
+    // Activations read during this region: only layers that declare a data
+    // dependence extend an interval; the rest die at their last forward
+    // read and the arena aliases them.
+    if (layers_[i]->backward_reads_output()) builder.extend(plan_act_[i], s1);
+    if (i > 0 && layers_[i]->backward_reads_input()) {
       builder.extend(plan_act_[i - 1], s1);
     }
+  }
+}
+
+void Network::plan_self(const Shape& input, bool training) {
+  if (!(self_planned() && input == plan_input_ &&
+        training == plan_training_)) {
+    plan_.build(*this, input, training);
   }
 }
 
@@ -92,100 +95,65 @@ void Network::do_forward(const Tensor& x, Tensor& y, bool training,
     outer.start("forward." + label_, obs::cat::kCompute);
     outer.set_threads(static_cast<int>(ctx.threads()));
   }
-  const bool planned = plan_matches(pc) && x.shape() == plan_input_ &&
-                       training == plan_training_;
-  last_forward_planned_ = planned;
-  if (planned) {
-    const Tensor* cur = &x;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      Tensor& out = pc.plan()->tensor(plan_act_[i]);
-      obs::ScopedSpan sp;
-      if (traced) {
-        sp.start("fwd." + layers_[i]->name(), obs::cat::kCompute);
-        sp.set_threads(static_cast<int>(ctx.threads()));
-      }
-      layers_[i]->forward(*cur, out, training, ctx, &pc);
-      cur = &out;
-    }
-    // The caller owns y; hand it the final activation. Backward reads the
-    // arena slice, not y.
-    y.resize(cur->shape());
-    copy(ctx, cur->span(), y.span());
-    return;
-  }
-  // Legacy allocate-per-call path. A planned-but-foreign context (epoch or
-  // geometry mismatch) must not reach sublayers: their stored TensorIds
-  // would index the wrong arena. They get fresh legacy contexts instead.
-  PlanContext* sub = pc.planned() ? nullptr : &pc;
-  acts_.resize(layers_.size());
+  // Nested under the plan that walked this network at this geometry: run
+  // on the enclosing arena. Otherwise run on the owned plan.
+  const bool nested = plan_matches(pc) && x.shape() == plan_input_ &&
+                      training == plan_training_;
+  if (!nested) plan_self(x.shape(), training);
+  PlanContext own(nested ? nullptr : &plan_);
+  PlanContext& run = nested ? pc : own;
   const Tensor* cur = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Tensor& out = (i + 1 == layers_.size()) ? y : acts_[i];
+    Tensor& out = run.plan()->tensor(plan_act_[i]);
     obs::ScopedSpan sp;
     if (traced) {
       sp.start("fwd." + layers_[i]->name(), obs::cat::kCompute);
       sp.set_threads(static_cast<int>(ctx.threads()));
     }
-    layers_[i]->forward(*cur, out, training, ctx, sub);
+    layers_[i]->forward(*cur, out, training, ctx, &run);
     cur = &out;
   }
-  // Keep the final output cached too, so backward() has the (x, y) pair for
-  // the last layer even though the caller owns y.
-  acts_.back() = y;
+  // The caller owns y; hand it the final activation. Backward reads the
+  // arena slice, not y.
+  y.resize(cur->shape());
+  copy(ctx, cur->span(), y.span());
 }
 
 void Network::do_backward(const Tensor& x, const Tensor& /*y*/,
                           const Tensor& dy, Tensor& dx,
                           const ComputeContext& ctx, PlanContext& pc) {
+  const bool nested = plan_matches(pc);
+  if (!nested && !self_planned()) {
+    throw std::logic_error("Network::backward without a planned forward");
+  }
+  if (!plan_training_) {
+    throw std::logic_error(
+        "Network::backward after a forward-only (training=false) forward");
+  }
+  if (x.shape() != plan_input_) {
+    throw std::logic_error("Network::backward: x differs from the forward's");
+  }
   const bool traced = obs::tracer().enabled();
   obs::ScopedSpan outer;
   if (traced) {
     outer.start("backward." + label_, obs::cat::kCompute);
     outer.set_threads(static_cast<int>(ctx.threads()));
   }
-  const bool planned = last_forward_planned_ && plan_matches(pc) &&
-                       x.shape() == plan_input_;
-  if (planned) {
-    const Tensor* cur_dy = &dy;
-    for (std::size_t i = layers_.size(); i-- > 0;) {
-      const Tensor& input = (i == 0) ? x : pc.plan()->tensor(plan_act_[i - 1]);
-      Tensor& out_dx = (i == 0) ? dx : pc.plan()->tensor(plan_dact_[i - 1]);
-      const Tensor& out = pc.plan()->tensor(plan_act_[i]);
-      {
-        obs::ScopedSpan sp;
-        if (traced) {
-          sp.start("bwd." + layers_[i]->name(), obs::cat::kCompute);
-          sp.set_threads(static_cast<int>(ctx.threads()));
-        }
-        layers_[i]->backward(input, out, *cur_dy, out_dx, ctx, &pc);
-      }
-      if (grad_ready_hook_) grad_ready_hook_(i, *layers_[i]);
-      cur_dy = &out_dx;
-    }
-    return;
-  }
-  if (last_forward_planned_) {
-    // Forward ran against a plan this context does not carry; the legacy
-    // acts_ below would be stale. Refuse rather than silently diverge.
-    throw std::logic_error(
-        "Network::backward: planned forward but mismatched backward context");
-  }
-  if (acts_.size() != layers_.size()) {
-    throw std::logic_error("Network::backward without forward");
-  }
-  PlanContext* sub = pc.planned() ? nullptr : &pc;
-  dacts_.resize(layers_.size());
+  PlanContext own(nested ? nullptr : &plan_);
+  PlanContext& run = nested ? pc : own;
+  ExecutionPlan& plan = *run.plan();
   const Tensor* cur_dy = &dy;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    const Tensor& input = (i == 0) ? x : acts_[i - 1];
-    Tensor& out_dx = (i == 0) ? dx : dacts_[i - 1];
+    const Tensor& input = (i == 0) ? x : plan.tensor(plan_act_[i - 1]);
+    Tensor& out_dx = (i == 0) ? dx : plan.tensor(plan_dact_[i - 1]);
     {
       obs::ScopedSpan sp;
       if (traced) {
         sp.start("bwd." + layers_[i]->name(), obs::cat::kCompute);
         sp.set_threads(static_cast<int>(ctx.threads()));
       }
-      layers_[i]->backward(input, acts_[i], *cur_dy, out_dx, ctx, sub);
+      layers_[i]->backward(input, plan.tensor(plan_act_[i]), *cur_dy, out_dx,
+                           ctx, &run);
     }
     if (grad_ready_hook_) grad_ready_hook_(i, *layers_[i]);
     cur_dy = &out_dx;

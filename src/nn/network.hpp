@@ -1,16 +1,19 @@
 // Network: a sequential container of layers that is itself a Layer.
 //
-// It owns the inter-layer activations so the usual (x, y, dy) backward
-// contract works for arbitrarily deep stacks, and it can therefore be nested
-// (residual blocks hold Networks for their branches).
+// The (x, y, dy) backward contract works for arbitrarily deep stacks
+// because the network keeps its inter-layer activations and backward
+// gradients itself, and it can therefore be nested (residual blocks hold
+// Networks for their branches).
 //
-// Under an ExecutionPlan (nn/plan.hpp) the inter-layer activations and
-// backward gradients live in the plan's arena instead of the acts_/dacts_
-// members: plan_forward/plan_backward register them with liveness
-// intervals, and do_forward/do_backward bind layer I/O to the arena slices
-// when the incoming PlanContext carries a matching plan epoch. Contexts
-// from a different (or rebuilt) plan are rejected and execution falls back
-// to the legacy allocate-per-call path, which stays bit-identical.
+// Those tensors live in an ExecutionPlan's arena (nn/plan.hpp):
+// plan_forward/plan_backward register them with liveness intervals, and
+// do_forward/do_backward bind layer I/O to the arena slices. Every forward
+// runs on a plan. A network nested under the plan that walked it (the
+// incoming PlanContext carries that plan's epoch) runs on the enclosing
+// arena; any other call — a top-level forward, or a context from another
+// plan — runs on the plan the network owns, rebuilt when the input shape
+// or the training flag changes. A training=false forward builds a
+// forward-only plan, and a backward after it throws std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +29,7 @@
 
 namespace minsgd::nn {
 
-/// Sequential layer container with owned activation storage.
+/// Sequential layer container that plans its own activation storage.
 class Network final : public Layer {
  public:
   Network() = default;
@@ -59,9 +62,13 @@ class Network final : public Layer {
   /// Whether the first layer's backward reads x's data; the network itself
   /// only routes x through.
   bool backward_reads_input() const override;
-  /// do_backward never reads the caller-held y's data — it keeps its own
-  /// copy of the final activation (legacy) or an arena slice (planned).
+  /// do_backward never reads the caller-held y's data — it reads the final
+  /// activation's arena slice.
   bool backward_reads_output() const override { return false; }
+
+  /// The plan this network owns: the one its last top-level forward ran on
+  /// (unbuilt until then). Nested runs use the enclosing plan instead.
+  const ExecutionPlan& plan() const { return plan_; }
 
   // Whole-network conveniences ------------------------------------------
   /// Total learnable parameter count.
@@ -98,7 +105,6 @@ class Network final : public Layer {
   ///   * synchronously, on the thread running backward().
   /// A nested Network (e.g. a residual branch) reports once, as a whole,
   /// when the enclosing top-level layer's backward returns.
-  /// The planned and legacy execution paths fire identically.
   using GradReadyHook = std::function<void(std::size_t layer_index, Layer&)>;
 
   /// Installs (or clears, with nullptr) the gradient-ready hook.
@@ -119,6 +125,14 @@ class Network final : public Layer {
     return pc.planned() && pc.epoch() == plan_epoch_;
   }
 
+  /// True when the owned plan is the one that last walked this network.
+  bool self_planned() const {
+    return plan_.built() && plan_.epoch() == plan_epoch_;
+  }
+
+  /// Rebuilds the owned plan unless self_planned() at `input`/`training`.
+  void plan_self(const Shape& input, bool training);
+
   /// Label-prefixed ParamRef list, built once and reused (the per-iteration
   /// optimizer path must not rebuild name strings every call).
   const std::vector<ParamRef>& cached_params();
@@ -134,17 +148,16 @@ class Network final : public Layer {
   std::string label_ = "net";
   GradReadyHook grad_ready_hook_;
   std::vector<LayerPtr> layers_;
-  std::vector<Tensor> acts_;    // legacy: acts_[i] = output of layers_[i]
-  std::vector<Tensor> dacts_;   // legacy gradient scratch, same indexing
+  ExecutionPlan plan_;
 
-  // Plan state from the most recent plan_forward/plan_backward walk.
-  std::vector<TensorId> plan_act_;    // arena act ids, acts_ indexing
-  std::vector<TensorId> plan_dact_;   // arena dact ids, dacts_ indexing
+  // Plan state from the most recent plan_forward/plan_backward walk, by
+  // the owned plan or an enclosing one.
+  std::vector<TensorId> plan_act_;    // plan_act_[i] = output of layers_[i]
+  std::vector<TensorId> plan_dact_;   // plan_dact_[i] = dL/d(plan_act_[i])
   std::vector<Shape> plan_in_shapes_; // input shape seen by each layer
   Shape plan_input_;
   std::uint64_t plan_epoch_ = 0;
   bool plan_training_ = false;
-  bool last_forward_planned_ = false;
 
   // Cached parameter metadata and, once materialized, the flat storage
   // every ParamRef value/grad is bound into.

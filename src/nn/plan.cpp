@@ -1,7 +1,6 @@
 #include "nn/plan.hpp"
 
-#include <cstdlib>
-#include <string>
+#include <atomic>
 
 #include "nn/network.hpp"
 #include "obs/metrics.hpp"
@@ -9,61 +8,19 @@
 namespace minsgd::nn {
 namespace {
 
-bool env_flag_default_on(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
-
-std::atomic<bool> g_memplan{env_flag_default_on("MINSGD_MEMPLAN")};
-std::atomic<bool> g_recompute{env_flag_default_on("MINSGD_MEMPLAN_RECOMPUTE")};
-
 // Build stamps are process-unique so a layer holding ids from a dead or
 // rebuilt plan can never mistake a new plan's context for its own.
 std::atomic<std::uint64_t> g_plan_epoch{0};
 
 }  // namespace
 
-PlanOptions::PlanOptions()
-    : recompute_cheap(g_recompute.load(std::memory_order_relaxed)) {}
-
-bool ExecutionPlan::enabled() {
-  return g_memplan.load(std::memory_order_relaxed);
-}
-
-void ExecutionPlan::set_enabled(bool on) {
-  g_memplan.store(on, std::memory_order_relaxed);
-}
-
-bool ExecutionPlan::recompute_default() {
-  return g_recompute.load(std::memory_order_relaxed);
-}
-
-void ExecutionPlan::set_recompute_default(bool on) {
-  g_recompute.store(on, std::memory_order_relaxed);
-}
-
-bool ExecutionPlan::ensure(Network& net, const Shape& input,
-                          const PlanOptions& opts) {
-  if (built_ && net_ == &net && input_ == input &&
-      training_ == opts.training && recompute_ == opts.recompute_cheap) {
-    return false;
-  }
-  build(net, input, opts);
-  return true;
-}
-
-void ExecutionPlan::build(Network& net, const Shape& input,
-                          const PlanOptions& opts) {
+void ExecutionPlan::build(Network& net, const Shape& input, bool training) {
   epoch_ = 1 + g_plan_epoch.fetch_add(1, std::memory_order_relaxed);
-  net_ = &net;
   input_ = input;
-  training_ = opts.training;
-  recompute_ = opts.recompute_cheap;
-  PlanBuilder b(epoch_, opts);
+  training_ = training;
+  PlanBuilder b(epoch_, training);
   net.plan_forward(b, input);
-  net.plan_backward(b, input);
+  if (training) net.plan_backward(b, input);
   steps_ = b.now();
   arena_.build(b.take_items());
   built_ = true;
@@ -71,17 +28,11 @@ void ExecutionPlan::build(Network& net, const Shape& input,
 
   auto& reg = obs::metrics();
   reg.counter("plan.rebuilds").add(1);
+  if (!training) return;
   reg.gauge("plan.arena_bytes").set(static_cast<double>(arena_bytes()));
   reg.gauge("plan.raw_bytes").set(static_cast<double>(raw_bytes()));
   reg.gauge("plan.tensors").set(static_cast<double>(num_tensors()));
   reg.gauge("plan.steps").set(static_cast<double>(steps_));
-}
-
-PlanContext ExecutionPlan::context(Network& net, const Shape& input,
-                                   const PlanOptions& opts) {
-  if (!enabled()) return PlanContext{};
-  ensure(net, input, opts);
-  return PlanContext(this);
 }
 
 }  // namespace minsgd::nn

@@ -15,20 +15,20 @@
 //   * dact_i (the gradient flowing into layer i) dies as soon as layer i's
 //     backward finishes — the whole backward gradient chain collapses into
 //     a two-slot ping-pong.
-//   * with PlanOptions.recompute_cheap, an activation whose producer never
-//     reads its output in backward and whose consumer never reads its input
-//     (Layer::backward_reads_output/backward_reads_input) dies at its last
-//     forward read — e.g. a conv output feeding batch-norm is dead before
-//     backward starts.
+//   * an activation whose producer never reads its output in backward and
+//     whose consumer never reads its input (Layer::backward_reads_output /
+//     backward_reads_input) dies at its last forward read — e.g. a conv
+//     output feeding batch-norm is dead before backward starts.
+//   * a forward-only plan (training == false) skips plan_backward, so every
+//     activation dies at its last forward read.
 //
-// The plan is invalidated and rebuilt when the input shape, training flag,
-// or recompute option changes. MINSGD_MEMPLAN=off (or
-// ExecutionPlan::set_enabled(false)) reverts to the legacy
-// allocate-per-call path; both paths are bit-identical for every thread
-// count — the plan moves bytes, never arithmetic.
+// Every Network owns one plan and rebuilds it when the input shape or the
+// training flag of a top-level forward changes (nn/network.hpp). The plan
+// moves bytes, never arithmetic: tests/reference_walk.hpp runs every leaf
+// layer standalone as the semantic reference, bit-identical at any thread
+// count.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,37 +42,22 @@
 namespace minsgd::nn {
 
 class Network;
-class ExecutionPlan;
 
 /// Index of a logical tensor inside a plan's arena.
 using TensorId = std::int32_t;
 inline constexpr TensorId kNoTensor = -1;
-
-/// Options a plan is built under; changing any of them rebuilds the plan.
-struct PlanOptions {
-  /// Plans cover forward+backward; inference-only callers still build with
-  /// training semantics (the arena is sized for the full cycle).
-  bool training = true;
-
-  /// Shrink activations that provably are not read in backward to their
-  /// last forward use. Defaults to MINSGD_MEMPLAN_RECOMPUTE (on unless
-  /// "0|off|false"). Bit-identical either way — only liveness changes.
-  bool recompute_cheap;
-
-  PlanOptions();
-};
 
 /// Accumulates the step timeline and tensor intervals during the
 /// plan_forward/plan_backward walk. Layers store the TensorIds this hands
 /// out and use them to fetch arena slices through PlanContext at run time.
 class PlanBuilder {
  public:
-  PlanBuilder(std::uint64_t epoch, const PlanOptions& opts)
-      : epoch_(epoch), opts_(opts) {}
+  PlanBuilder(std::uint64_t epoch, bool training)
+      : epoch_(epoch), training_(training) {}
 
   std::uint64_t epoch() const { return epoch_; }
-  bool training() const { return opts_.training; }
-  bool recompute() const { return opts_.recompute_cheap; }
+  /// False for a forward-only plan: plan_backward is never walked.
+  bool training() const { return training_; }
 
   /// Advances the step clock; returns the new current step. Steps start at
   /// 1 (0 means "before anything runs").
@@ -103,39 +88,27 @@ class PlanBuilder {
 
  private:
   std::uint64_t epoch_;
-  PlanOptions opts_;
+  bool training_;
   std::vector<ArenaItem> items_;
   std::int32_t now_ = 0;
 };
 
-/// A compiled memory plan for one Network at one input geometry. Trainers
-/// own one plan per replica and keep it across iterations; ensure() makes
-/// it a no-op when the geometry is unchanged and a rebuild when it is not.
+/// A compiled memory plan for one Network at one input geometry. Each
+/// Network owns one (Network::plan()) and rebuilds it from its top-level
+/// forward; a standalone plan can also be built over any network, which
+/// re-points that network's stored ids at the new arena.
 class ExecutionPlan {
  public:
-  /// Process-wide gate, MINSGD_MEMPLAN at startup (on unless "0|off|false").
-  /// Off, context() hands out legacy allocate-per-call contexts.
-  static bool enabled();
-  static void set_enabled(bool on);
-
-  /// Default for PlanOptions::recompute_cheap, MINSGD_MEMPLAN_RECOMPUTE at
-  /// startup; tests flip it to cover both liveness policies.
-  static bool recompute_default();
-  static void set_recompute_default(bool on);
-
   ExecutionPlan() = default;
   ExecutionPlan(const ExecutionPlan&) = delete;
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
-  /// (Re)builds the plan if `net`/`input`/`opts` differ from what it was
-  /// built for. Returns true when a rebuild happened.
-  bool ensure(Network& net, const Shape& input, const PlanOptions& opts = {});
-
-  /// ensure() + a PlanContext bound to this plan — or a legacy context when
-  /// the MINSGD_MEMPLAN gate is off. The one-liner trainers use per
-  /// iteration.
-  class PlanContext context(Network& net, const Shape& input,
-                            const PlanOptions& opts = {});
+  /// Walks `net` at `input` — forward and backward, or forward only when
+  /// `training` is false — and lays out the arena. Always a rebuild with a
+  /// fresh epoch. Exports plan.* metrics: every build bumps plan.rebuilds,
+  /// but only a training build sets the plan.arena_bytes/raw_bytes/tensors/
+  /// steps gauges, so they keep describing the training arena.
+  void build(Network& net, const Shape& input, bool training);
 
   bool built() const { return built_; }
   /// Process-unique build stamp; layers compare it against the ids they
@@ -149,7 +122,7 @@ class ExecutionPlan {
     return arena_.tensor(static_cast<std::size_t>(id));
   }
 
-  // Stats (also exported as plan.* metrics on each rebuild).
+  // Stats (also exported as plan.* metrics; see build()).
   std::int64_t arena_bytes() const { return arena_.total_bytes(); }
   std::int64_t raw_bytes() const { return arena_.raw_bytes(); }
   std::int64_t num_tensors() const { return static_cast<std::int64_t>(arena_.size()); }
@@ -157,14 +130,10 @@ class ExecutionPlan {
   std::int64_t rebuilds() const { return rebuilds_; }
 
  private:
-  void build(Network& net, const Shape& input, const PlanOptions& opts);
-
   TensorArena arena_;
-  Network* net_ = nullptr;
   Shape input_;
   bool built_ = false;
   bool training_ = false;
-  bool recompute_ = false;
   std::uint64_t epoch_ = 0;
   std::int32_t steps_ = 0;
   std::int64_t rebuilds_ = 0;
@@ -173,13 +142,14 @@ class ExecutionPlan {
 /// The scratch/binding handle threaded through do_forward/do_backward.
 ///
 /// Planned (constructed from a built ExecutionPlan): tensor(id, shape)
-/// returns the arena slice for `id`, reshaped — no allocation. Legacy
-/// (default-constructed): every request allocates a fresh per-call tensor,
-/// released when the requesting layer's forward/backward wrapper returns —
-/// the pre-plan behaviour, kept behind MINSGD_MEMPLAN=off as the semantic
-/// reference. `id == kNoTensor` takes the legacy path even under a plan
-/// (used when a runtime gate, e.g. MINSGD_CONV_DIRECT, changed between plan
-/// build and execution and a scratch exists the plan did not foresee).
+/// returns the arena slice for `id`, reshaped — no allocation. Per-call
+/// (default-constructed, what a standalone leaf-layer call gets): every
+/// request allocates a fresh tensor, released when the requesting layer's
+/// forward/backward wrapper returns. Containers never run on a per-call
+/// context — a Network plans itself. `id == kNoTensor` takes the per-call
+/// path even under a plan (used when a runtime gate, e.g.
+/// MINSGD_CONV_DIRECT, changed between plan build and execution and a
+/// scratch exists the plan did not foresee).
 class PlanContext {
  public:
   PlanContext() = default;
@@ -194,8 +164,8 @@ class PlanContext {
   std::uint64_t epoch() const { return epoch_; }
 
   /// The tensor for `id`, resized to `shape`. See class comment for the
-  /// planned/legacy split. References stay valid until the requesting layer
-  /// call returns (legacy) or the plan is rebuilt (planned).
+  /// planned/per-call split. References stay valid until the requesting
+  /// layer call returns (per-call) or the plan is rebuilt (planned).
   Tensor& tensor(TensorId id, const Shape& shape) {
     if (plan_ != nullptr && id != kNoTensor) {
       Tensor& t = plan_->tensor(id);
@@ -203,29 +173,29 @@ class PlanContext {
       return t;
     }
     // minsgd-analyze: allow(hot-path-alloc): PlanContext::tensor IS the
-    // sanctioned allocator — the legacy fallback when ExecutionPlan is
-    // disabled (MINSGD_MEMPLAN=0); planned runs take the arena branch above.
-    legacy_.push_back(std::make_unique<Tensor>(shape));
-    return *legacy_.back();
+    // sanctioned allocator — the per-call storage of a standalone layer
+    // call; planned runs take the arena branch above.
+    per_call_.push_back(std::make_unique<Tensor>(shape));
+    return *per_call_.back();
   }
 
   /// Raw float scratch of `elems` (a rank-1 tensor under the hood). Layers
   /// that need per-chunk scratch request one chunk-strided block *before*
   /// entering the parallel region and index it by chunk, so no allocation —
-  /// legacy or planned — ever happens on a worker thread.
+  /// per-call or planned — ever happens on a worker thread.
   std::span<float> floats(TensorId id, std::int64_t elems) {
     return tensor(id, Shape{elems}).span();
   }
 
-  // Per-layer-call scoping for legacy scratch; driven by the Layer NVI
+  // Per-layer-call scoping for per-call scratch; driven by the Layer NVI
   // wrappers, never by layer implementations.
-  std::size_t mark() const { return legacy_.size(); }
-  void release(std::size_t m) { legacy_.resize(m); }
+  std::size_t mark() const { return per_call_.size(); }
+  void release(std::size_t m) { per_call_.resize(m); }
 
  private:
   ExecutionPlan* plan_ = nullptr;
   std::uint64_t epoch_ = 0;
-  std::vector<std::unique_ptr<Tensor>> legacy_;
+  std::vector<std::unique_ptr<Tensor>> per_call_;
 };
 
 }  // namespace minsgd::nn

@@ -75,19 +75,21 @@ void ResidualBlock::plan_backward(PlanBuilder& builder, const Shape& input) {
   builder.extend(plan_d_shortcut_in_, s_comb);
 }
 
+PlanContext& ResidualBlock::planned(PlanContext& pc) const {
+  MINSGD_CHECK(pc.planned() && pc.epoch() == plan_epoch_,
+               "ResidualBlock runs only inside a planned Network");
+  return pc;
+}
+
 void ResidualBlock::do_forward(const Tensor& x, Tensor& y, bool training,
                                const ComputeContext& ctx, PlanContext& pc) {
-  const bool planned = pc.planned() && pc.epoch() == plan_epoch_;
-  // A planned context from a different plan must not reach the nested
-  // networks (their TensorIds would index the wrong arena).
-  PlanContext* sub = (planned || !pc.planned()) ? &pc : nullptr;
-  Tensor& bo = planned ? pc.plan()->tensor(plan_branch_out_) : branch_out_;
-  branch_->forward(x, bo, training, ctx, sub);
+  ExecutionPlan& plan = *planned(pc).plan();
+  Tensor& bo = plan.tensor(plan_branch_out_);
+  branch_->forward(x, bo, training, ctx, &pc);
   const Tensor* sc = &x;
   if (shortcut_) {
-    Tensor& so =
-        planned ? pc.plan()->tensor(plan_shortcut_out_) : shortcut_out_;
-    shortcut_->forward(x, so, training, ctx, sub);
+    Tensor& so = plan.tensor(plan_shortcut_out_);
+    shortcut_->forward(x, so, training, ctx, &pc);
     sc = &so;
   }
   if (bo.shape() != sc->shape()) {
@@ -101,12 +103,9 @@ void ResidualBlock::do_forward(const Tensor& x, Tensor& y, bool training,
 void ResidualBlock::do_backward(const Tensor& x, const Tensor& y,
                                 const Tensor& dy, Tensor& dx,
                                 const ComputeContext& ctx, PlanContext& pc) {
-  const bool planned = pc.planned() && pc.epoch() == plan_epoch_;
-  PlanContext* sub = (planned || !pc.planned()) ? &pc : nullptr;
-  Tensor& bo = planned ? pc.plan()->tensor(plan_branch_out_) : branch_out_;
-  Tensor& ds = planned ? pc.plan()->tensor(plan_d_sum_) : d_sum_;
-  Tensor& dbi =
-      planned ? pc.plan()->tensor(plan_d_branch_in_) : d_branch_in_;
+  ExecutionPlan& plan = *planned(pc).plan();
+  Tensor& ds = plan.tensor(plan_d_sum_);
+  Tensor& dbi = plan.tensor(plan_d_branch_in_);
   // Through the final ReLU: pass gradient where y > 0.
   ds.resize(y.shape());
   ctx.parallel_for(0, y.numel(), [&](std::int64_t lo, std::int64_t hi) {
@@ -115,17 +114,13 @@ void ResidualBlock::do_backward(const Tensor& x, const Tensor& y,
     }
   });
   // The add fans the gradient out to both the branch and the shortcut.
-  branch_->backward(x, bo, ds, dbi, ctx, sub);
+  branch_->backward(x, plan.tensor(plan_branch_out_), ds, dbi, ctx, &pc);
+  dx.resize(x.shape());
   if (shortcut_) {
-    Tensor& so =
-        planned ? pc.plan()->tensor(plan_shortcut_out_) : shortcut_out_;
-    Tensor& dsi =
-        planned ? pc.plan()->tensor(plan_d_shortcut_in_) : d_shortcut_in_;
-    shortcut_->backward(x, so, ds, dsi, ctx, sub);
-    dx.resize(x.shape());
+    Tensor& dsi = plan.tensor(plan_d_shortcut_in_);
+    shortcut_->backward(x, plan.tensor(plan_shortcut_out_), ds, dsi, ctx, &pc);
     add(ctx, dbi.span(), dsi.span(), dx.span());
   } else {
-    dx.resize(x.shape());
     add(ctx, dbi.span(), ds.span(), dx.span());
   }
 }

@@ -4,7 +4,10 @@
 // the block composes from the same layers the rest of the stack uses — and
 // the memory planner recurses into them the same way: plan_forward walks
 // branch then shortcut then the add/relu step, plan_backward mirrors the
-// relu-mask → branch backward → shortcut backward → combine order.
+// relu-mask → branch backward → shortcut backward → combine order. Its
+// intermediate tensors live only in the plan's arena, so a block runs only
+// inside a planned Network (a standalone call is a CHECK failure; wrap it in
+// a one-layer Network).
 #pragma once
 
 #include <memory>
@@ -28,6 +31,10 @@ class ResidualBlock final : public Layer {
   void init(Rng& rng) override;
   std::int64_t flops(const Shape& input) const override;
 
+  Network& branch() { return *branch_; }
+  /// nullptr for the identity shortcut.
+  Network* shortcut() { return shortcut_.get(); }
+
   Shape plan_forward(PlanBuilder& builder, const Shape& input) override;
   void plan_backward(PlanBuilder& builder, const Shape& input) override;
 
@@ -45,14 +52,14 @@ class ResidualBlock final : public Layer {
                    PlanContext& pc) override;
 
  private:
+  /// `pc`, CHECKed to carry the plan that walked this block.
+  PlanContext& planned(PlanContext& pc) const;
+
   std::unique_ptr<Network> branch_;
   std::unique_ptr<Network> shortcut_;  // nullptr = identity
 
-  // Legacy (unplanned) storage; the planned path binds the same roles to
-  // arena slices via the ids below.
-  Tensor branch_out_, shortcut_out_;
-  Tensor d_sum_, d_branch_in_, d_shortcut_in_;
-
+  // Arena ids from the plan walk: the branch/shortcut outputs and the
+  // backward gradients through the add.
   TensorId plan_branch_out_ = kNoTensor;
   TensorId plan_shortcut_out_ = kNoTensor;
   TensorId plan_d_sum_ = kNoTensor;

@@ -38,6 +38,9 @@ void TensorArena::build(std::vector<ArenaItem> items) {
   // items whose liveness intervals overlap it — those are the only bytes it
   // must avoid — sort them by offset, and scan the gaps between them for
   // the smallest one that fits. No gap => append at the high-water mark.
+  // minsgd-analyze: allow(hot-path-alloc): layout scratch of a plan build.
+  // ExecutionPlan::build runs when a Network's plan key (input shape,
+  // training flag) changes, never in a steady-state iteration.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -47,14 +50,16 @@ void TensorArena::build(std::vector<ArenaItem> items) {
     return a < b;
   });
 
-  std::vector<std::size_t> placed;
-  placed.reserve(n);
   total_ = 0;
+  // minsgd-analyze: allow(hot-path-alloc): plan-build only, as `order`
+  // above (ExecutionPlan::build).
   std::vector<std::pair<std::int64_t, std::int64_t>> busy;  // offset, size
-  for (const std::size_t id : order) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t id = order[k];
     const std::int64_t sz = align_up(items_[id].elems);
     busy.clear();
-    for (const std::size_t other : placed) {
+    for (std::size_t j = 0; j < k; ++j) {  // order[0, k) is placed
+      const std::size_t other = order[j];
       if (intervals_overlap(items_[id], items_[other])) {
         busy.emplace_back(offsets_[other], align_up(items_[other].elems));
       }
@@ -76,10 +81,11 @@ void TensorArena::build(std::vector<ArenaItem> items) {
     }
     offsets_[id] = best_off >= 0 ? best_off : cursor;
     total_ = std::max(total_, offsets_[id] + sz);
-    placed.push_back(id);
   }
 
   block_.assign(static_cast<std::size_t>(total_), 0.0f);
+  // minsgd-analyze: allow(hot-path-alloc): unbound view handles, rebound
+  // below onto block_; plan-build only (ExecutionPlan::build).
   views_.assign(n, Tensor{});
   for (std::size_t id = 0; id < n; ++id) {
     views_[id].bind(block_.data() + offsets_[id], items_[id].elems,

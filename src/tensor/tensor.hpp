@@ -16,8 +16,9 @@
 //     copies into the bound storage and leaves the binding in place.
 //
 // Every owning allocation bumps the `tensor.allocs` / `tensor.alloc_bytes`
-// metrics counters, so the memory plan's allocator-traffic reduction is a
-// measured quantity (see bench_memplan), not a claim.
+// metrics counters, so the memory plan's zero-allocation steady state is a
+// measured quantity (tests/test_plan, perfbench's tensor.allocs_per_step),
+// not a claim.
 #pragma once
 
 #include <cstddef>

@@ -71,7 +71,6 @@ EasgdResult train_easgd(
                                  options.augment);
       nn::SoftmaxCrossEntropy loss;
       Tensor logits, dlogits, dx;
-      nn::ExecutionPlan plan;  // per-worker, lives across iterations
       const std::int64_t iters = loader.iterations_per_epoch();
       double first_loss = -1.0;
       std::int64_t step = 0;
@@ -87,15 +86,14 @@ EasgdResult train_easgd(
           }
           net->zero_grad();
           nn::LossResult lres;
-          auto pc = plan.context(*net, batch.x.shape());
           {
             obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-            net->forward(batch.x, logits, /*training=*/true, ctx, &pc);
+            net->forward(batch.x, logits, /*training=*/true, ctx);
             lres = loss.forward_backward(logits, batch.labels, &dlogits, ctx);
           }
           {
             obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-            net->backward(batch.x, logits, dlogits, dx, ctx, &pc);
+            net->backward(batch.x, logits, dlogits, dx, ctx);
           }
           {
             obs::ScopedSpan sp("phase.step", obs::cat::kPhase);

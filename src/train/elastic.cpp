@@ -142,7 +142,7 @@ ElasticResult train_sync_elastic(
 
   auto rank_fn = [&](comm::Communicator& comm) {
     const int phys = comm.rank();  // full-world: physical identity
-    // The replica (and its execution plan) survives generation changes;
+    // The replica (and its network's plan) survives generation changes;
     // the plan rebuilds on the batch-geometry change after a resize.
     SyncReplica replica(model_factory, opt_factory, t, options.algo);
     optim::ElasticLrScale lrs(schedule, base_gb);

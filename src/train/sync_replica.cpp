@@ -133,10 +133,9 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
   }
   net_->zero_grad();
   nn::LossResult lres;
-  auto pc = plan_.context(*net_, batch_.x.shape());
   {
     obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-    net_->forward(batch_.x, logits_, /*training=*/true, ctx, &pc);
+    net_->forward(batch_.x, logits_, /*training=*/true, ctx);
     lres = loss_.forward_backward(logits_, batch_.labels, &dlogits_, ctx);
   }
   if (overlap_) overlap_->begin_iteration();
@@ -145,7 +144,7 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
     // With overlap on, the gradient-ready hook fires in here: each
     // finalized layer credits its buckets of the gradient span, and full
     // buckets reduce in place on the comm worker while earlier layers run.
-    net_->backward(batch_.x, logits_, dlogits_, dx_, ctx, &pc);
+    net_->backward(batch_.x, logits_, dlogits_, dx_, ctx);
   }
   // Each local gradient is the mean over the local shard, so the
   // global-batch mean is the rank-sum divided by world; params_' grads are

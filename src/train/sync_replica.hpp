@@ -3,8 +3,8 @@
 //
 // The fixed, fault-tolerant and elastic trainers build one SyncReplica per
 // rank and differ only in which iterations it runs over which communicator.
-// The replica owns the network, optimizer, execution plan, loss, activation
-// tensors, batch storage and gradient reducer; the allreduce, the overlap
+// The replica owns the network (which owns its execution plan), optimizer,
+// loss, activation tensors, batch storage and gradient reducer; the allreduce, the overlap
 // buckets and the optimizer all work in place on the network's flat
 // gradient storage (Network::grad_span). attach() binds it to one
 // communicator generation; step() is the paper's iteration (Figure 2(a),
@@ -118,7 +118,6 @@ class SyncReplica {
   std::vector<nn::ParamRef> params_;
   RngState init_rng_state_;
 
-  nn::ExecutionPlan plan_;  // survives attach(); rebuilds on a new geometry
   nn::SoftmaxCrossEntropy loss_;
   Tensor logits_, dlogits_, dx_;
   data::Batch batch_;

@@ -38,9 +38,6 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
   }
   Tensor logits, dlogits, dx;
   data::Batch batch;  // reused: steady-state loads allocate nothing
-  // One memory plan per trainer, kept across iterations; context() is a
-  // no-op while the batch geometry is stable and a rebuild when it changes.
-  nn::ExecutionPlan plan;
   double first_loss = -1.0;
   std::int64_t global_iter = 0;
   const float inv_accum = 1.0f / static_cast<float>(accum);
@@ -58,15 +55,14 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
           loader.load_train_into(epoch, it * accum + micro, ctx, batch);
         }
         nn::LossResult lres;
-        auto pc = plan.context(net, batch.x.shape());
         {
           obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-          net.forward(batch.x, logits, /*training=*/true, ctx, &pc);
+          net.forward(batch.x, logits, /*training=*/true, ctx);
           lres = loss.forward_backward(logits, batch.labels, &dlogits, ctx);
         }
         {
           obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-          net.backward(batch.x, logits, dlogits, dx, ctx, &pc);
+          net.backward(batch.x, logits, dlogits, dx, ctx);
         }
         step_loss += lres.loss;
         epoch_correct += lres.correct;

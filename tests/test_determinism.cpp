@@ -27,6 +27,7 @@
 #include "optim/lars.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
+#include "reference_walk.hpp"
 #include "tensor/context.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "tensor/ops.hpp"
@@ -253,6 +254,7 @@ TEST(LayerDeterminism, Dropout) {
 }
 
 TEST(LayerDeterminism, ResidualBlock) {
+  // A block runs only inside a planned Network: wrap it in a one-layer one.
   expect_layer_thread_invariant(
       [] {
         auto branch = std::make_unique<nn::Network>("branch");
@@ -260,7 +262,9 @@ TEST(LayerDeterminism, ResidualBlock) {
         branch->emplace<nn::BatchNorm2d>(4);
         branch->emplace<nn::ReLU>();
         branch->emplace<nn::Conv2d>(4, 4, 3, 1, 1);
-        return std::make_unique<nn::ResidualBlock>(std::move(branch));
+        auto net = std::make_unique<nn::Network>("block");
+        net->add(std::make_unique<nn::ResidualBlock>(std::move(branch)));
+        return net;
       },
       Shape({4, 4, 8, 8}));
 }
@@ -441,82 +445,18 @@ TEST(EndToEndDeterminism, TrainSyncDataParallelAcrossThreadCounts) {
   }
 }
 
-// -- memory plan ------------------------------------------------------------
+// -- planned network vs reference walk -------------------------------------
 //
-// The graph-compiled execution path (nn/plan.hpp) must be invisible in the
-// numbers: plan-on and plan-off runs produce bit-identical weights and loss
-// trajectories at every thread count, with both recompute policies, through
-// the stochastic layers (dropout RNG stream, BN batch stats) and the
-// overlapped data-parallel allreduce.
+// Every Network forward runs on a plan; the plan must be invisible in the
+// numbers. The reference walk (tests/reference_walk.hpp) runs every leaf
+// layer standalone, and the planned net must match it bit for bit at every
+// thread count through the stochastic layers (dropout RNG stream, BN batch
+// and running statistics) over three SGD steps and an eval forward.
+// tests/test_plan holds small_resnetish and tiny_resnet to the same check.
 
-/// Restores the process-wide plan gates however the test exits.
-struct PlanGateGuard {
-  bool enabled = nn::ExecutionPlan::enabled();
-  bool recompute = nn::ExecutionPlan::recompute_default();
-  ~PlanGateGuard() {
-    nn::ExecutionPlan::set_enabled(enabled);
-    nn::ExecutionPlan::set_recompute_default(recompute);
-  }
-};
-
-TEST(MemPlanDeterminism, TrainSinglePlanOnOffBitIdentical) {
-  PlanGateGuard guard;
-  data::SyntheticImageNet ds(tiny_data_cfg());
-  auto run = [&](bool plan_on, bool recompute, std::size_t threads) {
-    nn::ExecutionPlan::set_enabled(plan_on);
-    nn::ExecutionPlan::set_recompute_default(recompute);
-    auto net = stochastic_model();
-    optim::Sgd opt;
-    optim::ConstantLr lr(0.05);
-    train::TrainOptions options;
-    options.global_batch = 32;
-    options.epochs = 2;
-    options.compute_threads = threads;
-    const auto res = train::train_single(*net, opt, lr, ds, options);
-    return std::make_pair(res.epochs.back().train_loss,
-                          net->flatten_params());
-  };
-  const auto [base_loss, base_w] = run(/*plan_on=*/false, false, 1);
-  for (const bool recompute : {false, true}) {
-    for (std::size_t t : kThreadCounts) {
-      const auto [loss, w] = run(/*plan_on=*/true, recompute, t);
-      EXPECT_EQ(base_loss, loss)
-          << "loss differs: t=" << t << " recompute=" << recompute;
-      EXPECT_TRUE(bits_equal(base_w, w))
-          << "weights differ: t=" << t << " recompute=" << recompute;
-    }
-  }
-}
-
-TEST(MemPlanDeterminism, TrainSyncOverlapPlanOnOffBitIdentical) {
-  // Plan + overlapped bucketed allreduce: the grad-ready hook fires from
-  // inside the planned backward, so the overlap engine sees the identical
-  // sequence it saw from the legacy path.
-  PlanGateGuard guard;
-  data::SyntheticImageNet ds(tiny_data_cfg());
-  auto run = [&](bool plan_on, std::size_t threads) {
-    nn::ExecutionPlan::set_enabled(plan_on);
-    optim::ConstantLr lr(0.05);
-    train::TrainOptions options;
-    options.global_batch = 32;
-    options.epochs = 2;
-    options.compute_threads = threads;
-    options.bucket_bytes = 1024;
-    options.overlap_comm = true;
-    return train::train_sync_data_parallel(
-        [] { return stochastic_model(); },
-        [] { return std::make_unique<optim::Sgd>(); }, lr, ds, options,
-        /*world=*/2);
-  };
-  const auto base = run(/*plan_on=*/false, 1);
-  for (std::size_t t : {1u, 2u, 4u}) {
-    const auto res = run(/*plan_on=*/true, t);
-    EXPECT_TRUE(bits_equal(base.final_weights, res.final_weights))
-        << "weights differ: plan on, budget=" << t;
-    EXPECT_EQ(base.result.epochs.back().train_loss,
-              res.result.epochs.back().train_loss)
-        << "plan on, budget=" << t;
-  }
+TEST(NetworkDeterminism, PlannedMatchesReferenceWalk) {
+  testing::expect_planned_matches_reference([] { return stochastic_model(); },
+                                            Shape({8, 3, 12, 12}));
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 //   MINSGD_THREADS            -> ComputeContext::default_threads()
 //   MINSGD_KERNEL_ISA         -> kernels::force() / active()
 //   MINSGD_CONV_DIRECT        -> Conv2d::set_direct_enabled()
-//   MINSGD_MEMPLAN            -> nn::ExecutionPlan::set_enabled()
-//   MINSGD_MEMPLAN_RECOMPUTE  -> nn::ExecutionPlan::set_recompute_default()
 //   MINSGD_FLIGHT             -> obs::FlightRecorder::set_enabled()
 //   MINSGD_FLIGHT_CAPACITY    -> obs::FlightRecorder(capacity_per_lane)
 #include <gtest/gtest.h>
@@ -20,7 +18,6 @@
 #include <cstring>
 
 #include "nn/conv.hpp"
-#include "nn/plan.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "tensor/context.hpp"
@@ -75,25 +72,6 @@ TEST(EnvGates, ConvDirectGateIsBitInvisible) {
                         static_cast<std::size_t>(y_off.numel()) *
                             sizeof(float)),
             0);
-}
-
-// MINSGD_MEMPLAN seeds ExecutionPlan::enabled() (default on).
-TEST(EnvGates, MemplanGateRoundTrips) {
-  const bool prev = nn::ExecutionPlan::enabled();
-  nn::ExecutionPlan::set_enabled(false);
-  EXPECT_FALSE(nn::ExecutionPlan::enabled());
-  nn::ExecutionPlan::set_enabled(true);
-  EXPECT_TRUE(nn::ExecutionPlan::enabled());
-  nn::ExecutionPlan::set_enabled(prev);
-}
-
-// MINSGD_MEMPLAN_RECOMPUTE seeds the plan's recompute-cheap policy default.
-TEST(EnvGates, MemplanRecomputeGateRoundTrips) {
-  const bool prev = nn::ExecutionPlan::recompute_default();
-  nn::ExecutionPlan::set_recompute_default(!prev);
-  EXPECT_EQ(nn::ExecutionPlan::recompute_default(), !prev);
-  nn::ExecutionPlan::set_recompute_default(prev);
-  EXPECT_EQ(nn::ExecutionPlan::recompute_default(), prev);
 }
 
 // MINSGD_FLIGHT / MINSGD_FLIGHT_CAPACITY feed the recorder's enabled flag

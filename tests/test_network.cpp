@@ -235,12 +235,20 @@ TEST(Network, DeterministicInitGivenSeed) {
 }
 
 // ---------------- ResidualBlock ----------------
+// A block runs only inside a planned Network, so the cases that run one
+// wrap it in a one-layer Network.
 
 std::unique_ptr<nn::ResidualBlock> identity_block(std::int64_t c) {
   auto branch = std::make_unique<nn::Network>("b");
   branch->emplace<nn::Conv2d>(c, c, 3, 1, 1, false);
   branch->emplace<nn::BatchNorm2d>(c);
   return std::make_unique<nn::ResidualBlock>(std::move(branch));
+}
+
+std::unique_ptr<nn::Network> one_layer(nn::LayerPtr layer) {
+  auto net = std::make_unique<nn::Network>("blk");
+  net->add(std::move(layer));
+  return net;
 }
 
 TEST(ResidualBlock, IdentityShortcutShape) {
@@ -251,7 +259,7 @@ TEST(ResidualBlock, IdentityShortcutShape) {
 TEST(ResidualBlock, ZeroBranchPassesReluOfInput) {
   auto branch = std::make_unique<nn::Network>("b");
   branch->emplace<nn::Conv2d>(2, 2, 1, 1, 0, false);
-  auto blk = std::make_unique<nn::ResidualBlock>(std::move(branch));
+  auto blk = one_layer(std::make_unique<nn::ResidualBlock>(std::move(branch)));
   // Zero conv weights: y = relu(0 + x).
   Rng rng(4);
   blk->init(rng);
@@ -264,8 +272,17 @@ TEST(ResidualBlock, ZeroBranchPassesReluOfInput) {
   }
 }
 
+TEST(ResidualBlock, StandaloneForwardDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto blk = identity_block(2);
+  Rng rng(5);
+  blk->init(rng);
+  Tensor x({1, 2, 3, 3}), y;
+  EXPECT_DEATH(blk->forward(x, y, false), "planned Network");
+}
+
 TEST(ResidualBlock, GradCheckIdentity) {
-  auto blk = identity_block(3);
+  auto blk = one_layer(identity_block(3));
   testing::check_gradients(*blk, {2, 3, 4, 4}, /*seed=*/31,
                            {.step = 1e-3, .rel_tol = 3e-2, .abs_tol = 2e-4});
 }
@@ -277,8 +294,9 @@ TEST(ResidualBlock, GradCheckProjection) {
   auto shortcut = std::make_unique<nn::Network>("s");
   shortcut->emplace<nn::Conv2d>(2, 4, 1, 2, 0, false);
   shortcut->emplace<nn::BatchNorm2d>(4);
-  nn::ResidualBlock blk(std::move(branch), std::move(shortcut));
-  testing::check_gradients(blk, {2, 2, 4, 4}, /*seed=*/33,
+  auto blk = one_layer(std::make_unique<nn::ResidualBlock>(
+      std::move(branch), std::move(shortcut)));
+  testing::check_gradients(*blk, {2, 2, 4, 4}, /*seed=*/33,
                            {.step = 1e-3, .rel_tol = 3e-2, .abs_tol = 2e-4});
 }
 

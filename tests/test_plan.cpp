@@ -1,6 +1,7 @@
 // ExecutionPlan / TensorArena: layout, liveness aliasing, rebuild triggers,
-// planned-vs-legacy bit-identity, and the O(1) steady-state allocation
-// guarantee the tensor.allocs counter pins down.
+// planned-vs-reference-walk bit-identity (tests/reference_walk.hpp), the
+// forward-only eval plan, and the O(1) steady-state allocation guarantee
+// the tensor.allocs counter pins down.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +19,8 @@
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "obs/metrics.hpp"
+#include "optim/sgd.hpp"
+#include "reference_walk.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/context.hpp"
 
@@ -36,16 +39,6 @@ Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   for (auto& v : t.span()) v = static_cast<float>(rng.normal()) * 0.5f;
   return t;
 }
-
-/// RAII guard so a test cannot leak a flipped process-wide plan gate.
-struct PlanGateGuard {
-  bool enabled = nn::ExecutionPlan::enabled();
-  bool recompute = nn::ExecutionPlan::recompute_default();
-  ~PlanGateGuard() {
-    nn::ExecutionPlan::set_enabled(enabled);
-    nn::ExecutionPlan::set_recompute_default(recompute);
-  }
-};
 
 // -- TensorArena ------------------------------------------------------------
 
@@ -122,8 +115,7 @@ TEST(TensorArena, ScratchCapacityExceedsShape) {
 // -- PlanBuilder ------------------------------------------------------------
 
 TEST(PlanBuilder, TimelineAndExtend) {
-  nn::PlanOptions opts;
-  nn::PlanBuilder b(42, opts);
+  nn::PlanBuilder b(42, /*training=*/true);
   EXPECT_EQ(b.now(), 0);
   EXPECT_EQ(b.tick(), 1);
   const auto id = b.add(Shape{10}, 1, 1);
@@ -159,108 +151,59 @@ std::unique_ptr<nn::Network> small_resnetish() {
 }
 
 TEST(ExecutionPlan, RebuildTriggers) {
+  // The network plans itself from its top-level forward, keyed on (input
+  // shape, training).
   auto net = small_resnetish();
-  nn::ExecutionPlan plan;
+  Rng r(1);
+  net->init(r);
+  const ComputeContext ctx(1);
+  const nn::ExecutionPlan& plan = net->plan();
+  Tensor y;
+  const auto forward = [&](const Shape& shape, bool training) {
+    net->forward(random_tensor(shape, 1), y, training, ctx);
+  };
   EXPECT_FALSE(plan.built());
-  nn::PlanOptions opts;
-  EXPECT_TRUE(plan.ensure(*net, Shape({4, 3, 12, 12}), opts));
+  forward(Shape({4, 3, 12, 12}), true);
   EXPECT_TRUE(plan.built());
   const auto epoch1 = plan.epoch();
   EXPECT_GT(epoch1, 0u);
   // Same geometry: no rebuild, same epoch.
-  EXPECT_FALSE(plan.ensure(*net, Shape({4, 3, 12, 12}), opts));
+  forward(Shape({4, 3, 12, 12}), true);
   EXPECT_EQ(plan.epoch(), epoch1);
   // Batch change: rebuild with a fresh process-unique epoch.
-  EXPECT_TRUE(plan.ensure(*net, Shape({8, 3, 12, 12}), opts));
+  forward(Shape({8, 3, 12, 12}), true);
   EXPECT_GT(plan.epoch(), epoch1);
   EXPECT_EQ(plan.rebuilds(), 2);
-  // Option change: rebuild.
-  opts.recompute_cheap = !opts.recompute_cheap;
-  EXPECT_TRUE(plan.ensure(*net, Shape({8, 3, 12, 12}), opts));
+  // Training-flag change: rebuild, forward only.
+  forward(Shape({8, 3, 12, 12}), false);
   EXPECT_EQ(plan.rebuilds(), 3);
+  EXPECT_FALSE(plan.training());
+  // Another plan re-walked the network, re-pointing its ids: rebuild.
+  nn::ExecutionPlan other;
+  other.build(*net, Shape({8, 3, 12, 12}), /*training=*/false);
+  forward(Shape({8, 3, 12, 12}), false);
+  EXPECT_EQ(plan.rebuilds(), 4);
 }
 
 TEST(ExecutionPlan, ArenaAliasingSavesMemory) {
   auto net = small_resnetish();
   nn::ExecutionPlan plan;
-  nn::PlanOptions opts;
-  opts.recompute_cheap = false;
-  plan.ensure(*net, Shape({8, 3, 12, 12}), opts);
+  plan.build(*net, Shape({8, 3, 12, 12}), /*training=*/true);
   // Liveness aliasing must beat allocate-everything-forever layout.
   EXPECT_LT(plan.arena_bytes(), plan.raw_bytes());
 }
 
-TEST(ExecutionPlan, RecomputeCheapShrinksArena) {
-  auto net = small_resnetish();
-  nn::ExecutionPlan keep, recompute;
-  nn::PlanOptions kopts, ropts;
-  kopts.recompute_cheap = false;
-  ropts.recompute_cheap = true;
-  keep.ensure(*net, Shape({8, 3, 12, 12}), kopts);
-  const auto kept_bytes = keep.arena_bytes();
-  recompute.ensure(*net, Shape({8, 3, 12, 12}), ropts);
-  // Conv outputs feeding BN die at their last forward read; the arena must
-  // get strictly smaller on this model.
-  EXPECT_LT(recompute.arena_bytes(), kept_bytes);
-}
-
-/// Runs forward + backward on `net` and returns (y, dx, flat grads).
-struct NetRun {
-  std::vector<float> y, dx, grads;
-};
-
-NetRun run_net(nn::Network& net, const Tensor& x, const ComputeContext& ctx,
-               nn::ExecutionPlan* plan) {
-  net.zero_grad();
-  Tensor y, dx;
-  if (plan != nullptr) {
-    auto pc = plan->context(net, x.shape());
-    net.forward(x, y, /*training=*/true, ctx, &pc);
-    const Tensor dy = random_tensor(y.shape(), 11);
-    net.backward(x, y, dy, dx, ctx, &pc);
-  } else {
-    net.forward(x, y, /*training=*/true, ctx);
-    const Tensor dy = random_tensor(y.shape(), 11);
-    net.backward(x, y, dy, dx, ctx);
-  }
-  NetRun out;
-  out.y.assign(y.span().begin(), y.span().end());
-  out.dx.assign(dx.span().begin(), dx.span().end());
-  const std::span<const float> g = net.grad_span();
-  out.grads.assign(g.begin(), g.end());
-  return out;
-}
-
 TEST(ExecutionPlan, PlannedMatchesLegacyBitwise) {
-  const Tensor x = random_tensor(Shape({4, 3, 12, 12}), 7);
-  for (const bool recompute : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      const ComputeContext ctx(threads);
-      // Fresh nets per mode: dropout streams must start identically.
-      auto legacy_net = small_resnetish();
-      auto planned_net = small_resnetish();
-      Rng r1(123), r2(123);
-      legacy_net->init(r1);
-      planned_net->init(r2);
-      const NetRun legacy = run_net(*legacy_net, x, ctx, nullptr);
-      nn::ExecutionPlan plan;
-      nn::PlanOptions opts;
-      opts.recompute_cheap = recompute;
-      plan.ensure(*planned_net, x.shape(), opts);
-      const NetRun planned = run_net(*planned_net, x, ctx, &plan);
-      EXPECT_TRUE(bits_equal(legacy.y, planned.y))
-          << "y differs, t=" << threads << " recompute=" << recompute;
-      EXPECT_TRUE(bits_equal(legacy.dx, planned.dx))
-          << "dx differs, t=" << threads << " recompute=" << recompute;
-      EXPECT_TRUE(bits_equal(legacy.grads, planned.grads))
-          << "grads differ, t=" << threads << " recompute=" << recompute;
-    }
-  }
+  // The baseline is the reference walk (tests/reference_walk.hpp): every
+  // leaf layer standalone, no plan. small_resnetish carries an identity
+  // residual block, BN and dropout.
+  testing::expect_planned_matches_reference([] { return small_resnetish(); },
+                                            Shape({4, 3, 12, 12}));
 }
 
 TEST(ExecutionPlan, ForeignContextFallsBackToLegacy) {
   // A context built for net A handed to net B must not touch B's ids — B
-  // runs the legacy path and still produces the right bytes.
+  // runs on its own plan and still produces the reference walk's bytes.
   const Tensor x = random_tensor(Shape({2, 3, 12, 12}), 3);
   const ComputeContext ctx(2);
   auto net_a = small_resnetish();
@@ -271,48 +214,38 @@ TEST(ExecutionPlan, ForeignContextFallsBackToLegacy) {
   net_b->init(rb);
   net_ref->init(rr);
   nn::ExecutionPlan plan_a;
-  auto pc = plan_a.context(*net_a, x.shape());
+  plan_a.build(*net_a, x.shape(), /*training=*/true);
+  nn::PlanContext pc(&plan_a);
   Tensor yb, dxb, yr, dxr;
   net_b->forward(x, yb, /*training=*/true, ctx, &pc);  // foreign context
-  net_ref->forward(x, yr, /*training=*/true, ctx);
+  EXPECT_TRUE(net_b->plan().built());
+  testing::ReferenceWalk walk;
+  walk.forward(*net_ref, x, yr, /*training=*/true, ctx);
   const Tensor dy = random_tensor(yb.shape(), 5);
   net_b->backward(x, yb, dy, dxb, ctx, &pc);
-  net_ref->backward(x, yr, dy, dxr, ctx);
+  walk.backward(*net_ref, x, yr, dy, dxr, ctx);
   EXPECT_TRUE(bits_equal(yb.span(), yr.span()));
   EXPECT_TRUE(bits_equal(dxb.span(), dxr.span()));
-}
-
-TEST(ExecutionPlan, GateOffYieldsLegacyContext) {
-  PlanGateGuard guard;
-  nn::ExecutionPlan::set_enabled(false);
-  auto net = small_resnetish();
-  Rng r(1);
-  net->init(r);
-  nn::ExecutionPlan plan;
-  auto pc = plan.context(*net, Shape({2, 3, 12, 12}));
-  EXPECT_FALSE(pc.planned());
-  EXPECT_FALSE(plan.built());
+  EXPECT_TRUE(bits_equal(net_b->grad_span(), net_ref->grad_span()));
 }
 
 TEST(ExecutionPlan, SteadyStateAllocsAreZero) {
-  // The acceptance bar: with a plan, iterating at a fixed geometry performs
-  // no tensor allocations at all after warmup — tensor.allocs is flat.
+  // The acceptance bar: iterating at a fixed geometry performs no tensor
+  // allocations at all after warmup — tensor.allocs is flat.
   auto net = small_resnetish();
   Rng r(77);
   net->init(r);
   const ComputeContext ctx(4);
   const Tensor x = random_tensor(Shape({4, 3, 12, 12}), 7);
-  nn::ExecutionPlan plan;
   Tensor y, dx, dy;
   auto iterate = [&] {
     net->zero_grad();
-    auto pc = plan.context(*net, x.shape());
-    net->forward(x, y, /*training=*/true, ctx, &pc);
+    net->forward(x, y, /*training=*/true, ctx);
     dy.resize(y.shape());
     dy.fill(0.5f);
-    net->backward(x, y, dy, dx, ctx, &pc);
+    net->backward(x, y, dy, dx, ctx);
   };
-  iterate();  // warmup: builds the plan, sizes y/dx/dy and legacy caches
+  iterate();  // warmup: builds the plan, sizes y/dx/dy and layer caches
   iterate();  // second pass settles resize-grown capacities
   auto& allocs = obs::metrics().counter("tensor.allocs");
   const auto before = allocs.value();
@@ -329,32 +262,6 @@ TEST(ExecutionPlan, SteadyStateAllocsAreZeroOnFusedConvs) {
   net->init(r);
   const ComputeContext ctx(4);
   const Tensor x = random_tensor(Shape({4, 3, 16, 16}), 8);
-  nn::ExecutionPlan plan;
-  Tensor y, dx, dy;
-  auto iterate = [&] {
-    net->zero_grad();
-    auto pc = plan.context(*net, x.shape());
-    net->forward(x, y, /*training=*/true, ctx, &pc);
-    dy.resize(y.shape());
-    dy.fill(0.5f);
-    net->backward(x, y, dy, dx, ctx, &pc);
-  };
-  iterate();
-  iterate();
-  auto& allocs = obs::metrics().counter("tensor.allocs");
-  const auto before = allocs.value();
-  for (int i = 0; i < 3; ++i) iterate();
-  EXPECT_EQ(allocs.value(), before) << "planned steady state must not allocate";
-}
-
-TEST(ExecutionPlan, LegacyPathAllocatesPerIteration) {
-  // Control for the test above: without a plan the conv scratch is
-  // allocated per call, so the counter must keep moving.
-  auto net = small_resnetish();
-  Rng r(77);
-  net->init(r);
-  const ComputeContext ctx(4);
-  const Tensor x = random_tensor(Shape({4, 3, 12, 12}), 7);
   Tensor y, dx, dy;
   auto iterate = [&] {
     net->zero_grad();
@@ -367,8 +274,8 @@ TEST(ExecutionPlan, LegacyPathAllocatesPerIteration) {
   iterate();
   auto& allocs = obs::metrics().counter("tensor.allocs");
   const auto before = allocs.value();
-  iterate();
-  EXPECT_GT(allocs.value(), before);
+  for (int i = 0; i < 3; ++i) iterate();
+  EXPECT_EQ(allocs.value(), before) << "planned steady state must not allocate";
 }
 
 TEST(ExecutionPlan, TinyResnetPlans) {
@@ -377,21 +284,72 @@ TEST(ExecutionPlan, TinyResnetPlans) {
   auto net = nn::tiny_resnet(/*blocks_per_stage=*/2, /*classes=*/10,
                              /*resolution=*/16);
   nn::ExecutionPlan plan;
-  nn::PlanOptions opts;
-  plan.ensure(*net, Shape({8, 3, 16, 16}), opts);
+  plan.build(*net, Shape({8, 3, 16, 16}), /*training=*/true);
   EXPECT_LT(plan.arena_bytes(), plan.raw_bytes() / 2)
       << "deep residual trunk should alias at least 2x";
-  const Tensor x = random_tensor(Shape({8, 3, 16, 16}), 13);
-  const ComputeContext ctx(4);
-  auto legacy_net = nn::tiny_resnet(2, 10, 16);
-  Rng r1(5), r2(5);
-  net->init(r1);
-  legacy_net->init(r2);
-  const NetRun planned = run_net(*net, x, ctx, &plan);
-  const NetRun legacy = run_net(*legacy_net, x, ctx, nullptr);
-  EXPECT_TRUE(bits_equal(legacy.y, planned.y));
-  EXPECT_TRUE(bits_equal(legacy.dx, planned.dx));
-  EXPECT_TRUE(bits_equal(legacy.grads, planned.grads));
+  testing::expect_planned_matches_reference(
+      [] { return nn::tiny_resnet(2, 10, 16); }, Shape({8, 3, 16, 16}));
+}
+
+/// One training step (forward, backward, SGD update) on `net` at `x`.
+void train_step(nn::Network& net, const Tensor& x, const ComputeContext& ctx) {
+  Tensor y, dx;
+  net.zero_grad();
+  net.forward(x, y, /*training=*/true, ctx);
+  const Tensor dy = random_tensor(y.shape(), 21);
+  net.backward(x, y, dy, dx, ctx);
+  auto params = net.params();
+  optim::Sgd sgd;
+  sgd.step(params, 0.05, ctx);
+}
+
+TEST(ExecutionPlan, EvalForwardIsPlannedAndForwardOnly) {
+  auto net = nn::tiny_resnet(/*blocks_per_stage=*/1, /*classes=*/10,
+                             /*resolution=*/16);
+  Rng r(79);
+  net->init(r);
+  const ComputeContext ctx(2);
+  const Tensor x = random_tensor(Shape({8, 3, 16, 16}), 9);
+  train_step(*net, x, ctx);
+  ASSERT_TRUE(net->plan().training());
+  const auto train_arena = net->plan().arena_bytes();
+  Tensor y;
+  net->forward(x, y, /*training=*/false, ctx);  // builds the eval plan
+  auto& allocs = obs::metrics().counter("tensor.allocs");
+  const auto before = allocs.value();
+  net->forward(x, y, /*training=*/false, ctx);
+  EXPECT_EQ(allocs.value(), before) << "a planned eval forward allocates";
+  EXPECT_FALSE(net->plan().training());
+  EXPECT_LT(net->plan().arena_bytes(), train_arena)
+      << "a forward-only plan must not hold backward's activations";
+  const Tensor dy = random_tensor(y.shape(), 4);
+  Tensor dx;
+  EXPECT_THROW(net->backward(x, y, dy, dx, ctx), std::logic_error);
+}
+
+TEST(ExecutionPlan, EvalBuildLeavesTrainingGauges) {
+  // plan.* gauges describe the training arena; an eval (forward-only)
+  // build only counts in plan.rebuilds.
+  auto net = small_resnetish();
+  Rng r(80);
+  net->init(r);
+  const ComputeContext ctx(2);
+  const Tensor x = random_tensor(Shape({4, 3, 12, 12}), 10);
+  train_step(*net, x, ctx);
+  auto& reg = obs::metrics();
+  const char* gauges[] = {"plan.arena_bytes", "plan.raw_bytes",
+                          "plan.tensors", "plan.steps"};
+  std::vector<double> trained;
+  for (const char* g : gauges) trained.push_back(reg.gauge(g).value());
+  EXPECT_EQ(trained[0], static_cast<double>(net->plan().arena_bytes()));
+  const auto rebuilds = reg.counter("plan.rebuilds").value();
+  Tensor y;
+  net->forward(x, y, /*training=*/false, ctx);
+  EXPECT_EQ(reg.counter("plan.rebuilds").value(), rebuilds + 1);
+  ASSERT_NE(static_cast<double>(net->plan().arena_bytes()), trained[0]);
+  for (std::size_t i = 0; i < trained.size(); ++i) {
+    EXPECT_EQ(reg.gauge(gauges[i]).value(), trained[i]) << gauges[i];
+  }
 }
 
 /// Restores the process-wide conv lowering gate on scope exit.
@@ -409,9 +367,9 @@ TEST(ExecutionPlan, FusedConvsReserveNoColumnBuffers) {
   const Shape input({8, 3, 16, 16});
   nn::ExecutionPlan direct, reference;
   nn::Conv2d::set_direct_enabled(true);
-  direct.ensure(*net, input);
+  direct.build(*net, input, /*training=*/true);
   nn::Conv2d::set_direct_enabled(false);
-  reference.ensure(*net, input);
+  reference.build(*net, input, /*training=*/true);
   EXPECT_LT(direct.arena_bytes(), reference.arena_bytes());
 
   // tiny-resnet's conv shapes at their input planes: every fused backward
@@ -431,7 +389,7 @@ TEST(ExecutionPlan, FusedConvsReserveNoColumnBuffers) {
     for (const Case& c : cases) {
       nn::Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, /*bias=*/false);
       const Shape in({8, c.in_c, c.hw, c.hw});
-      nn::PlanBuilder builder(1, nn::PlanOptions{});
+      nn::PlanBuilder builder(1, /*training=*/true);
       conv.plan_backward(builder, in);
       const bool fused = on && c.fused;
       EXPECT_EQ(conv.lowering(in, kernels::ConvPass::kBackward) ==

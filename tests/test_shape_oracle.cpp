@@ -128,6 +128,8 @@ TEST(ShapeOracle, NormsActivationsDropout) {
 }
 
 TEST(ShapeOracle, ResidualBlocks) {
+  // A block runs only inside a planned Network: each is wrapped in a
+  // one-layer one.
   Rng rng(3);
   // Identity shortcut.
   {
@@ -136,7 +138,8 @@ TEST(ShapeOracle, ResidualBlocks) {
     branch->emplace<nn::BatchNorm2d>(6);
     branch->emplace<nn::ReLU>();
     branch->emplace<nn::Conv2d>(6, 6, 3, 1, 1);
-    nn::ResidualBlock block(std::move(branch));
+    nn::Network block("blk");
+    block.add(std::make_unique<nn::ResidualBlock>(std::move(branch)));
     block.init(rng);
     expect_oracle(block, Shape({2, 6, 9, 9}));
   }
@@ -150,7 +153,9 @@ TEST(ShapeOracle, ResidualBlocks) {
     auto shortcut = std::make_unique<nn::Network>("s");
     shortcut->emplace<nn::Conv2d>(4, 8, 1, 2, 0);
     shortcut->emplace<nn::BatchNorm2d>(8);
-    nn::ResidualBlock block(std::move(branch), std::move(shortcut));
+    nn::Network block("blk");
+    block.add(std::make_unique<nn::ResidualBlock>(std::move(branch),
+                                                  std::move(shortcut)));
     block.init(rng);
     expect_oracle(block, Shape({2, 4, 8, 8}));
     expect_oracle(block, Shape({1, 4, 11, 11}));

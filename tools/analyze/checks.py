@@ -451,8 +451,6 @@ GATE_DESCRIPTIONS = {
     "MINSGD_THREADS": "intra-op worker threads (default: hardware conc.)",
     "MINSGD_KERNEL_ISA": "force kernel ISA: portable, avx2, avx512, neon",
     "MINSGD_CONV_DIRECT": "direct-conv fast path on/off (default on)",
-    "MINSGD_MEMPLAN": "graph-compiled execution plans on/off (default on)",
-    "MINSGD_MEMPLAN_RECOMPUTE": "plan recompute-cheap-activations policy",
     "MINSGD_FLIGHT": "cross-rank flight recorder on/off",
     "MINSGD_FLIGHT_CAPACITY": "flight recorder ring capacity [16, 2^20]",
     "MINSGD_SANITIZE": "build preset: asan-ubsan or tsan",

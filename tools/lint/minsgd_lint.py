@@ -53,9 +53,10 @@ Rules (ids in brackets; see DESIGN.md §11 for the catalog):
   [hot-path-alloc]        Inside a do_forward/do_backward body in src/nn,
                           constructing a Tensor or declaring a std::vector
                           allocates on the training hot path. Layer scratch
-                          must come from the PlanContext (arena-backed when
-                          planned, pooled in legacy mode) so steady-state
-                          iterations perform zero heap allocations.
+                          must come from the PlanContext (arena-backed
+                          inside a Network, per-call for a standalone leaf
+                          layer) so steady-state iterations perform zero
+                          heap allocations.
   [bad-suppression]       A suppression that names an unknown rule or omits
                           the justification text.
 
