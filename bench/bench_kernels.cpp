@@ -5,7 +5,9 @@
 // writes bench_results/kernels.json (GFLOP/s per supported microkernel arm
 // and for the dispatched default, speedup over the pre-microkernel scalar
 // baseline, bitwise checksums across ISA arms, thread counts and conv
-// lowerings, forward and backward), then the google-benchmark suite for
+// lowerings, forward and backward, and the non-GEMM layer rows: BN, fused
+// BN+ReLU, ReLU and max-pool at ResNet-50 shapes, with effective GB/s and a
+// checksum across thread counts), then the google-benchmark suite for
 // ad-hoc exploration. Exits non-zero if any checksum differs.
 #include <benchmark/benchmark.h>
 
@@ -18,8 +20,10 @@
 
 #include "bench_common.hpp"
 #include "comm/cluster.hpp"
+#include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/norm.hpp"
+#include "nn/pool.hpp"
 #include "tensor/context.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/dispatch.hpp"
@@ -251,6 +255,96 @@ double time_best(int reps, const Fn& fn) {
   return best;
 }
 
+/// The non-GEMM passes of the ResNet-50 stem and first stage at batch 2
+/// ([2, 64, 112, 112]): BN forward/backward, BN with its fused ReLU, ReLU
+/// and the 3/s2/p1 max-pool. Each row times the single-thread pass (best of
+/// 5) and reports effective bandwidth over the bytes every tensor it touches
+/// moves once (the floor a memory-bound pass can reach), then reruns the
+/// pass at threads {2, 3, 4} and compares the output checksum (y, or dx plus
+/// the parameter gradients) with the single-thread one. Returns false on any
+/// mismatch.
+bool run_non_gemm_rows(bench::JsonSummary& summary) {
+  const Shape shape{2, 64, 112, 112};
+  const double n = static_cast<double>(shape.numel());
+  Rng rng(21);
+  Tensor x(shape), dy(shape);
+  rng.fill_normal(x.span(), 0.0f, 1.0f);
+  rng.fill_normal(dy.span(), 0.0f, 1.0f);
+  bool all_match = true;
+
+  bench::section("non-GEMM layers at [2,64,112,112], single thread, best of 5");
+  std::printf("%-16s %10s %10s  %s\n", "pass", "ms", "GB/s",
+              "checksum (threads 1-4)");
+  // `run(ctx)` executes the pass once; `out()` returns the bytes to check.
+  const auto row = [&](const std::string& key, double bytes, const auto& run,
+                       const auto& out) {
+    const ComputeContext one(1);
+    const double t = time_best(5, [&] { run(one); });
+    run(one);
+    const std::uint64_t base = bits_checksum(out());
+    bool match = true;
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      const ComputeContext ctx(threads);
+      run(ctx);
+      match = match && bits_checksum(out()) == base;
+    }
+    all_match = all_match && match;
+    const double gbs = bytes / t * 1e-9;
+    std::printf("%-16s %10.3f %10.2f  %s\n", key.c_str(), t * 1e3, gbs,
+                match ? "match" : "CHECKSUM MISMATCH");
+    summary.add(key + "_ms", t * 1e3);
+    summary.add(key + "_gbs", gbs);
+    summary.add(key + "_checksum_match", static_cast<std::int64_t>(match));
+  };
+  const auto floats = [](const Tensor& t) {
+    return std::vector<float>(t.span().begin(), t.span().end());
+  };
+
+  for (const bool fused : {false, true}) {
+    nn::BatchNorm2d bn(64, 1e-5f, 0.9f, fused);
+    Rng init(3);
+    bn.init(init);
+    const std::string key = fused ? "bn_relu64" : "bn64";
+    Tensor y, dx;
+    // Forward: x in, y and the cached xhat out. The running statistics
+    // move on every call; the checksum covers y only.
+    row(key + "_fwd", 3 * 4 * n,
+        [&](const ComputeContext& ctx) { bn.forward(x, y, true, ctx); },
+        [&] { return floats(y); });
+    bn.forward(x, y, true);
+    // Backward: dy and xhat in (and y, for the fused mask), dx out.
+    row(key + "_bwd", (fused ? 4 : 3) * 4 * n,
+        [&](const ComputeContext& ctx) {
+          for (auto& p : bn.params()) p.grad->zero();
+          bn.backward(x, y, dy, dx, ctx);
+        },
+        [&] {
+          std::vector<float> v = floats(dx);
+          for (auto& p : bn.params()) {
+            v.insert(v.end(), p.grad->span().begin(), p.grad->span().end());
+          }
+          return v;
+        });
+  }
+
+  nn::ReLU relu;
+  Tensor ry, rdx;
+  row("relu_fwd", 2 * 4 * n,
+      [&](const ComputeContext& ctx) { relu.forward(x, ry, false, ctx); },
+      [&] { return floats(ry); });
+  row("relu_bwd", 3 * 4 * n,
+      [&](const ComputeContext& ctx) { relu.backward(x, ry, dy, rdx, ctx); },
+      [&] { return floats(rdx); });
+
+  // Max-pool forward: x in, y and one 4-byte argmax per output out.
+  nn::MaxPool2d pool(3, 2, 1);
+  Tensor py;
+  row("maxpool3_s2_fwd", 4 * n + 2 * 4 * (n / 4),
+      [&](const ComputeContext& ctx) { pool.forward(x, py, true, ctx); },
+      [&] { return floats(py); });
+  return all_match;
+}
+
 /// Returns false when any checksum differs between arms, thread counts or
 /// conv lowerings.
 bool run_kernel_summary() {
@@ -445,6 +539,7 @@ bool run_kernel_summary() {
     summary.add(key + "_bwd_direct_speedup", t_im2col / t_direct);
     summary.add(key + "_bwd_checksum_match", static_cast<std::int64_t>(match));
   }
+  all_checksums_match = run_non_gemm_rows(summary) && all_checksums_match;
   summary.add("checksum_match", static_cast<std::int64_t>(all_checksums_match));
 
   const std::string path = summary.write();

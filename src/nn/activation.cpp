@@ -21,10 +21,17 @@ void ReLU::do_backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                        PlanContext& /*pc*/) {
   dx.resize(x.shape());
   // x > 0 iff y > 0 for y = max(x, 0), so gating on the input keeps the
-  // output out of backward entirely (see backward_reads_output()).
+  // output out of backward entirely (see backward_reads_output()). dy is
+  // loaded on both sides of the mask: a load only where x > 0 cannot be
+  // if-converted, and the compiler emits a compare-and-branch per element
+  // that mispredicts on about half of real activations.
+  const float* xp = x.data();
+  const float* gp = dy.data();
+  float* out = dx.data();
   ctx.parallel_for(0, x.numel(), [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
-      dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+      const float g = gp[i];
+      out[i] = xp[i] > 0.0f ? g : 0.0f;
     }
   });
 }

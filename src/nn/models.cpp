@@ -23,17 +23,20 @@ void add_alexnet_norm(Network& net, AlexNetNorm norm, std::int64_t channels) {
   (void)channels;
 }
 
-/// Bottleneck block: 1x1 (stride) -> 3x3 -> 1x1 expand, BN after each conv,
-/// ReLU inside the branch, projection shortcut when shape changes.
+/// BN with its ReLU fused into the same pass (BatchNorm2d's fuse_relu).
+void add_bn_relu(Network& net, std::int64_t channels) {
+  net.emplace<BatchNorm2d>(channels, 1e-5f, 0.9f, /*fuse_relu=*/true);
+}
+
+}  // namespace
+
 LayerPtr bottleneck(std::int64_t in_c, std::int64_t mid_c, std::int64_t stride) {
   const std::int64_t out_c = mid_c * 4;
   auto branch = std::make_unique<Network>("bottleneck");
   branch->emplace<Conv2d>(in_c, mid_c, 1, stride, 0, /*bias=*/false);
-  branch->emplace<BatchNorm2d>(mid_c);
-  branch->emplace<ReLU>();
+  add_bn_relu(*branch, mid_c);
   branch->emplace<Conv2d>(mid_c, mid_c, 3, 1, 1, /*bias=*/false);
-  branch->emplace<BatchNorm2d>(mid_c);
-  branch->emplace<ReLU>();
+  add_bn_relu(*branch, mid_c);
   branch->emplace<Conv2d>(mid_c, out_c, 1, 1, 0, /*bias=*/false);
   branch->emplace<BatchNorm2d>(out_c);
 
@@ -47,13 +50,11 @@ LayerPtr bottleneck(std::int64_t in_c, std::int64_t mid_c, std::int64_t stride) 
                                          std::move(shortcut));
 }
 
-/// Basic block: two 3x3 convs (first strided), BN after each.
 LayerPtr basic_block(std::int64_t in_c, std::int64_t out_c,
                      std::int64_t stride) {
   auto branch = std::make_unique<Network>("basic");
   branch->emplace<Conv2d>(in_c, out_c, 3, stride, 1, /*bias=*/false);
-  branch->emplace<BatchNorm2d>(out_c);
-  branch->emplace<ReLU>();
+  add_bn_relu(*branch, out_c);
   branch->emplace<Conv2d>(out_c, out_c, 3, 1, 1, /*bias=*/false);
   branch->emplace<BatchNorm2d>(out_c);
 
@@ -66,8 +67,6 @@ LayerPtr basic_block(std::int64_t in_c, std::int64_t out_c,
   return std::make_unique<ResidualBlock>(std::move(branch),
                                          std::move(shortcut));
 }
-
-}  // namespace
 
 Shape alexnet_input() { return {1, 3, 227, 227}; }
 Shape resnet_input() { return {1, 3, 224, 224}; }

@@ -28,6 +28,26 @@ Shape resnet_input();    // 3 x 224 x 224
 std::unique_ptr<Network> alexnet(std::int64_t classes = 1000,
                                  AlexNetNorm norm = AlexNetNorm::kLRN);
 
+// Residual branches (bottleneck and basic blocks, in resnet and
+// tiny_resnet) run every BN that a ReLU follows as one fused BatchNorm2d
+// ("bn_relu(C)") instead of a bn + relu layer pair. Parameter and buffer
+// names inside those branches therefore carry the fused layer's name and
+// indices shifted by the removed ReLU layers: checkpoints of residual nets
+// written before the fusion do not load into these nets. Top-level layers
+// (the stem's bn/relu, the head) keep their names.
+
+/// Bottleneck residual block: 1x1 (stride) -> 3x3 -> 1x1 expand to
+/// 4 * mid_c, BN after each conv, the first two with their ReLU fused;
+/// projection shortcut (1x1 conv + BN) when the shape changes.
+LayerPtr bottleneck(std::int64_t in_c, std::int64_t mid_c,
+                    std::int64_t stride);
+
+/// Basic residual block: two 3x3 convs (the first strided), BN after each,
+/// the first with its ReLU fused; projection shortcut when the shape
+/// changes.
+LayerPtr basic_block(std::int64_t in_c, std::int64_t out_c,
+                     std::int64_t stride);
+
 /// ResNet for ImageNet; depth in {18, 34, 50}. 50 uses bottleneck blocks
 /// with stride on the first 1x1 (He et al. 2016 original), giving the
 /// 7.7 GFLOP count the paper quotes.

@@ -86,7 +86,18 @@ void Network::plan_self(const Shape& input, bool training) {
 
 void Network::do_forward(const Tensor& x, Tensor& y, bool training,
                          const ComputeContext& ctx, PlanContext& pc) {
+  const Tensor& last = forward_view(x, training, ctx, pc);
+  // The caller owns y; hand it the final activation. Backward reads the
+  // arena slice, not y.
+  y.resize(last.shape());
+  copy(ctx, last.span(), y.span());
+}
+
+const Tensor& Network::forward_view(const Tensor& x, bool training,
+                                    const ComputeContext& ctx,
+                                    PlanContext& pc) {
   if (layers_.empty()) throw std::logic_error("Network::forward: empty net");
+  MINSGD_CHECK(!x.empty(), name(), "::forward: empty input");
   // Span names are built only when tracing is on; the disabled path costs
   // one atomic load per layer.
   const bool traced = obs::tracer().enabled();
@@ -113,10 +124,7 @@ void Network::do_forward(const Tensor& x, Tensor& y, bool training,
     layers_[i]->forward(*cur, out, training, ctx, &run);
     cur = &out;
   }
-  // The caller owns y; hand it the final activation. Backward reads the
-  // arena slice, not y.
-  y.resize(cur->shape());
-  copy(ctx, cur->span(), y.span());
+  return *cur;
 }
 
 void Network::do_backward(const Tensor& x, const Tensor& /*y*/,

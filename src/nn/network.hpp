@@ -66,6 +66,20 @@ class Network final : public Layer {
   /// activation's arena slice.
   bool backward_reads_output() const override { return false; }
 
+  /// forward() without the final copy: runs the layers and returns the
+  /// last activation's arena slice, which stays valid while that slice is
+  /// live in the plan `pc` carries (or, when the network runs on its own
+  /// plan, until its next forward). A container that reads a nested
+  /// network's output in place (ResidualBlock) calls this and extends
+  /// output_id()'s liveness to its own last read.
+  const Tensor& forward_view(const Tensor& x, bool training,
+                             const ComputeContext& ctx, PlanContext& pc);
+
+  /// Arena id of the last activation, from the most recent plan walk.
+  TensorId output_id() const {
+    return plan_act_.empty() ? kNoTensor : plan_act_.back();
+  }
+
   /// The plan this network owns: the one its last top-level forward ran on
   /// (unbuilt until then). Nested runs use the enclosing plan instead.
   const ExecutionPlan& plan() const { return plan_; }

@@ -13,11 +13,18 @@ namespace minsgd::nn {
 
 /// Per-channel batch normalization over NCHW with learnable scale (gamma)
 /// and shift (beta) and running statistics for inference.
+///
+/// With `fuse_relu`, the layer is BN followed by ReLU in one pass: forward
+/// clamps as it writes y = max(bn(x), 0), and backward folds the y > 0 mask
+/// into its reductions and its dx pass. The arithmetic is the unfused
+/// pair's, element for element, so the bytes match a BatchNorm2d + ReLU
+/// stack; the pre-activation tensor never exists.
 class BatchNorm2d final : public Layer {
  public:
   explicit BatchNorm2d(std::int64_t channels, float eps = 1e-5f,
-                       float momentum = 0.9f);
+                       float momentum = 0.9f, bool fuse_relu = false);
 
+  /// "bn(C)", or "bn_relu(C)" with the fused ReLU.
   std::string name() const override;
   Shape output_shape(const Shape& input) const override { return input; }
   std::vector<ParamRef> params() override;
@@ -28,9 +35,10 @@ class BatchNorm2d final : public Layer {
   const Tensor& running_var() const { return running_var_; }
 
   /// Backward consumes the cached xhat_/batch_inv_std_ from the training
-  /// forward; x and y supply shapes only.
+  /// forward; x supplies its shape only. The fused ReLU's mask is y > 0, so
+  /// the fused layer reads y's data.
   bool backward_reads_input() const override { return false; }
-  bool backward_reads_output() const override { return false; }
+  bool backward_reads_output() const override { return relu_; }
 
  protected:
   void do_forward(const Tensor& x, Tensor& y, bool training,
@@ -40,13 +48,24 @@ class BatchNorm2d final : public Layer {
                    PlanContext& pc) override;
 
  private:
+  template <bool kRelu>
+  void forward_impl(const Tensor& x, Tensor& y, bool training,
+                    const ComputeContext& ctx);
+  template <bool kRelu>
+  void backward_impl(const Tensor& y, const Tensor& dy, Tensor& dx,
+                     const ComputeContext& ctx);
+
   std::int64_t c_;
   float eps_, momentum_;
+  bool relu_;
   Tensor gamma_, beta_, dgamma_, dbeta_;
   Tensor running_mean_, running_var_;
   // Cached by the last training forward, consumed by backward.
   Tensor xhat_;
   Tensor batch_inv_std_;
+  // Whether the last forward was a training one: an eval forward leaves
+  // xhat_/batch_inv_std_ describing an older batch.
+  bool last_was_training_ = false;
 };
 
 /// Across-channel local response normalization (Krizhevsky 2012 / Caffe):

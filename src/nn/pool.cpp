@@ -1,6 +1,7 @@
 #include "nn/pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -38,36 +39,68 @@ Shape MaxPool2d::output_shape(const Shape& input) const {
   return pooled_shape(input, k_, stride_, pad_, "MaxPool2d");
 }
 
+namespace {
+
+/// One tap of every window in a max-pool output row: for each output column
+/// j in [j_lo, j_hi), input column j * stride + off of `row` is that
+/// window's next tap in row-major order. The running max keeps the first
+/// maximum (strict >). Every operand is loaded unconditionally, so the
+/// selects vectorize across columns; kStride > 0 fixes the stride at
+/// compile time (the strided load then vectorizes too), 0 takes `stride`.
+template <std::int64_t kStride>
+void pool_taps(const float* row, std::int64_t row_base, std::int64_t stride,
+               std::int64_t off, std::int64_t j_lo, std::int64_t j_hi,
+               float* best, std::int32_t* best_idx) {
+  const std::int64_t st = kStride > 0 ? kStride : stride;
+  for (std::int64_t j = j_lo; j < j_hi; ++j) {
+    const std::int64_t c = j * st + off;
+    const float v = row[c];
+    const float b = best[j];
+    const std::int32_t bi = best_idx[j];
+    const bool take = v > b;
+    best[j] = take ? v : b;
+    best_idx[j] = take ? static_cast<std::int32_t>(row_base + c) : bi;
+  }
+}
+
+}  // namespace
+
 void MaxPool2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
                            const ComputeContext& ctx, PlanContext& /*pc*/) {
   const Shape out = output_shape(x.shape());
-  y.resize(out);
-  argmax_.assign(static_cast<std::size_t>(out.numel()), -1);
-  const std::int64_t batch = out[0], ch = out[1], oh = out[2], ow = out[3];
   const std::int64_t h = x.shape()[2], w = x.shape()[3];
-  ctx.parallel_for(0, batch, [&](std::int64_t n_lo, std::int64_t n_hi) {
-  for (std::int64_t n = n_lo; n < n_hi; ++n) {
-    for (std::int64_t c = 0; c < ch; ++c) {
-      for (std::int64_t i = 0; i < oh; ++i) {
-        for (std::int64_t j = 0; j < ow; ++j) {
-          const std::int64_t oi = ((n * ch + c) * oh + i) * ow + j;
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          for (std::int64_t ki = 0; ki < k_; ++ki) {
-            const std::int64_t ih = i * stride_ - pad_ + ki;
-            if (ih < 0 || ih >= h) continue;
-            for (std::int64_t kj = 0; kj < k_; ++kj) {
-              const std::int64_t iw = j * stride_ - pad_ + kj;
-              if (iw < 0 || iw >= w) continue;
-              const float v = x.at(n, c, ih, iw);
-              if (v > best) {
-                best = v;
-                best_idx = ((n * ch + c) * h + ih) * w + iw;
-              }
-            }
-          }
-          y[oi] = best;
-          argmax_[static_cast<std::size_t>(oi)] = best_idx;
+  if (h * w > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("MaxPool2d: input plane too large " +
+                                x.shape().str());
+  }
+  y.resize(out);
+  argmax_.resize(static_cast<std::size_t>(out.numel()));
+  const std::int64_t planes = out[0] * out[1], oh = out[2], ow = out[3];
+  const std::int64_t k = k_, stride = stride_, pad = pad_;
+  const auto taps = stride == 2 ? pool_taps<2> : pool_taps<0>;
+  // Every (n, c) plane is independent. An output row is built in place in
+  // y and argmax_: each in-bounds input row of its windows (a clamped
+  // range, so padding is never read), then each column tap, is one pass
+  // over the output columns whose window holds that tap — so every window
+  // sees its taps in row-major order.
+  ctx.parallel_for(0, planes, [&](std::int64_t p_lo, std::int64_t p_hi) {
+  for (std::int64_t p = p_lo; p < p_hi; ++p) {
+    const float* src = x.data() + p * h * w;
+    for (std::int64_t i = 0; i < oh; ++i) {
+      float* best = y.data() + (p * oh + i) * ow;
+      std::int32_t* best_idx = argmax_.data() + (p * oh + i) * ow;
+      std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
+      std::fill(best_idx, best_idx + ow, -1);
+      const std::int64_t h0 = i * stride - pad;
+      const std::int64_t r_hi = std::min(h0 + k, h);
+      for (std::int64_t r = std::max<std::int64_t>(h0, 0); r < r_hi; ++r) {
+        for (std::int64_t kj = 0; kj < k; ++kj) {
+          // Columns j whose tap j * stride + off lies inside the row.
+          const std::int64_t off = kj - pad;
+          const std::int64_t j_lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+          const std::int64_t j_hi =
+              off >= w ? 0 : std::min(ow, (w - 1 - off) / stride + 1);
+          taps(src + r * w, r * w, stride, off, j_lo, j_hi, best, best_idx);
         }
       }
     }
@@ -78,18 +111,26 @@ void MaxPool2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
 void MaxPool2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                             Tensor& dx, const ComputeContext& ctx,
                             PlanContext& /*pc*/) {
+  MINSGD_CHECK(static_cast<std::int64_t>(argmax_.size()) == y.numel(),
+               name(), "::backward: no forward at this shape");
   dx.resize(x.shape());
-  dx.zero();
-  // Parallel over the batch only: every argmax index of image n lies inside
-  // image n's slice of dx, so chunks write disjoint ranges.
-  const std::int64_t batch = y.shape()[0];
-  const std::int64_t per_img = y.numel() / std::max<std::int64_t>(1, batch);
+  // Every argmax of plane p lies inside plane p of dx, so plane chunks
+  // write disjoint ranges; within a plane, gradients accumulate in output
+  // order.
+  const std::int64_t planes = y.shape()[0] * y.shape()[1];
+  const std::int64_t in_plane = x.shape()[2] * x.shape()[3];
+  const std::int64_t out_plane = y.shape()[2] * y.shape()[3];
   ctx.parallel_for(
-      0, batch,
-      [&](std::int64_t n_lo, std::int64_t n_hi) {
-        for (std::int64_t i = n_lo * per_img; i < n_hi * per_img; ++i) {
-          const std::int64_t src = argmax_[static_cast<std::size_t>(i)];
-          if (src >= 0) dx[src] += dy[i];
+      0, planes,
+      [&](std::int64_t p_lo, std::int64_t p_hi) {
+        for (std::int64_t p = p_lo; p < p_hi; ++p) {
+          float* dst = dx.data() + p * in_plane;
+          const float* g = dy.data() + p * out_plane;
+          const std::int32_t* arg = argmax_.data() + p * out_plane;
+          std::fill(dst, dst + in_plane, 0.0f);
+          for (std::int64_t o = 0; o < out_plane; ++o) {
+            if (arg[o] >= 0) dst[arg[o]] += g[o];
+          }
         }
       },
       /*grain=*/1);

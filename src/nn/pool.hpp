@@ -8,7 +8,10 @@
 
 namespace minsgd::nn {
 
-/// Max pooling over NCHW. Caches argmax indices for backward.
+/// Max pooling over NCHW. Caches argmax indices for backward. Padding is
+/// never a candidate, and ties go to the first maximum in row-major tap
+/// order; a window with no value above -inf (all -inf or NaN) yields -inf
+/// and routes no gradient.
 class MaxPool2d final : public Layer {
  public:
   MaxPool2d(std::int64_t kernel, std::int64_t stride, std::int64_t pad = 0);
@@ -30,7 +33,9 @@ class MaxPool2d final : public Layer {
 
  private:
   std::int64_t k_, stride_, pad_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output element
+  // Per output element, the argmax's offset inside its (n, c) input plane,
+  // or -1. Resized, never refilled: forward writes every element.
+  std::vector<std::int32_t> argmax_;
 };
 
 /// Average pooling over NCHW (zero-padded cells count toward the divisor,

@@ -34,18 +34,12 @@ bool ResidualBlock::backward_reads_input() const {
 Shape ResidualBlock::plan_forward(PlanBuilder& builder, const Shape& input) {
   plan_epoch_ = builder.epoch();
   const Shape out = branch_->plan_forward(builder, input);
-  // branch_out is written by the branch's final copy step (the last step of
-  // its forward region) and read at the add step below.
-  const std::int32_t s_branch_done = builder.now();
-  std::int32_t s_shortcut_done = 0;
-  if (shortcut_) {
-    shortcut_->plan_forward(builder, input);
-    s_shortcut_done = builder.now();
-  }
-  const std::int32_t s_add = builder.tick();  // add + relu into y
-  plan_branch_out_ = builder.add(out, s_branch_done, s_add);
-  plan_shortcut_out_ =
-      shortcut_ ? builder.add(out, s_shortcut_done, s_add) : kNoTensor;
+  if (shortcut_) shortcut_->plan_forward(builder, input);
+  // add + relu into y reads the branch's and the shortcut's last arena
+  // activations in place, so both stay live up to this step.
+  const std::int32_t s_add = builder.tick();
+  builder.extend(branch_->output_id(), s_add);
+  if (shortcut_) builder.extend(shortcut_->output_id(), s_add);
   return out;
 }
 
@@ -83,21 +77,25 @@ PlanContext& ResidualBlock::planned(PlanContext& pc) const {
 
 void ResidualBlock::do_forward(const Tensor& x, Tensor& y, bool training,
                                const ComputeContext& ctx, PlanContext& pc) {
-  ExecutionPlan& plan = *planned(pc).plan();
-  Tensor& bo = plan.tensor(plan_branch_out_);
-  branch_->forward(x, bo, training, ctx, &pc);
-  const Tensor* sc = &x;
-  if (shortcut_) {
-    Tensor& so = plan.tensor(plan_shortcut_out_);
-    shortcut_->forward(x, so, training, ctx, &pc);
-    sc = &so;
-  }
-  if (bo.shape() != sc->shape()) {
+  planned(pc);
+  const Tensor& bo = branch_->forward_view(x, training, ctx, pc);
+  const Tensor& sc =
+      shortcut_ ? shortcut_->forward_view(x, training, ctx, pc) : x;
+  if (bo.shape() != sc.shape()) {
     throw std::logic_error("ResidualBlock: shape mismatch at add");
   }
   y.resize(bo.shape());
-  add(ctx, bo.span(), sc->span(), y.span());
-  relu_inplace(ctx, y.span());
+  // y = relu(branch + shortcut) in one pass: the same float add and the
+  // same select as add() followed by relu_inplace().
+  const float* a = bo.data();
+  const float* b = sc.data();
+  float* out = y.data();
+  ctx.parallel_for(0, y.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const float v = a[i] + b[i];
+      out[i] = v > 0.0f ? v : 0.0f;
+    }
+  });
 }
 
 void ResidualBlock::do_backward(const Tensor& x, const Tensor& y,
@@ -106,19 +104,25 @@ void ResidualBlock::do_backward(const Tensor& x, const Tensor& y,
   ExecutionPlan& plan = *planned(pc).plan();
   Tensor& ds = plan.tensor(plan_d_sum_);
   Tensor& dbi = plan.tensor(plan_d_branch_in_);
-  // Through the final ReLU: pass gradient where y > 0.
+  // Through the final ReLU: pass gradient where y > 0. dy is loaded on both
+  // sides of the mask so the compiler emits a select, not a branch.
   ds.resize(y.shape());
+  const float* yp = y.data();
+  const float* gp = dy.data();
+  float* dsp = ds.data();
   ctx.parallel_for(0, y.numel(), [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
-      ds[i] = y[i] > 0.0f ? dy[i] : 0.0f;
+      const float g = gp[i];
+      dsp[i] = yp[i] > 0.0f ? g : 0.0f;
     }
   });
   // The add fans the gradient out to both the branch and the shortcut.
-  branch_->backward(x, plan.tensor(plan_branch_out_), ds, dbi, ctx, &pc);
+  // Both sub-networks read only y's shape (their outputs' shape) here.
+  branch_->backward(x, y, ds, dbi, ctx, &pc);
   dx.resize(x.shape());
   if (shortcut_) {
     Tensor& dsi = plan.tensor(plan_d_shortcut_in_);
-    shortcut_->backward(x, plan.tensor(plan_shortcut_out_), ds, dsi, ctx, &pc);
+    shortcut_->backward(x, y, ds, dsi, ctx, &pc);
     add(ctx, dbi.span(), dsi.span(), dx.span());
   } else {
     add(ctx, dbi.span(), ds.span(), dx.span());

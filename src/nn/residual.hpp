@@ -4,10 +4,12 @@
 // the block composes from the same layers the rest of the stack uses — and
 // the memory planner recurses into them the same way: plan_forward walks
 // branch then shortcut then the add/relu step, plan_backward mirrors the
-// relu-mask → branch backward → shortcut backward → combine order. Its
-// intermediate tensors live only in the plan's arena, so a block runs only
-// inside a planned Network (a standalone call is a CHECK failure; wrap it in
-// a one-layer Network).
+// relu-mask → branch backward → shortcut backward → combine order. The
+// add/relu step reads both sub-networks' last activations in place
+// (Network::forward_view), so neither is copied out. Its intermediate
+// tensors live only in the plan's arena, so a block runs only inside a
+// planned Network (a standalone call is a CHECK failure; wrap it in a
+// one-layer Network).
 #pragma once
 
 #include <memory>
@@ -58,10 +60,7 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Network> branch_;
   std::unique_ptr<Network> shortcut_;  // nullptr = identity
 
-  // Arena ids from the plan walk: the branch/shortcut outputs and the
-  // backward gradients through the add.
-  TensorId plan_branch_out_ = kNoTensor;
-  TensorId plan_shortcut_out_ = kNoTensor;
+  // Arena ids from the plan walk: the backward gradients through the add.
   TensorId plan_d_sum_ = kNoTensor;
   TensorId plan_d_branch_in_ = kNoTensor;
   TensorId plan_d_shortcut_in_ = kNoTensor;

@@ -198,6 +198,10 @@ TEST(LayerDeterminism, MaxPool) {
   expect_layer_thread_invariant(
       [] { return std::make_unique<nn::MaxPool2d>(3, 2); },
       Shape({6, 4, 11, 11}));
+  // The ResNet stem geometry: 3/s2/p1 at 112x112.
+  expect_layer_thread_invariant(
+      [] { return std::make_unique<nn::MaxPool2d>(3, 2, 1); },
+      Shape({2, 4, 112, 112}));
 }
 
 TEST(LayerDeterminism, AvgPool) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "grad_check.hpp"
 #include "nn/activation.hpp"
 #include "nn/dropout.hpp"
@@ -133,6 +138,159 @@ TEST(MaxPool, PaddedPoolIgnoresPadding) {
   p.forward(x, y, false);
   // With negative inputs, zero padding must NOT win (it is skipped, not 0).
   EXPECT_EQ(y[0], -1.0f);
+}
+
+// The argmax rule the forward must keep: each window scans its in-bounds
+// taps (padding is never a candidate) in row-major order with a strict >,
+// so ties go to the first maximum; backward adds dy into the chosen tap in
+// output order. naive_maxpool is that rule written out, one window at a
+// time with full 4-D indexing.
+struct PoolResult {
+  Tensor y, dx;
+};
+
+PoolResult naive_maxpool(const Tensor& x, const Tensor& dy, std::int64_t k,
+                         std::int64_t stride, std::int64_t pad) {
+  const std::int64_t batch = x.shape()[0], ch = x.shape()[1];
+  const std::int64_t h = x.shape()[2], w = x.shape()[3];
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  PoolResult r{Tensor({batch, ch, oh, ow}), Tensor(x.shape())};
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t c = 0; c < ch; ++c) {
+      for (std::int64_t i = 0; i < oh; ++i) {
+        for (std::int64_t j = 0; j < ow; ++j) {
+          float best = -std::numeric_limits<float>::infinity();
+          std::int64_t bi = -1, bj = -1;
+          for (std::int64_t ki = 0; ki < k; ++ki) {
+            for (std::int64_t kj = 0; kj < k; ++kj) {
+              const std::int64_t ih = i * stride - pad + ki;
+              const std::int64_t iw = j * stride - pad + kj;
+              if (ih < 0 || ih >= h || iw < 0 || iw >= w) continue;
+              if (x.at(n, c, ih, iw) > best) {
+                best = x.at(n, c, ih, iw);
+                bi = ih;
+                bj = iw;
+              }
+            }
+          }
+          r.y.at(n, c, i, j) = best;
+          if (bi >= 0) r.dx.at(n, c, bi, bj) += dy.at(n, c, i, j);
+        }
+      }
+    }
+  }
+  return r;
+}
+
+/// Runs the layer forward and backward and checks y and dx against
+/// naive_maxpool bit for bit.
+void expect_pool_matches_naive(const Tensor& x, std::int64_t k,
+                               std::int64_t stride, std::int64_t pad) {
+  nn::MaxPool2d p(k, stride, pad);
+  Tensor y, dx;
+  p.forward(x, y, true);
+  Tensor dy(y.shape());
+  Rng rng(static_cast<std::uint64_t>(k * 100 + stride * 10 + pad));
+  rng.fill_normal(dy.span(), 0.0f, 1.0f);
+  p.backward(x, y, dy, dx);
+  const PoolResult ref = naive_maxpool(x, dy, k, stride, pad);
+  ASSERT_EQ(y.shape(), ref.y.shape());
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+              std::bit_cast<std::uint32_t>(ref.y[i]))
+        << "y at " << i << " k=" << k << " s=" << stride << " p=" << pad;
+  }
+  for (std::int64_t i = 0; i < dx.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(dx[i]),
+              std::bit_cast<std::uint32_t>(ref.dx[i]))
+        << "dx at " << i << " k=" << k << " s=" << stride << " p=" << pad;
+  }
+}
+
+TEST(MaxPool, AllEqualWindowRoutesToFirstTap) {
+  nn::MaxPool2d p(2, 2);
+  Tensor x({1, 1, 4, 4}, 3.0f), y, dx;
+  p.forward(x, y, true);
+  const Tensor dy(y.shape(), 1.0f);
+  p.backward(x, y, dy, dx);
+  // Each 2x2 window's first tap in row-major order is its top-left.
+  for (std::int64_t i = 0; i < 4; ++i) {
+    for (std::int64_t j = 0; j < 4; ++j) {
+      const float want = (i % 2 == 0 && j % 2 == 0) ? 1.0f : 0.0f;
+      EXPECT_EQ(dx.at(0, 0, i, j), want) << i << "," << j;
+    }
+  }
+  // Overlapping windows (the ResNet stem geometry) on equal values.
+  expect_pool_matches_naive(Tensor({1, 2, 7, 7}, 3.0f), 3, 2, 1);
+}
+
+TEST(MaxPool, AllZeroPostReluWindowRoutesToFirstTap) {
+  // A post-ReLU map of negative pre-activations is all +0: every window
+  // ties, and dy goes to its first in-bounds tap.
+  Tensor pre({2, 3, 9, 8}, -1.0f), x;
+  nn::ReLU relu;
+  relu.forward(pre, x, false);
+  nn::MaxPool2d p(3, 2, 1);
+  Tensor y, dx;
+  p.forward(x, y, true);
+  const Tensor dy(y.shape(), 1.0f);
+  p.backward(x, y, dy, dx);
+  // Output (i, j)'s first in-bounds tap is (max(2i - 1, 0), max(2j - 1, 0)).
+  Tensor want(x.shape());
+  for (std::int64_t n = 0; n < 2; ++n) {
+    for (std::int64_t c = 0; c < 3; ++c) {
+      for (std::int64_t i = 0; i < y.shape()[2]; ++i) {
+        for (std::int64_t j = 0; j < y.shape()[3]; ++j) {
+          want.at(n, c, std::max<std::int64_t>(2 * i - 1, 0),
+                  std::max<std::int64_t>(2 * j - 1, 0)) += 1.0f;
+        }
+      }
+    }
+  }
+  for (std::int64_t i = 0; i < dx.numel(); ++i) {
+    EXPECT_EQ(dx[i], want[i]) << "at " << i;
+  }
+  expect_pool_matches_naive(x, 3, 2, 1);
+}
+
+TEST(MaxPool, PaddedBorderWindowsNeverIndexPadding) {
+  // All inputs below zero: a padded zero would win every border window if
+  // padding were a candidate. And an all -inf map has no max above the
+  // initial -inf, so nothing is routed (no tap, and no padding, is picked).
+  for (const float v : {-5.0f, -std::numeric_limits<float>::infinity()}) {
+    Tensor x({1, 2, 6, 5}, v);
+    nn::MaxPool2d p(3, 2, 1);
+    Tensor y, dx;
+    p.forward(x, y, true);
+    for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], v);
+    const Tensor dy(y.shape(), 1.0f);
+    p.backward(x, y, dy, dx);
+    double routed = 0.0;
+    for (std::int64_t i = 0; i < dx.numel(); ++i) routed += dx[i];
+    EXPECT_EQ(routed, v > -std::numeric_limits<float>::infinity()
+                          ? static_cast<double>(y.numel())
+                          : 0.0);
+    expect_pool_matches_naive(x, 3, 2, 1);
+  }
+}
+
+TEST(MaxPool, TiesMatchNaiveScanAcrossGeometries) {
+  // Values from {0, 1, 2}: most windows hold ties. Geometries cover the
+  // ResNet stem (3/s2/p1, odd and even sizes), AlexNet's 3/s2, the
+  // proxies' 2/s2, stride 1, and a window wider than its stride.
+  struct Geom {
+    std::int64_t k, stride, pad, h, w;
+  };
+  const Geom geoms[] = {{3, 2, 1, 12, 12}, {3, 2, 1, 11, 9}, {3, 2, 0, 13, 13},
+                        {2, 2, 0, 10, 8},  {3, 1, 1, 7, 6},  {5, 3, 2, 11, 10},
+                        {3, 2, 1, 40, 37}};
+  Rng rng(8);
+  for (const Geom& g : geoms) {
+    Tensor x({2, 3, g.h, g.w});
+    for (auto& v : x.span()) v = static_cast<float>(rng.uniform_int(3));
+    expect_pool_matches_naive(x, g.k, g.stride, g.pad);
+  }
 }
 
 // ---------------- AvgPool ----------------

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "grad_check.hpp"
+#include "nn/activation.hpp"
 #include "nn/norm.hpp"
+#include "tensor/context.hpp"
+#include "tensor/kernels/dispatch.hpp"
 
 namespace minsgd {
 namespace {
@@ -77,6 +82,34 @@ TEST(BatchNorm, BackwardWithoutForwardThrows) {
   EXPECT_THROW(bn.backward(x, y, dy, dx), std::logic_error);
 }
 
+TEST(BatchNorm, BackwardAfterEvalForwardThrows) {
+  // An eval forward of the same shape leaves xhat_/batch_inv_std_ from the
+  // older training forward in place; backward must refuse them.
+  nn::BatchNorm2d bn(2);
+  Rng rng(4);
+  Tensor x({2, 2, 3, 3}), y, dx;
+  rng.fill_normal(x.span(), 0.0f, 1.0f);
+  bn.forward(x, y, /*training=*/true);
+  bn.forward(x, y, /*training=*/false);
+  const Tensor dy(y.shape(), 1.0f);
+  EXPECT_THROW(bn.backward(x, y, dy, dx), std::logic_error);
+  // A fresh training forward makes backward legal again.
+  bn.forward(x, y, /*training=*/true);
+  EXPECT_NO_THROW(bn.backward(x, y, dy, dx));
+}
+
+TEST(BatchNorm, FusedReluNameAndLiveness) {
+  const nn::BatchNorm2d plain(8);
+  const nn::BatchNorm2d fused(8, 1e-5f, 0.9f, /*fuse_relu=*/true);
+  EXPECT_EQ(plain.name(), "bn(8)");
+  EXPECT_EQ(fused.name(), "bn_relu(8)");
+  // The fused backward masks on y > 0, so the planner must keep y alive;
+  // neither reads x (xhat is cached).
+  EXPECT_FALSE(plain.backward_reads_output());
+  EXPECT_TRUE(fused.backward_reads_output());
+  EXPECT_FALSE(fused.backward_reads_input());
+}
+
 TEST(BatchNorm, GradCheck) {
   nn::BatchNorm2d bn(3);
   testing::check_gradients(bn, {4, 3, 3, 3}, /*seed=*/11,
@@ -102,6 +135,205 @@ TEST(BatchNorm, InitResetsState) {
   bn.init(rng);
   EXPECT_EQ((*params[0].value)[0], 1.0f);
   EXPECT_EQ((*params[1].value)[0], 0.0f);
+}
+
+// ---------------- Fused BN -> ReLU oracle ----------------
+//
+// BatchNorm2d(fuse_relu) must reproduce, byte for byte, a BatchNorm2d
+// followed by a ReLU, and both must reproduce an in-test scalar reference
+// that reduces one channel at a time (the layer interleaves channel
+// reductions in groups; channel counts 1, 3, 5, 17 and 64 split those
+// groups unevenly). Checked: the training y, dx, dgamma, dbeta, the running
+// statistics, and an eval forward after them, at threads {1, 2, 3, 4, 8},
+// on the portable kernel path and on the dispatched default.
+
+/// Everything one BN(+ReLU) step produces.
+struct BnTrace {
+  std::vector<float> y, dx, dgamma, dbeta, running_mean, running_var, eval_y;
+};
+
+constexpr float kEps = 1e-5f, kMomentum = 0.9f;
+
+std::vector<float> floats(const Tensor& t) {
+  return {t.span().begin(), t.span().end()};
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Random gamma/beta shared by every variant of one case.
+void set_affine(nn::BatchNorm2d& bn, std::uint64_t seed) {
+  auto params = bn.params();
+  Rng rng(seed);
+  rng.fill_normal(params[0].value->span(), 1.0f, 0.5f);  // gamma
+  rng.fill_normal(params[1].value->span(), 0.0f, 0.5f);  // beta
+}
+
+BnTrace trace_of(nn::BatchNorm2d& bn, const Tensor& y, const Tensor& dx,
+                 const Tensor& eval_y) {
+  auto params = bn.params();
+  return {floats(y),
+          floats(dx),
+          floats(*params[0].grad),
+          floats(*params[1].grad),
+          floats(bn.running_mean()),
+          floats(bn.running_var()),
+          floats(eval_y)};
+}
+
+BnTrace run_fused(std::int64_t c, const Tensor& x, const Tensor& dy,
+                  const ComputeContext& ctx) {
+  nn::BatchNorm2d bn(c, kEps, kMomentum, /*fuse_relu=*/true);
+  set_affine(bn, 99);
+  Tensor y, dx, eval_y;
+  bn.forward(x, y, /*training=*/true, ctx);
+  bn.backward(x, y, dy, dx, ctx);
+  bn.forward(x, eval_y, /*training=*/false, ctx);
+  return trace_of(bn, y, dx, eval_y);
+}
+
+BnTrace run_pair(std::int64_t c, const Tensor& x, const Tensor& dy,
+                 const ComputeContext& ctx) {
+  nn::BatchNorm2d bn(c, kEps, kMomentum);
+  nn::ReLU relu;
+  set_affine(bn, 99);
+  Tensor pre, y, dpre, dx, eval_pre, eval_y;
+  bn.forward(x, pre, /*training=*/true, ctx);
+  relu.forward(pre, y, /*training=*/true, ctx);
+  relu.backward(pre, y, dy, dpre, ctx);
+  bn.backward(x, pre, dpre, dx, ctx);
+  bn.forward(x, eval_pre, /*training=*/false, ctx);
+  relu.forward(eval_pre, eval_y, /*training=*/false, ctx);
+  return trace_of(bn, y, dx, eval_y);
+}
+
+/// The scalar reference: one channel at a time, double accumulators in
+/// batch-then-spatial order, the layer's float expressions verbatim.
+BnTrace run_scalar(std::int64_t c, const Tensor& x, const Tensor& dy) {
+  nn::BatchNorm2d shape_only(c);
+  set_affine(shape_only, 99);
+  const auto params = shape_only.params();
+  const Tensor& gamma = *params[0].value;
+  const Tensor& beta = *params[1].value;
+  const std::int64_t batch = x.shape()[0];
+  const std::int64_t spatial = x.shape()[2] * x.shape()[3];
+  const std::int64_t m = batch * spatial;
+  const float inv_m = 1.0f / static_cast<float>(m);
+  BnTrace t;
+  t.y.resize(static_cast<std::size_t>(x.numel()));
+  t.dx.resize(t.y.size());
+  t.eval_y.resize(t.y.size());
+  std::vector<float> xhat(t.y.size());
+  const auto relu = [](float v) { return v > 0.0f ? v : 0.0f; };
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    const auto at = [&](std::int64_t n, std::int64_t s) {
+      return static_cast<std::size_t>((n * c + ch) * spatial + s);
+    };
+    double acc = 0.0;
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t s = 0; s < spatial; ++s) acc += x.data()[at(n, s)];
+    }
+    const float mean = static_cast<float>(acc / static_cast<double>(m));
+    double vacc = 0.0;
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const double d = x.data()[at(n, s)] - mean;
+        vacc += d * d;
+      }
+    }
+    const float var = static_cast<float>(vacc / static_cast<double>(m));
+    // The fresh layer's running statistics, read at run time like the
+    // layer reads them (a folded constant would change which product the
+    // compiler may contract into an FMA).
+    const float rm0 = shape_only.running_mean()[ch];
+    const float rv0 = shape_only.running_var()[ch];
+    const float rm = kMomentum * rm0 + (1 - kMomentum) * mean;
+    const float rv = kMomentum * rv0 + (1 - kMomentum) * var;
+    t.running_mean.push_back(rm);
+    t.running_var.push_back(rv);
+    const float inv_std = 1.0f / std::sqrt(var + kEps);
+    const float g = gamma[ch], b = beta[ch];
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const float h = (x.data()[at(n, s)] - mean) * inv_std;
+        xhat[at(n, s)] = h;
+        const float v = g * h + b;
+        t.y[at(n, s)] = relu(v);
+      }
+    }
+    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const float gv = t.y[at(n, s)] > 0.0f ? dy.data()[at(n, s)] : 0.0f;
+        sum_dy += gv;
+        sum_dy_xhat += static_cast<double>(gv) * xhat[at(n, s)];
+      }
+    }
+    t.dbeta.push_back(static_cast<float>(sum_dy));
+    t.dgamma.push_back(static_cast<float>(sum_dy_xhat));
+    const float coeff = g * inv_std;
+    const auto sdy = static_cast<float>(sum_dy);
+    const auto sdyx = static_cast<float>(sum_dy_xhat);
+    const float eval_inv_std = 1.0f / std::sqrt(rv + kEps);
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const std::size_t i = at(n, s);
+        const float gv = t.y[i] > 0.0f ? dy.data()[i] : 0.0f;
+        t.dx[i] = coeff * (gv - inv_m * (sdy + xhat[i] * sdyx));
+        const float h = (x.data()[i] - rm) * eval_inv_std;
+        const float v = g * h + b;
+        t.eval_y[i] = relu(v);
+      }
+    }
+  }
+  return t;
+}
+
+void expect_same(const BnTrace& a, const BnTrace& b, const std::string& what) {
+  EXPECT_TRUE(same_bits(a.y, b.y)) << what << ": y";
+  EXPECT_TRUE(same_bits(a.dx, b.dx)) << what << ": dx";
+  EXPECT_TRUE(same_bits(a.dgamma, b.dgamma)) << what << ": dgamma";
+  EXPECT_TRUE(same_bits(a.dbeta, b.dbeta)) << what << ": dbeta";
+  EXPECT_TRUE(same_bits(a.running_mean, b.running_mean))
+      << what << ": running_mean";
+  EXPECT_TRUE(same_bits(a.running_var, b.running_var))
+      << what << ": running_var";
+  EXPECT_TRUE(same_bits(a.eval_y, b.eval_y)) << what << ": eval y";
+}
+
+TEST(BnReluOracle, FusedMatchesPairAndScalarReferenceBitwise) {
+  for (const std::int64_t c : {1, 3, 5, 17, 64}) {
+    Tensor x({3, c, 5, 7}), dy({3, c, 5, 7});
+    Rng rng(static_cast<std::uint64_t>(1000 + c));
+    rng.fill_normal(x.span(), 0.3f, 1.5f);
+    rng.fill_normal(dy.span(), 0.0f, 1.0f);
+    const BnTrace ref = run_scalar(c, x, dy);
+    for (const bool portable : {true, false}) {
+      if (portable) {
+        kernels::force(kernels::Isa::kPortable);
+      } else {
+        kernels::clear_force();
+      }
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        const ComputeContext ctx(threads);
+        const std::string what = "c=" + std::to_string(c) + " threads=" +
+                                 std::to_string(threads) +
+                                 (portable ? " portable" : " default");
+        expect_same(run_fused(c, x, dy, ctx), ref, "fused vs scalar " + what);
+        expect_same(run_pair(c, x, dy, ctx), ref, "pair vs scalar " + what);
+      }
+    }
+  }
+  kernels::clear_force();
+}
+
+TEST(BnReluOracle, FusedGradCheck) {
+  nn::BatchNorm2d bn(5, kEps, kMomentum, /*fuse_relu=*/true);
+  testing::check_gradients(bn, {4, 5, 3, 3}, /*seed=*/17,
+                           {.step = 1e-3, .rel_tol = 3e-2, .abs_tol = 2e-4});
 }
 
 // ---------------- LRN ----------------

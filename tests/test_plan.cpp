@@ -291,6 +291,76 @@ TEST(ExecutionPlan, TinyResnetPlans) {
       [] { return nn::tiny_resnet(2, 10, 16); }, Shape({8, 3, 16, 16}));
 }
 
+/// A network holding one residual block.
+std::unique_ptr<nn::Network> one_block(nn::LayerPtr block) {
+  auto net = std::make_unique<nn::Network>("one-block");
+  net->add(std::move(block));
+  return net;
+}
+
+TEST(ExecutionPlan, ModelResidualBlocksMatchReference) {
+  // The zoo's blocks, fused BN+ReLU included, with identity and projection
+  // shortcuts: the planned block reads its branch's and shortcut's last
+  // arena activations in place and must still produce the walk's bytes.
+  testing::expect_planned_matches_reference(
+      [] { return one_block(nn::bottleneck(16, 4, 1)); },
+      Shape({2, 16, 8, 8}));
+  testing::expect_planned_matches_reference(
+      [] { return one_block(nn::bottleneck(8, 4, 2)); }, Shape({2, 8, 9, 9}));
+  testing::expect_planned_matches_reference(
+      [] { return one_block(nn::basic_block(8, 8, 1)); },
+      Shape({2, 8, 8, 8}));
+  testing::expect_planned_matches_reference(
+      [] { return one_block(nn::basic_block(8, 16, 2)); },
+      Shape({2, 8, 8, 8}));
+}
+
+/// nn::bottleneck(in_c, mid_c, 1) with identity shortcut, spelled with
+/// separate bn and relu layers.
+std::unique_ptr<nn::Network> unfused_bottleneck(std::int64_t in_c,
+                                                std::int64_t mid_c) {
+  auto branch = std::make_unique<nn::Network>("bottleneck");
+  branch->emplace<nn::Conv2d>(in_c, mid_c, 1, 1, 0, /*bias=*/false);
+  branch->emplace<nn::BatchNorm2d>(mid_c);
+  branch->emplace<nn::ReLU>();
+  branch->emplace<nn::Conv2d>(mid_c, mid_c, 3, 1, 1, /*bias=*/false);
+  branch->emplace<nn::BatchNorm2d>(mid_c);
+  branch->emplace<nn::ReLU>();
+  branch->emplace<nn::Conv2d>(mid_c, in_c, 1, 1, 0, /*bias=*/false);
+  branch->emplace<nn::BatchNorm2d>(in_c);
+  return one_block(std::make_unique<nn::ResidualBlock>(std::move(branch)));
+}
+
+TEST(ExecutionPlan, FusedBnReluDropsPreActivationSameBytes) {
+  // The fused layer has the pair's parameters in the pair's order, so both
+  // nets initialize identically and must train to the same bytes — while
+  // the fused plan holds two fewer tensors (the pre-activations) and less
+  // raw memory.
+  const Shape in({2, 16, 8, 8});
+  const ComputeContext ctx(2);
+  const testing::WalkTrace fused = testing::trace_steps(
+      [] { return one_block(nn::bottleneck(16, 4, 1)); },
+      random_tensor(in, 5), ctx, /*reference=*/false);
+  const testing::WalkTrace pair = testing::trace_steps(
+      [] { return unfused_bottleneck(16, 4); }, random_tensor(in, 5), ctx,
+      /*reference=*/false);
+  EXPECT_TRUE(testing::same_bits(fused.y, pair.y));
+  EXPECT_TRUE(testing::same_bits(fused.dx, pair.dx));
+  EXPECT_TRUE(testing::same_bits(fused.grads, pair.grads));
+  EXPECT_TRUE(testing::same_bits(fused.weights, pair.weights));
+  EXPECT_TRUE(testing::same_bits(fused.buffers, pair.buffers));
+  EXPECT_TRUE(testing::same_bits(fused.eval_y, pair.eval_y));
+
+  auto fused_net = one_block(nn::bottleneck(16, 4, 1));
+  auto pair_net = unfused_bottleneck(16, 4);
+  nn::ExecutionPlan fused_plan, pair_plan;
+  fused_plan.build(*fused_net, in, /*training=*/true);
+  pair_plan.build(*pair_net, in, /*training=*/true);
+  EXPECT_EQ(fused_plan.num_tensors() + 4, pair_plan.num_tensors())
+      << "each removed relu drops its activation and its gradient";
+  EXPECT_LT(fused_plan.raw_bytes(), pair_plan.raw_bytes());
+}
+
 /// One training step (forward, backward, SGD update) on `net` at `x`.
 void train_step(nn::Network& net, const Tensor& x, const ComputeContext& ctx) {
   Tensor y, dx;
