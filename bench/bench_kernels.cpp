@@ -5,28 +5,36 @@
 // writes bench_results/kernels.json (GFLOP/s per supported microkernel arm
 // and for the dispatched default, speedup over the pre-microkernel scalar
 // baseline, bitwise checksums across ISA arms, thread counts and conv
-// lowerings, forward and backward, and the non-GEMM layer rows: BN, fused
-// BN+ReLU, ReLU and max-pool at ResNet-50 shapes, with effective GB/s and a
-// checksum across thread counts), then the google-benchmark suite for
-// ad-hoc exploration. Exits non-zero if any checksum differs.
+// lowerings, forward and backward, the non-GEMM layer rows: BN, fused
+// BN+ReLU, ReLU and max-pool at ResNet-50 shapes, and the reduction rows:
+// the fused LARS norm pass, LARS steps, and the AlexNet proxy's max-pool
+// and conv bias gradient, each with effective GB/s and a checksum across
+// thread counts), then the google-benchmark suite for ad-hoc exploration.
+// Exits non-zero if any checksum differs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "comm/cluster.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
+#include "nn/models.hpp"
 #include "nn/norm.hpp"
 #include "nn/pool.hpp"
+#include "optim/lars.hpp"
 #include "tensor/context.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/dispatch.hpp"
+#include "tensor/kernels/reduce.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
@@ -255,6 +263,31 @@ double time_best(int reps, const Fn& fn) {
   return best;
 }
 
+/// One row of a threads-checked pass: times `run(ctx)` at one thread (best
+/// of 5), reports effective bandwidth over `bytes`, and compares the
+/// checksum of `check(ctx)` (the pass from a fixed start state, returning
+/// the bytes to compare) at threads {2, 3, 4} with the single-thread one.
+/// Returns false on a mismatch.
+template <typename Run, typename Check>
+bool threads_row(bench::JsonSummary& summary, const std::string& key,
+                 double bytes, const Run& run, const Check& check) {
+  const ComputeContext one(1);
+  const double t = time_best(5, [&] { run(one); });
+  const std::uint64_t base = bits_checksum(check(one));
+  bool match = true;
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    const ComputeContext ctx(threads);
+    match = match && bits_checksum(check(ctx)) == base;
+  }
+  const double gbs = bytes / t * 1e-9;
+  std::printf("%-22s %10.3f %10.2f  %s\n", key.c_str(), t * 1e3, gbs,
+              match ? "match" : "CHECKSUM MISMATCH");
+  summary.add(key + "_ms", t * 1e3);
+  summary.add(key + "_gbs", gbs);
+  summary.add(key + "_checksum_match", static_cast<std::int64_t>(match));
+  return match;
+}
+
 /// The non-GEMM passes of the ResNet-50 stem and first stage at batch 2
 /// ([2, 64, 112, 112]): BN forward/backward, BN with its fused ReLU, ReLU
 /// and the 3/s2/p1 max-pool. Each row times the single-thread pass (best of
@@ -273,28 +306,17 @@ bool run_non_gemm_rows(bench::JsonSummary& summary) {
   bool all_match = true;
 
   bench::section("non-GEMM layers at [2,64,112,112], single thread, best of 5");
-  std::printf("%-16s %10s %10s  %s\n", "pass", "ms", "GB/s",
+  std::printf("%-22s %10s %10s  %s\n", "pass", "ms", "GB/s",
               "checksum (threads 1-4)");
   // `run(ctx)` executes the pass once; `out()` returns the bytes to check.
   const auto row = [&](const std::string& key, double bytes, const auto& run,
                        const auto& out) {
-    const ComputeContext one(1);
-    const double t = time_best(5, [&] { run(one); });
-    run(one);
-    const std::uint64_t base = bits_checksum(out());
-    bool match = true;
-    for (const std::size_t threads : {2u, 3u, 4u}) {
-      const ComputeContext ctx(threads);
-      run(ctx);
-      match = match && bits_checksum(out()) == base;
-    }
-    all_match = all_match && match;
-    const double gbs = bytes / t * 1e-9;
-    std::printf("%-16s %10.3f %10.2f  %s\n", key.c_str(), t * 1e3, gbs,
-                match ? "match" : "CHECKSUM MISMATCH");
-    summary.add(key + "_ms", t * 1e3);
-    summary.add(key + "_gbs", gbs);
-    summary.add(key + "_checksum_match", static_cast<std::int64_t>(match));
+    all_match = threads_row(summary, key, bytes, run,
+                            [&](const ComputeContext& ctx) {
+                              run(ctx);
+                              return out();
+                            }) &&
+                all_match;
   };
   const auto floats = [](const Tensor& t) {
     return std::vector<float>(t.span().begin(), t.span().end());
@@ -342,6 +364,197 @@ bool run_non_gemm_rows(bench::JsonSummary& summary) {
   row("maxpool3_s2_fwd", 4 * n + 2 * 4 * (n / 4),
       [&](const ComputeContext& ctx) { pool.forward(x, py, true, ctx); },
       [&] { return floats(py); });
+  return all_match;
+}
+
+/// Per-chunk serial sums of squares of x and y, combined in chunk order:
+/// the one-chain-per-chunk reduction the lane-interleaved pass replaces.
+std::pair<double, double> serial_sum_squares(std::span<const float> x,
+                                             std::span<const float> y) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::int64_t chunks = ComputeContext::chunk_count(n, 16384);
+  double sx = 0.0, sy = 0.0;
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    const auto [lo, hi] = ComputeContext::chunk_bounds(n, chunks, c);
+    double px = 0.0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      px += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+    }
+    double py = 0.0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      py += static_cast<double>(y[i]) * static_cast<double>(y[i]);
+    }
+    sx += px;
+    sy += py;
+  }
+  return {sx, sy};
+}
+
+/// The bit patterns of doubles, as floats for bits_checksum.
+std::vector<float> double_bits(std::initializer_list<double> values) {
+  std::vector<float> out(2 * values.size());
+  std::memcpy(out.data(), std::data(values), values.size() * sizeof(double));
+  return out;
+}
+
+/// The LARS-path reductions and the AlexNet proxy's other latency-bound
+/// passes: the fused ||w||^2/||g||^2 pass on a 2.36 M-float tensor (the
+/// largest ResNet-50 weight) against the per-chunk serial pair, one LARS
+/// step over the ResNet-50 and AlexNet-proxy parameter lists, max-pool 2/s2
+/// and the conv bias gradient at [4,128,16,16]. Same row format as
+/// run_non_gemm_rows. Returns false on any mismatch.
+bool run_reduction_rows(bench::JsonSummary& summary) {
+  bool all_match = true;
+  bench::section("LARS reductions and AlexNet-proxy passes, single thread, "
+                 "best of 5");
+  std::printf("%-22s %10s %10s  %s\n", "pass", "ms", "GB/s",
+              "checksum (threads 1-4)");
+
+  {
+    const std::int64_t n = 2359296;
+    Rng rng(31);
+    std::vector<float> w(n), g(n);
+    rng.fill_normal(w, 0.0f, 0.05f);
+    rng.fill_normal(g, 0.0f, 0.001f);
+    std::pair<double, double> fused;
+    const auto pass = [&](const ComputeContext& ctx) {
+      fused = sum_squares(ctx, w, g);
+    };
+    all_match = threads_row(summary, "sumsq2_2359296", 8.0 * n, pass,
+                            [&](const ComputeContext& ctx) {
+                              pass(ctx);
+                              return double_bits({fused.first, fused.second});
+                            }) &&
+                all_match;
+    std::pair<double, double> serial;
+    const double t_serial =
+        time_best(5, [&] { serial = serial_sum_squares(w, g); });
+    const ComputeContext one(1);
+    const double t_fused = time_best(5, [&] { pass(one); });
+    const bool same = serial == fused;
+    all_match = all_match && same;
+    std::printf("%-22s %10.3f %10.2f  %s, fused pass %.2fx\n",
+                "sumsq2_serial_pair", t_serial * 1e3, 8.0 * n / t_serial * 1e-9,
+                same ? "same bits" : "CHECKSUM MISMATCH", t_serial / t_fused);
+    summary.add("sumsq2_serial_pair_ms", t_serial * 1e3);
+    summary.add("sumsq2_speedup", t_serial / t_fused);
+    summary.add("sumsq2_serial_checksum_match",
+                static_cast<std::int64_t>(same));
+  }
+
+  for (const bool big : {true, false}) {
+    auto net = big ? nn::resnet(50, 16)
+                   : nn::tiny_alexnet(16, 32, nn::AlexNetNorm::kBN, 64);
+    Rng rng(41);
+    net->init(rng);
+    auto params = net->params();
+    double bytes = 0.0;
+    std::vector<std::vector<float>> w0;
+    for (auto& p : params) {
+      rng.fill_normal(p.grad->span(), 0.0f, 0.01f);
+      w0.emplace_back(p.value->span().begin(), p.value->span().end());
+      // Norm pass (adapted tensors) reads w and g; the update reads w, g
+      // and v and writes w and v.
+      bytes += (p.decay ? 28.0 : 20.0) * static_cast<double>(p.value->numel());
+    }
+    const auto restore = [&] {
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        std::copy(w0[i].begin(), w0[i].end(), params[i].value->data());
+      }
+    };
+    optim::Lars timed;
+    timed.step(params, 0.1, ComputeContext::default_ctx());  // velocity
+    all_match =
+        threads_row(summary, big ? "lars_step_resnet50" : "lars_step_alexnet",
+                    bytes,
+                    [&](const ComputeContext& ctx) {
+                      timed.step(params, 0.1, ctx);
+                    },
+                    [&](const ComputeContext& ctx) {
+                      // Two steps from the same weights, so momentum and
+                      // both norm passes count.
+                      restore();
+                      optim::Lars lars;
+                      lars.step(params, 0.1, ctx);
+                      lars.step(params, 0.1, ctx);
+                      std::vector<float> out;
+                      for (const double lr : lars.last_local_lrs()) {
+                        const auto b = double_bits({lr});
+                        out.insert(out.end(), b.begin(), b.end());
+                      }
+                      for (auto& p : params) {
+                        out.insert(out.end(), p.value->span().begin(),
+                                   p.value->span().end());
+                      }
+                      return out;
+                    }) &&
+        all_match;
+  }
+
+  const Shape shape{4, 128, 16, 16};
+  const double n = static_cast<double>(shape.numel());
+  Rng rng(51);
+  Tensor x(shape), dy(shape);
+  rng.fill_normal(x.span(), 0.0f, 1.0f);
+  rng.fill_normal(dy.span(), 0.0f, 1.0f);
+  const auto floats = [](const Tensor& t) {
+    return std::vector<float>(t.span().begin(), t.span().end());
+  };
+  nn::MaxPool2d pool(2, 2, 0);
+  Tensor py, pdx;
+  Tensor pdy(pool.output_shape(shape));
+  rng.fill_normal(pdy.span(), 0.0f, 1.0f);
+  const auto pool_fwd = [&](const ComputeContext& ctx) {
+    pool.forward(x, py, true, ctx);
+  };
+  all_match = threads_row(summary, "maxpool2_s2_fwd", 4 * n + 2 * 4 * (n / 4),
+                          pool_fwd,
+                          [&](const ComputeContext& ctx) {
+                            pool_fwd(ctx);
+                            return floats(py);
+                          }) &&
+              all_match;
+  const auto pool_bwd = [&](const ComputeContext& ctx) {
+    pool.backward(x, py, pdy, pdx, ctx);
+  };
+  all_match = threads_row(summary, "maxpool2_s2_bwd", 4 * n + 2 * 4 * (n / 4),
+                          pool_bwd,
+                          [&](const ComputeContext& ctx) {
+                            pool_bwd(ctx);
+                            return floats(pdx);
+                          }) &&
+              all_match;
+
+  // Conv2d's bias gradient: one double sum per (image, channel) plane of
+  // dy, computed images-parallel into per-image rows as Conv2d's batch
+  // chunks do.
+  const std::int64_t batch = shape[0], ch = shape[1];
+  const std::int64_t spatial = shape[2] * shape[3];
+  std::vector<float> db(static_cast<std::size_t>(batch * ch));
+  const auto bias = [&](const ComputeContext& ctx) {
+    ctx.parallel_for(
+        0, batch,
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            for (std::int64_t c0 = 0; c0 < ch; c0 += kernels::kMaxLanes) {
+              const std::int64_t count = std::min(kernels::kMaxLanes, ch - c0);
+              double sums[kernels::kMaxLanes];
+              kernels::plane_sums(dy.data() + (i * ch + c0) * spatial, count,
+                                  spatial, sums);
+              for (std::int64_t k = 0; k < count; ++k) {
+                db[i * ch + c0 + k] = static_cast<float>(sums[k]);
+              }
+            }
+          }
+        },
+        /*grain=*/1);
+  };
+  all_match = threads_row(summary, "conv_bias_bwd", 4 * n, bias,
+                          [&](const ComputeContext& ctx) {
+                            bias(ctx);
+                            return db;
+                          }) &&
+              all_match;
   return all_match;
 }
 
@@ -540,6 +753,7 @@ bool run_kernel_summary() {
     summary.add(key + "_bwd_checksum_match", static_cast<std::int64_t>(match));
   }
   all_checksums_match = run_non_gemm_rows(summary) && all_checksums_match;
+  all_checksums_match = run_reduction_rows(summary) && all_checksums_match;
   summary.add("checksum_match", static_cast<std::int64_t>(all_checksums_match));
 
   const std::string path = summary.write();

@@ -22,10 +22,12 @@
 #                membership suite (test_elastic), whose fault-injected
 #                shrink->grow->shrink soak exercises checkpoint bytes on
 #                the wire and reconfiguration retries under ASan/UBSan.
-#                The kernel oracle trials (test_gemm, test_conv) then run a
-#                second time with MINSGD_KERNEL_ISA=portable so the packed
-#                reference path — not just the dispatched SIMD path — gets
-#                sanitizer coverage of its panel-packing scratch
+#                The kernel oracle trials (test_gemm, test_conv, and the
+#                reduction oracles in test_ops, test_optim, test_layers)
+#                then run a second time with MINSGD_KERNEL_ISA=portable so
+#                the portable reference path — not just the dispatched SIMD
+#                path — gets sanitizer coverage of its panel-packing
+#                scratch and its lane tails
 #   tier2-tsan   scripts/tsan_tier2.sh: thread-heavy suites under
 #                MINSGD_SANITIZE=thread (ctest -L tier2-tsan); test_elastic
 #                runs here too — the coordinator's rendezvous/watchdog and
@@ -117,7 +119,7 @@ asan_ubsan_stage() {
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
     MINSGD_KERNEL_ISA=portable \
     ctest --test-dir build-asan-ubsan -j"$JOBS" --output-on-failure \
-      -R '^(test_gemm|test_conv)$'
+      -R '^(test_gemm|test_conv|test_ops|test_optim|test_layers)$'
 }
 
 perfbench_stage() {

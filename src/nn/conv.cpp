@@ -8,6 +8,7 @@
 
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/kernels/reduce.hpp"
 
 namespace minsgd::nn {
 namespace {
@@ -292,11 +293,16 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& /*y*/,
             kernels::col2im_add(dcol, 0, geo.kdim(), dxn, geo);
           }
           if (has_bias_) {
-            for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-              const float* src = dy_n + oc * spatial;
-              double acc = 0.0;
-              for (std::int64_t s = 0; s < spatial; ++s) acc += src[s];
-              dbp[oc] += static_cast<float>(acc);
+            // Each channel's plane sum, kMaxLanes planes per pass.
+            for (std::int64_t oc0 = 0; oc0 < out_c_;
+                 oc0 += kernels::kMaxLanes) {
+              const std::int64_t count =
+                  std::min(kernels::kMaxLanes, out_c_ - oc0);
+              double sums[kernels::kMaxLanes];
+              kernels::plane_sums(dy_n + oc0 * spatial, count, spatial, sums);
+              for (std::int64_t i = 0; i < count; ++i) {
+                dbp[oc0 + i] += static_cast<float>(sums[i]);
+              }
             }
           }
         }

@@ -1,9 +1,12 @@
 #include "nn/pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+
+#include "tensor/kernels/reduce.hpp"
 
 namespace minsgd::nn {
 namespace {
@@ -41,12 +44,26 @@ Shape MaxPool2d::output_shape(const Shape& input) const {
 
 namespace {
 
+/// The running max of a window takes tap value v at in-plane offset c iff
+/// v > best (strict, so the first maximum wins and NaN never wins). Written
+/// as a bit-mask select so it stays branch-free: the compiler turns the
+/// plain select back into compare-and-branch in scalar code.
+inline void take_max(float v, std::int32_t c, float& best,
+                     std::int32_t& best_idx) {
+  const std::uint32_t take = 0u - static_cast<std::uint32_t>(v > best);
+  best = std::bit_cast<float>((std::bit_cast<std::uint32_t>(v) & take) |
+                              (std::bit_cast<std::uint32_t>(best) & ~take));
+  best_idx = static_cast<std::int32_t>(
+      (static_cast<std::uint32_t>(c) & take) |
+      (static_cast<std::uint32_t>(best_idx) & ~take));
+}
+
 /// One tap of every window in a max-pool output row: for each output column
 /// j in [j_lo, j_hi), input column j * stride + off of `row` is that
-/// window's next tap in row-major order. The running max keeps the first
-/// maximum (strict >). Every operand is loaded unconditionally, so the
-/// selects vectorize across columns; kStride > 0 fixes the stride at
-/// compile time (the strided load then vectorizes too), 0 takes `stride`.
+/// window's next tap in row-major order. Every operand is loaded
+/// unconditionally, so the selects vectorize across columns; kStride > 0
+/// fixes the stride at compile time (the strided load then vectorizes too),
+/// 0 takes `stride`.
 template <std::int64_t kStride>
 void pool_taps(const float* row, std::int64_t row_base, std::int64_t stride,
                std::int64_t off, std::int64_t j_lo, std::int64_t j_hi,
@@ -54,12 +71,65 @@ void pool_taps(const float* row, std::int64_t row_base, std::int64_t stride,
   const std::int64_t st = kStride > 0 ? kStride : stride;
   for (std::int64_t j = j_lo; j < j_hi; ++j) {
     const std::int64_t c = j * st + off;
-    const float v = row[c];
-    const float b = best[j];
-    const std::int32_t bi = best_idx[j];
-    const bool take = v > b;
-    best[j] = take ? v : b;
-    best_idx[j] = take ? static_cast<std::int32_t>(row_base + c) : bi;
+    take_max(row[c], static_cast<std::int32_t>(row_base + c), best[j],
+             best_idx[j]);
+  }
+}
+
+/// One (n, c) plane of a padded or overlapping max-pool: an output row is
+/// built in place in y and argmax, one pass over the output columns per
+/// in-bounds input row of its windows (a clamped range, so padding is
+/// never read) and per column tap, so every window sees its taps in
+/// row-major order. kStride as in pool_taps.
+template <std::int64_t kStride>
+void pool_plane_taps(const float* src, std::int64_t h, std::int64_t w,
+                     std::int64_t oh, std::int64_t ow, std::int64_t k,
+                     std::int64_t stride, std::int64_t pad, float* y,
+                     std::int32_t* arg) {
+  for (std::int64_t i = 0; i < oh; ++i) {
+    float* best = y + i * ow;
+    std::int32_t* best_idx = arg + i * ow;
+    std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
+    std::fill(best_idx, best_idx + ow, -1);
+    const std::int64_t h0 = i * stride - pad;
+    const std::int64_t r_hi = std::min(h0 + k, h);
+    for (std::int64_t r = std::max<std::int64_t>(h0, 0); r < r_hi; ++r) {
+      for (std::int64_t kj = 0; kj < k; ++kj) {
+        // Columns j whose tap j * stride + off lies inside the row.
+        const std::int64_t off = kj - pad;
+        const std::int64_t j_lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+        const std::int64_t j_hi =
+            off >= w ? 0 : std::min(ow, (w - 1 - off) / stride + 1);
+        pool_taps<kStride>(src + r * w, r * w, stride, off, j_lo, j_hi, best,
+                           best_idx);
+      }
+    }
+  }
+}
+
+/// One (n, c) plane of a max-pool whose windows tile the input (k ==
+/// stride, no padding): every window is scanned in one go, its k * k taps
+/// in row-major order, and written once. kK fixes k at compile time; 0
+/// takes `k`.
+template <std::int64_t kK>
+void pool_plane_tiled(const float* src, std::int64_t w, std::int64_t oh,
+                      std::int64_t ow, std::int64_t k_arg, float* y,
+                      std::int32_t* arg) {
+  const std::int64_t k = kK > 0 ? kK : k_arg;
+  for (std::int64_t i = 0; i < oh; ++i) {
+    for (std::int64_t j = 0; j < ow; ++j) {
+      float best = -std::numeric_limits<float>::infinity();
+      std::int32_t best_idx = -1;
+      for (std::int64_t ki = 0; ki < k; ++ki) {
+        const std::int64_t base = (i * k + ki) * w + j * k;
+        for (std::int64_t kj = 0; kj < k; ++kj) {
+          take_max(src[base + kj], static_cast<std::int32_t>(base + kj), best,
+                   best_idx);
+        }
+      }
+      y[i * ow + j] = best;
+      arg[i * ow + j] = best_idx;
+    }
   }
 }
 
@@ -77,34 +147,23 @@ void MaxPool2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
   argmax_.resize(static_cast<std::size_t>(out.numel()));
   const std::int64_t planes = out[0] * out[1], oh = out[2], ow = out[3];
   const std::int64_t k = k_, stride = stride_, pad = pad_;
-  const auto taps = stride == 2 ? pool_taps<2> : pool_taps<0>;
-  // Every (n, c) plane is independent. An output row is built in place in
-  // y and argmax_: each in-bounds input row of its windows (a clamped
-  // range, so padding is never read), then each column tap, is one pass
-  // over the output columns whose window holds that tap — so every window
-  // sees its taps in row-major order.
+  const bool tiled = k == stride && pad == 0;
+  // Every (n, c) plane is independent.
   ctx.parallel_for(0, planes, [&](std::int64_t p_lo, std::int64_t p_hi) {
-  for (std::int64_t p = p_lo; p < p_hi; ++p) {
-    const float* src = x.data() + p * h * w;
-    for (std::int64_t i = 0; i < oh; ++i) {
-      float* best = y.data() + (p * oh + i) * ow;
-      std::int32_t* best_idx = argmax_.data() + (p * oh + i) * ow;
-      std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
-      std::fill(best_idx, best_idx + ow, -1);
-      const std::int64_t h0 = i * stride - pad;
-      const std::int64_t r_hi = std::min(h0 + k, h);
-      for (std::int64_t r = std::max<std::int64_t>(h0, 0); r < r_hi; ++r) {
-        for (std::int64_t kj = 0; kj < k; ++kj) {
-          // Columns j whose tap j * stride + off lies inside the row.
-          const std::int64_t off = kj - pad;
-          const std::int64_t j_lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
-          const std::int64_t j_hi =
-              off >= w ? 0 : std::min(ow, (w - 1 - off) / stride + 1);
-          taps(src + r * w, r * w, stride, off, j_lo, j_hi, best, best_idx);
-        }
+    for (std::int64_t p = p_lo; p < p_hi; ++p) {
+      const float* src = x.data() + p * h * w;
+      float* dst = y.data() + p * oh * ow;
+      std::int32_t* arg = argmax_.data() + p * oh * ow;
+      if (tiled && k == 2) {
+        pool_plane_tiled<2>(src, w, oh, ow, k, dst, arg);
+      } else if (tiled) {
+        pool_plane_tiled<0>(src, w, oh, ow, k, dst, arg);
+      } else if (stride == 2) {
+        pool_plane_taps<2>(src, h, w, oh, ow, k, stride, pad, dst, arg);
+      } else {
+        pool_plane_taps<0>(src, h, w, oh, ow, k, stride, pad, dst, arg);
       }
     }
-  }
   }, /*grain=*/1);
 }
 
@@ -230,11 +289,15 @@ void GlobalAvgPool::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
       0, batch,
       [&](std::int64_t n_lo, std::int64_t n_hi) {
         for (std::int64_t n = n_lo; n < n_hi; ++n) {
-          for (std::int64_t c = 0; c < ch; ++c) {
-            const float* src = x.data() + (n * ch + c) * spatial;
-            double acc = 0.0;
-            for (std::int64_t s = 0; s < spatial; ++s) acc += src[s];
-            y.at(n, c) = static_cast<float>(acc) * inv;
+          // Each channel's plane sum, kMaxLanes planes per pass.
+          for (std::int64_t c0 = 0; c0 < ch; c0 += kernels::kMaxLanes) {
+            const std::int64_t count = std::min(kernels::kMaxLanes, ch - c0);
+            double sums[kernels::kMaxLanes];
+            kernels::plane_sums(x.data() + (n * ch + c0) * spatial, count,
+                                spatial, sums);
+            for (std::int64_t i = 0; i < count; ++i) {
+              y.at(n, c0 + i) = static_cast<float>(sums[i]) * inv;
+            }
           }
         }
       },

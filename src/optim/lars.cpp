@@ -1,5 +1,6 @@
 #include "optim/lars.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -45,8 +46,11 @@ void Lars::do_step(std::span<nn::ParamRef> params, double lr,
 
     double local = 1.0;
     if (adapt) {
-      const double w_norm = l2_norm(ctx, p.value->span());
-      const double g_norm = l2_norm(ctx, p.grad->span());
+      // One lane-interleaved pass for both norms (ops.hpp sum_squares).
+      const auto [w_sq, g_sq] = sum_squares(ctx, p.value->span(),
+                                            p.grad->span());
+      const double w_norm = std::sqrt(w_sq);
+      const double g_norm = std::sqrt(g_sq);
       local = config_.trust_coeff * w_norm /
               (g_norm + wd * w_norm + config_.eps);
       // A freshly zero-initialized tensor (w_norm == 0) gets local == 0 and

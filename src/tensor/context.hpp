@@ -10,7 +10,10 @@
 //      of threads(). chunk_count caps the count at kMaxChunks so reduction
 //      partials stay small.
 //   2. Reductions compute one partial per chunk and combine the partials in
-//      fixed chunk order on the calling thread.
+//      fixed chunk order on the calling thread. A chunk's partial may be
+//      computed interleaved with other chunks' partials (one pass carrying
+//      several chunks, as kernels::lane_partials does), never reordered
+//      within the chunk.
 //
 // Threads pull chunks from a shared atomic cursor, so which thread runs a
 // chunk varies run to run — but since every chunk's work and every combine

@@ -7,6 +7,7 @@
 
 #include "core/check.hpp"
 #include "tensor/context.hpp"
+#include "tensor/kernels/reduce.hpp"
 
 namespace minsgd {
 namespace {
@@ -19,6 +20,39 @@ void check_same_size(std::size_t a, std::size_t b, const char* what) {
 
 // Elementwise ops amortize fork-join over this many elements per chunk.
 constexpr std::int64_t kElemGrain = 16384;
+
+// Writes one partial per chunk of [0, n) (grain kElemGrain) and returns the
+// chunk count. The chunks are the lanes of kernels::lane_partials; a task
+// computes a contiguous group of lanes in one pass, one group per thread.
+// Each partial's bits do not depend on its group (see reduce.hpp), so the
+// grouping may follow threads() without breaking rule 2 of context.hpp.
+std::int64_t chunk_partials(const ComputeContext& ctx, kernels::LaneTerm term,
+                            const float* x, const float* y, std::int64_t n,
+                            double* px, double* py) {
+  const std::int64_t chunks = ComputeContext::chunk_count(n, kElemGrain);
+  if (chunks <= 0) return 0;
+  const auto groups = std::min<std::int64_t>(
+      chunks, static_cast<std::int64_t>(ctx.threads()));
+  ctx.for_chunks_n(
+      chunks, groups, [&](std::int64_t, std::int64_t lo, std::int64_t hi) {
+        std::int64_t start[kernels::kMaxLanes], len[kernels::kMaxLanes];
+        for (std::int64_t c = lo; c < hi; ++c) {
+          const auto [b, e] = ComputeContext::chunk_bounds(n, chunks, c);
+          start[c - lo] = b;
+          len[c - lo] = e - b;
+        }
+        kernels::lane_partials(term, x, y, start, len, hi - lo, px + lo,
+                               py != nullptr ? py + lo : nullptr);
+      });
+  return chunks;
+}
+
+// Fixed-order combine: partials in ascending chunk order from +0.0.
+double combine(const double* partial, std::int64_t chunks) {
+  double acc = 0.0;
+  for (std::int64_t c = 0; c < chunks; ++c) acc += partial[c];
+  return acc;
+}
 }  // namespace
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -127,42 +161,34 @@ void scale(const ComputeContext& ctx, float alpha, std::span<float> x) {
 double dot(const ComputeContext& ctx, std::span<const float> x,
            std::span<const float> y) {
   check_same_size(x.size(), y.size(), "dot");
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  const std::int64_t chunks = ComputeContext::chunk_count(n, kElemGrain);
-  if (chunks <= 0) return 0.0;
-  double partial[ComputeContext::kMaxChunks] = {};
-  ctx.for_chunks_n(n, chunks,
-                   [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
-                     double acc = 0.0;
-                     for (std::int64_t i = lo; i < hi; ++i) {
-                       acc += static_cast<double>(x[i]) *
-                              static_cast<double>(y[i]);
-                     }
-                     partial[c] = acc;
-                   });
-  double acc = 0.0;
-  for (std::int64_t c = 0; c < chunks; ++c) acc += partial[c];
-  return acc;
+  double partial[ComputeContext::kMaxChunks];
+  const std::int64_t chunks = chunk_partials(
+      ctx, kernels::LaneTerm::kDot, x.data(), y.data(),
+      static_cast<std::int64_t>(x.size()), partial, nullptr);
+  return combine(partial, chunks);
 }
 
 double sum(const ComputeContext& ctx, std::span<const float> x) {
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  const std::int64_t chunks = ComputeContext::chunk_count(n, kElemGrain);
-  if (chunks <= 0) return 0.0;
-  double partial[ComputeContext::kMaxChunks] = {};
-  ctx.for_chunks_n(n, chunks,
-                   [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
-                     double acc = 0.0;
-                     for (std::int64_t i = lo; i < hi; ++i) acc += x[i];
-                     partial[c] = acc;
-                   });
-  double acc = 0.0;
-  for (std::int64_t c = 0; c < chunks; ++c) acc += partial[c];
-  return acc;
+  double partial[ComputeContext::kMaxChunks];
+  const std::int64_t chunks =
+      chunk_partials(ctx, kernels::LaneTerm::kSum, x.data(), nullptr,
+                     static_cast<std::int64_t>(x.size()), partial, nullptr);
+  return combine(partial, chunks);
 }
 
 double l2_norm(const ComputeContext& ctx, std::span<const float> x) {
   return std::sqrt(dot(ctx, x, x));
+}
+
+std::pair<double, double> sum_squares(const ComputeContext& ctx,
+                                      std::span<const float> x,
+                                      std::span<const float> y) {
+  check_same_size(x.size(), y.size(), "sum_squares");
+  double px[ComputeContext::kMaxChunks], py[ComputeContext::kMaxChunks];
+  const std::int64_t chunks =
+      chunk_partials(ctx, kernels::LaneTerm::kSquarePair, x.data(), y.data(),
+                     static_cast<std::int64_t>(x.size()), px, py);
+  return {combine(px, chunks), combine(py, chunks)};
 }
 
 void copy(const ComputeContext& ctx, std::span<const float> x,

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 namespace minsgd {
 
@@ -51,9 +52,11 @@ void softmax_rows(std::span<float> x, std::int64_t rows, std::int64_t cols);
 bool all_finite(std::span<const float> x);
 
 // Context-aware overloads. Elementwise ops write disjoint ranges so they
-// parallelize freely; the reductions (sum/dot/l2_norm) keep one double
-// partial per deterministic chunk and combine partials in chunk order, so
-// all of these are bit-identical for any thread count.
+// parallelize freely; the reductions (sum/dot/l2_norm/sum_squares) keep one
+// double partial per deterministic chunk and combine partials in chunk
+// order, so all of these are bit-identical for any thread count. The
+// partials are computed lane-interleaved (tensor/kernels/reduce.hpp): one
+// pass carries several chunks, each chunk still summed in its own order.
 
 void axpy(const ComputeContext& ctx, float alpha, std::span<const float> x,
           std::span<float> y);
@@ -62,6 +65,11 @@ double dot(const ComputeContext& ctx, std::span<const float> x,
            std::span<const float> y);
 double l2_norm(const ComputeContext& ctx, std::span<const float> x);
 double sum(const ComputeContext& ctx, std::span<const float> x);
+/// {dot(ctx, x, x), dot(ctx, y, y)} bit for bit, in one pass over both
+/// (sizes must match): the LARS ||w||^2 / ||g||^2 pair.
+std::pair<double, double> sum_squares(const ComputeContext& ctx,
+                                      std::span<const float> x,
+                                      std::span<const float> y);
 void copy(const ComputeContext& ctx, std::span<const float> x,
           std::span<float> y);
 void add(const ComputeContext& ctx, std::span<const float> x,

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "grad_check.hpp"
+#include "order_sensitive.hpp"
 #include "nn/conv.hpp"
 #include "tensor/context.hpp"
 #include "tensor/gemm.hpp"
@@ -449,6 +452,55 @@ TEST(Conv2d, GradientsAccumulateAcrossBackwardCalls) {
   const float once = c.params()[0].grad->operator[](0);
   c.backward(x, y, dy, dx);
   EXPECT_FLOAT_EQ(c.params()[0].grad->operator[](0), 2.0f * once);
+}
+
+// The bias gradient reduces each (image, channel) plane of dy in one
+// serial double chain, planes interleaved kMaxLanes at a time: db must
+// equal a per-channel scalar reference bit for bit — float(plane sum)
+// added per image in batch order (a batch of 3 runs one image per backward
+// chunk) — for channel counts around the lane width, every ISA arm and
+// thread count.
+TEST(ConvOracle, BiasGradientMatchesPerChannelReference) {
+  for (const std::int64_t out_c : {1, 3, 5, 17, 64}) {
+    Conv2d conv(4, out_c, 3, 1, 1, /*bias=*/true);
+    Rng rng(static_cast<std::uint64_t>(61 + out_c));
+    conv.init(rng);
+    Tensor x({3, 4, 7, 9});
+    rng.fill_normal(x.span(), 0.0f, 1.0f);
+    Tensor dy(conv.output_shape(x.shape()));
+    const std::int64_t spatial = dy.shape()[2] * dy.shape()[3];
+    for (std::int64_t p = 0; p < 3 * out_c; ++p) {
+      testing::fill_order_sensitive(dy.data() + p * spatial, spatial, rng);
+    }
+    std::vector<float> want(static_cast<std::size_t>(out_c), 0.0f);
+    for (std::int64_t n = 0; n < 3; ++n) {
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        const float* plane = dy.data() + (n * out_c + oc) * spatial;
+        double acc = 0.0;
+        for (std::int64_t s = 0; s < spatial; ++s) acc += plane[s];
+        want[oc] += static_cast<float>(acc);
+      }
+    }
+    for (kernels::Isa isa : kernels::kAllIsas) {
+      if (!kernels::supported(isa)) continue;
+      kernels::force(isa);
+      for (const std::size_t t : {1u, 2u, 3u, 4u}) {
+        const ComputeContext ctx(t);
+        Tensor y, dx;
+        conv.forward(x, y, true, ctx);
+        for (auto& p : conv.params()) p.grad->zero();
+        conv.backward(x, y, dy, dx, ctx);
+        const Tensor& db = *conv.params()[1].grad;
+        for (std::int64_t oc = 0; oc < out_c; ++oc) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(db[oc]),
+                    std::bit_cast<std::uint32_t>(want[oc]))
+              << "out_c=" << out_c << " oc=" << oc
+              << " isa=" << kernels::to_string(isa) << " t=" << t;
+        }
+      }
+    }
+  }
+  kernels::clear_force();
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <limits>
 
 #include "grad_check.hpp"
+#include "order_sensitive.hpp"
 #include "nn/activation.hpp"
 #include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
+#include "tensor/kernels/dispatch.hpp"
 
 namespace minsgd {
 namespace {
@@ -293,6 +295,41 @@ TEST(MaxPool, TiesMatchNaiveScanAcrossGeometries) {
   }
 }
 
+TEST(MaxPool, NarrowRowsMatchNaiveScan) {
+  // Every output width 1..17 (the AlexNet proxy pools rows of 16, 8 and
+  // 4), for the tiled 2/s2 windows (with and without a leftover column)
+  // and the overlapping padded 3/s2/p1 ones. Plane 0 holds ties with NaN
+  // sprinkled in, plane 1 is all equal, plane 2 all NaN (no tap ever
+  // beats -inf), plane 3 has -inf and NaN windows next to finite ones.
+  Rng rng(13);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t ow = 1; ow <= 17; ++ow) {
+    struct Geom {
+      std::int64_t k, stride, pad, h, w;
+    };
+    const Geom geoms[] = {{2, 2, 0, 6, 2 * ow},
+                          {2, 2, 0, 5, 2 * ow + 1},
+                          {3, 2, 1, 7, 2 * ow},
+                          {3, 2, 1, 6, 2 * ow - 1}};
+    for (const Geom& g : geoms) {
+      Tensor x({1, 4, g.h, g.w});
+      const std::int64_t plane = g.h * g.w;
+      for (std::int64_t i = 0; i < plane; ++i) {
+        const double u = rng.uniform();
+        x[i] = u < 0.15 ? nan : static_cast<float>(rng.uniform_int(3));
+        x[plane + i] = 1.0f;
+        x[2 * plane + i] = nan;
+        x[3 * plane + i] = (i / 2) % 3 == 0 ? -inf
+                           : (i / 2) % 3 == 1 ? nan
+                                              : static_cast<float>(i % 5);
+      }
+      SCOPED_TRACE(::testing::Message() << "ow=" << ow << " k=" << g.k);
+      expect_pool_matches_naive(x, g.k, g.stride, g.pad);
+    }
+  }
+}
+
 // ---------------- AvgPool ----------------
 
 TEST(AvgPool, ForwardAverages) {
@@ -322,6 +359,37 @@ TEST(GlobalAvgPool, ReducesToChannels) {
   g.forward(x, y, false);
   EXPECT_EQ(y.shape(), Shape({2, 3}));
   EXPECT_FLOAT_EQ(y[0], 2.0f);
+}
+
+TEST(GlobalAvgPool, ForwardMatchesPerPlaneReference) {
+  // Each (image, channel) mean is one serial double sum of its plane,
+  // planes interleaved kMaxLanes at a time: channel counts around the lane
+  // width and a 7x7 plane (the ResNet head) must give the bytes of a
+  // one-plane-at-a-time loop on every ISA arm.
+  Rng rng(29);
+  for (const std::int64_t ch : {1, 3, 5, 17, 33}) {
+    Tensor x({2, ch, 7, 7});
+    for (std::int64_t p = 0; p < 2 * ch; ++p) {
+      testing::fill_order_sensitive(x.data() + p * 49, 49, rng);
+    }
+    for (kernels::Isa isa : kernels::kAllIsas) {
+      if (!kernels::supported(isa)) continue;
+      kernels::force(isa);
+      nn::GlobalAvgPool g;
+      Tensor y;
+      g.forward(x, y, false);
+      for (std::int64_t p = 0; p < 2 * ch; ++p) {
+        double acc = 0.0;
+        for (std::int64_t s = 0; s < 49; ++s) acc += x[p * 49 + s];
+        const float want = static_cast<float>(acc) * (1.0f / 49.0f);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(y[p]),
+                  std::bit_cast<std::uint32_t>(want))
+            << "ch=" << ch << " plane=" << p
+            << " isa=" << kernels::to_string(isa);
+      }
+    }
+  }
+  kernels::clear_force();
 }
 
 TEST(GlobalAvgPool, GradCheck) {

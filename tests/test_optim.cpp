@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "lars_reference.hpp"
 #include "nn/linear.hpp"
 #include "optim/lars.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
+#include "tensor/context.hpp"
+#include "tensor/kernels/dispatch.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/rng.hpp"
 
 namespace minsgd {
 namespace {
@@ -240,6 +247,83 @@ TEST(Lars, ResetClearsState) {
   lars.step(p.refs, 0.1);
   lars.reset();
   EXPECT_TRUE(lars.last_local_lrs().empty());
+}
+
+// ---------------- LARS oracle ----------------
+
+/// A parameter list spanning the reduction geometries: two 16-chunk tensors
+/// (the second with a short last chunk), a 7-chunk one, single-chunk ones,
+/// a non-decay bias and a zero tensor.
+struct OracleParams {
+  std::vector<Tensor> values, grads;
+  std::vector<nn::ParamRef> refs;
+
+  explicit OracleParams(std::uint64_t seed) {
+    const std::int64_t sizes[] = {16 * 16384, 16 * 16384 + 15, 100000, 4097,
+                                  17, 64};
+    Rng rng(seed);
+    for (const std::int64_t n : sizes) {
+      values.emplace_back(Shape({n}));
+      grads.emplace_back(Shape({n}));
+      rng.fill_normal(values.back().span(), 0.0f, 0.05f);
+      rng.fill_normal(grads.back().span(), 0.0f, 0.002f);
+    }
+    values[5].zero();  // w_norm == 0: falls back to the global rate
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      refs.push_back({"p", &values[i], &grads[i], /*decay=*/i != 4});
+    }
+  }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  if (a.numel() != b.numel()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(LarsOracle, MatchesTwoNormReferenceBitwise) {
+  const optim::LarsConfig configs[] = {
+      {}, {.trust_coeff = 0.02, .weight_decay = 0.0001, .clip = true}};
+  for (const optim::LarsConfig& config : configs) {
+    OracleParams want(7);
+    testing::LarsReference reference(config);
+    std::vector<std::vector<double>> want_locals;
+    for (int s = 0; s < 3; ++s) {
+      reference.step(want.refs, 0.5 - 0.1 * s);
+      want_locals.push_back(reference.last_local_lrs());
+    }
+    for (kernels::Isa isa : kernels::kAllIsas) {
+      if (!kernels::supported(isa)) continue;
+      kernels::force(isa);
+      for (const std::size_t t : {1u, 2u, 3u, 4u}) {
+        const ComputeContext ctx(t);
+        OracleParams got(7);
+        optim::Lars lars(config);
+        for (int s = 0; s < 3; ++s) {
+          lars.step(got.refs, 0.5 - 0.1 * s, ctx);
+          const auto& locals = lars.last_local_lrs();
+          ASSERT_EQ(locals.size(), want_locals[s].size());
+          for (std::size_t i = 0; i < locals.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(locals[i]),
+                      std::bit_cast<std::uint64_t>(want_locals[s][i]))
+                << "local lr " << i << " step " << s
+                << " isa=" << kernels::to_string(isa) << " t=" << t;
+          }
+        }
+        for (std::size_t i = 0; i < got.values.size(); ++i) {
+          EXPECT_TRUE(same_bits(got.values[i], want.values[i]))
+              << "weights of p" << i << " isa=" << kernels::to_string(isa)
+              << " t=" << t;
+        }
+      }
+    }
+    kernels::clear_force();
+  }
 }
 
 }  // namespace
