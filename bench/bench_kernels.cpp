@@ -25,6 +25,7 @@
 
 #include "bench_common.hpp"
 #include "comm/cluster.hpp"
+#include "conv_reference.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/models.hpp"
@@ -662,11 +663,13 @@ bool run_kernel_summary() {
     Tensor y;
     const double flops = 8.0 * conv.flops(x.shape());
 
-    nn::Conv2d::set_direct_enabled(false);
-    const double t_im2col = time_best(5, [&] { conv.forward(x, y, false); });
-    const std::uint64_t sum_im2col = bits_checksum(
-        std::vector<float>(y.span().begin(), y.span().end()));
-    nn::Conv2d::set_direct_enabled(true);
+    const ComputeContext& ctx = ComputeContext::default_ctx();
+    std::vector<float> y_ref;
+    const double t_im2col = time_best(5, [&] {
+      y_ref = testing::im2col_forward(ctx, x, conv.weight(), &conv.bias(), 1,
+                                      1);
+    });
+    const std::uint64_t sum_im2col = bits_checksum(y_ref);
     const double t_direct = time_best(5, [&] { conv.forward(x, y, false); });
     const std::uint64_t sum_direct = bits_checksum(
         std::vector<float>(y.span().begin(), y.span().end()));
@@ -720,24 +723,22 @@ bool run_kernel_summary() {
     rng.fill_normal(dy.span(), 0.0f, 1.0f);
     // dW and dx each cost one forward's FLOPs.
     const double flops = 2.0 * bc.batch * conv.flops(x.shape());
-    auto arm = [&](bool direct, std::uint64_t* sum) {
-      nn::Conv2d::set_direct_enabled(direct);
-      const double t = time_best(5, [&] {
-        for (auto& p : conv.params()) p.grad->zero();
-        conv.backward(x, y, dy, dx);
-      });
-      std::vector<float> bytes(dx.span().begin(), dx.span().end());
-      for (auto& p : conv.params()) {
-        bytes.insert(bytes.end(), p.grad->span().begin(),
-                     p.grad->span().end());
-      }
-      *sum = bits_checksum(bytes);
-      return t;
-    };
-    std::uint64_t sum_im2col = 0, sum_direct = 0;
-    const double t_im2col = arm(false, &sum_im2col);
-    const double t_direct = arm(true, &sum_direct);
-    nn::Conv2d::set_direct_enabled(true);
+    std::vector<float> ref;
+    const double t_im2col = time_best(5, [&] {
+      ref = testing::im2col_backward(ComputeContext::default_ctx(), x,
+                                     conv.weight(), &conv.bias(), dy,
+                                     bc.stride, bc.pad);
+    });
+    const std::uint64_t sum_im2col = bits_checksum(ref);
+    const double t_direct = time_best(5, [&] {
+      for (auto& p : conv.params()) p.grad->zero();
+      conv.backward(x, y, dy, dx);
+    });
+    std::vector<float> bytes(dx.span().begin(), dx.span().end());
+    for (auto& p : conv.params()) {
+      bytes.insert(bytes.end(), p.grad->span().begin(), p.grad->span().end());
+    }
+    const std::uint64_t sum_direct = bits_checksum(bytes);
     const bool match = sum_im2col == sum_direct;
     all_checksums_match = all_checksums_match && match;
     bench::section(std::string(bc.key) + " backward: fused vs im2col, best of 5");

@@ -1,6 +1,7 @@
 // Reading a postmortem: the flight recorder as a distributed black box.
 //
-//   $ ./postmortem
+//   $ ./postmortem                 # stage a crash, dump, attribute
+//   $ ./postmortem <dump.json>     # analyze an existing dump offline
 //
 // Every rank carries an always-on, fixed-capacity flight recorder
 // (obs/flight.hpp) that logs compact collective begin/arrive/end events as
@@ -20,9 +21,8 @@
 //      the per-group last-arrival margins accumulate into straggler blame —
 //      naming rank 2 without any per-rank timing instrumentation.
 //
-// The same dump can be inspected offline:
-//
-//   $ python3 tools/trace/analyze.py postmortem_demo.json
+// Given a path, the example skips the staging and prints the same report
+// for that dump (any postmortem.json a crashed run left behind).
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -35,7 +35,34 @@
 
 using namespace minsgd;
 
-int main() {
+namespace {
+
+// Reads a dump and prints its header and the cross-rank analysis.
+obs::FlightAnalysis report(const char* dump) {
+  const obs::Postmortem pm = obs::read_postmortem_file(dump);
+  std::printf("%s: %zu events from the final moments, reason:\n  %s\n",
+              dump, pm.events.size(), pm.info.reason.c_str());
+  for (const auto& [rank, what] : pm.info.rank_errors) {
+    std::printf("  rank %d: %s\n", rank, what.c_str());
+  }
+  std::printf("\n");
+  const obs::FlightAnalysis a = obs::analyze_flight(pm.events, pm.info.world);
+  obs::write_analysis(std::cout, a);
+  return a;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    try {
+      report(argv[1]);
+      return 0;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "postmortem: %s\n", e.what());
+      return 1;
+    }
+  }
   const int world = 4;
   const char* dump = "postmortem_demo.json";
   obs::set_postmortem_path(dump);
@@ -72,17 +99,13 @@ int main() {
 
   // The black box is already on disk — SimCluster::run wrote it while the
   // exception was in flight. Read it back and attribute.
-  const obs::Postmortem pm = obs::read_postmortem_file(dump);
-  std::printf("\n%s: %zu events from the final moments, reason:\n  %s\n\n",
-              dump, pm.events.size(), pm.info.reason.c_str());
-
-  const obs::FlightAnalysis a = obs::analyze_flight(pm.events, pm.info.world);
-  obs::write_analysis(std::cout, a);
+  std::printf("\n");
+  const obs::FlightAnalysis a = report(dump);
 
   std::printf("\nverdict: %s\n",
               a.straggler_rank == 2
                   ? "the analyzer blames rank 2 — the injected straggler"
                   : "straggler attribution missed the injected rank");
-  std::printf("offline twin: python3 tools/trace/analyze.py %s\n", dump);
+  std::printf("read it again offline: postmortem %s\n", dump);
   return a.straggler_rank == 2 && a.match_rate > 0.5 ? 0 : 1;
 }

@@ -3,9 +3,8 @@
 #
 #   lint         tools/lint/minsgd_lint.py over src/ tests/ bench/ examples/
 #                plus its fixture self-test
-#   analyze      tools/trace/analyze.py --self-test: the offline postmortem
-#                analyzer against its synthetic 4-rank timeline (join,
-#                straggler attribution, exposed/overlapped split)
+#   analyze      tools/analyze/analyze.py --self-test (every fixture still
+#                fires), then its whole-program checks over the tree
 #   build        default (RelWithDebInfo) configure + build
 #   tier1        full ctest suite in the default build
 #   perfbench    the repo benchmark (perfbench/, declared by BENCHMARK.json):
@@ -87,10 +86,6 @@ analyze_stage() {
     python3 tools/analyze/analyze.py
 }
 
-trace_analyze_stage() {
-  python3 tools/trace/analyze.py --self-test
-}
-
 build_stage() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
     cmake --build build -j"$JOBS"
@@ -152,7 +147,6 @@ tsan_stage() {
 FAILED=0
 run_stage "lint" lint_stage || FAILED=1
 run_stage "analyze" analyze_stage || FAILED=1
-run_stage "trace-analyze" trace_analyze_stage || FAILED=1
 if run_stage "build" build_stage; then
   run_stage "tier1" tier1_stage || FAILED=1
 else

@@ -1,8 +1,6 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -11,26 +9,6 @@
 #include "tensor/kernels/reduce.hpp"
 
 namespace minsgd::nn {
-namespace {
-
-bool conv_direct_default() {
-  const char* env = std::getenv("MINSGD_CONV_DIRECT");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
-
-std::atomic<bool> g_conv_direct{conv_direct_default()};
-
-}  // namespace
-
-void Conv2d::set_direct_enabled(bool on) {
-  g_conv_direct.store(on, std::memory_order_relaxed);
-}
-
-bool Conv2d::direct_enabled() {
-  return g_conv_direct.load(std::memory_order_relaxed);
-}
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
@@ -82,7 +60,6 @@ kernels::Conv2dGeom Conv2d::geom(const Shape& input) const {
 
 kernels::ConvLowering Conv2d::lowering(const Shape& input,
                                        kernels::ConvPass pass) const {
-  if (!direct_enabled()) return kernels::ConvLowering::kIm2col;
   return kernels::conv2d_lowering(geom(input), groups_, pass);
 }
 
@@ -139,8 +116,6 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
   y.resize(output_shape(x.shape()));
   const std::int64_t batch = x.shape()[0];
   const std::int64_t spatial = geo.spatial();
-  const std::int64_t kdim = (in_c_ / groups_) * k_ * k_;  // per-group depth
-  const std::int64_t g_out = out_c_ / groups_;
 
   const kernels::ConvLowering low =
       lowering(x.shape(), kernels::ConvPass::kForward);
@@ -184,23 +159,12 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
   ctx.for_chunks(
       batch, /*grain=*/1,
       [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
-        float* col = cols.data() + c * col_elems;
         for (std::int64_t n = lo; n < hi; ++n) {
-          kernels::im2col(x.data() + n * in_plane, col, geo);
-          for (std::int64_t g = 0; g < groups_; ++g) {
-            // y[n, group g] = W_g (g_out x kdim) * col_g (kdim x spatial)
-            sgemm(ctx, Trans::kNo, Trans::kNo, g_out, spatial, kdim, 1.0f,
-                  w_.data() + g * g_out * kdim, kdim,
-                  col + g * kdim * spatial, spatial, 0.0f,
-                  y.data() + (n * out_c_ + g * g_out) * spatial, spatial);
-          }
-          if (has_bias_) {
-            for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-              float* dst = y.data() + (n * out_c_ + oc) * spatial;
-              const float bv = b_[oc];
-              for (std::int64_t s = 0; s < spatial; ++s) dst[s] += bv;
-            }
-          }
+          kernels::conv2d_forward_im2col(
+              ctx, x.data() + n * in_plane, w_.data(),
+              has_bias_ ? b_.data() : nullptr,
+              y.data() + n * out_c_ * spatial, cols.data() + c * col_elems,
+              groups_, geo);
         }
       });
 }
@@ -212,8 +176,6 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& /*y*/,
   const std::int64_t batch = x.shape()[0];
   const std::int64_t spatial = geo.spatial();
   const std::int64_t in_plane = in_c_ * geo.h * geo.w;
-  const std::int64_t kdim = (in_c_ / groups_) * k_ * k_;  // per-group depth
-  const std::int64_t g_out = out_c_ / groups_;
 
   dx.resize(x.shape());
   dx.zero();
@@ -278,19 +240,8 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& /*y*/,
             kernels::conv2d_backward_weight_direct(xn, dy_n, dwp, geo);
             kernels::conv2d_backward_data_direct(wt, dy_n, dxn, dcol, geo);
           } else {
-            kernels::im2col(xn, col, geo);
-            for (std::int64_t g = 0; g < groups_; ++g) {
-              const float* dy_g = dy_n + g * g_out * spatial;
-              // dW_g(partial) += dy_g (g_out x spatial) * col_g^T (spatial x kdim)
-              sgemm(ctx, Trans::kNo, Trans::kYes, g_out, kdim, spatial, 1.0f,
-                    dy_g, spatial, col + g * kdim * spatial, spatial,
-                    1.0f, dwp + g * g_out * kdim, kdim);
-              // dcol_g = W_g^T (kdim x g_out) * dy_g (g_out x spatial)
-              sgemm(ctx, Trans::kYes, Trans::kNo, kdim, spatial, g_out, 1.0f,
-                    w_.data() + g * g_out * kdim, kdim, dy_g, spatial, 0.0f,
-                    dcol + g * kdim * spatial, spatial);
-            }
-            kernels::col2im_add(dcol, 0, geo.kdim(), dxn, geo);
+            kernels::conv2d_backward_im2col(ctx, xn, dy_n, w_.data(), dwp,
+                                            dxn, col, dcol, groups_, geo);
           }
           if (has_bias_) {
             // Each channel's plane sum, kMaxLanes planes per pass.

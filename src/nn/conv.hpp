@@ -6,9 +6,10 @@
 //           its packed path (and stride-1 3x3 forward at any size) — im2col
 //           folded into panel packing for forward, dW and dx, with no
 //           materialized col/dcol (tensor/kernels/conv_direct.hpp);
-//   im2col  grouped convs, shapes at or below kSmallGemmFlops, and
-//           everything under MINSGD_CONV_DIRECT=off — the reference.
-// Fused and gemm bytes equal the im2col bytes wherever they apply.
+//   im2col  grouped convs and shapes at or below kSmallGemmFlops
+//           (kernels::conv2d_{forward,backward}_im2col) — the reference.
+// The lowering is a function of shape only. Fused and gemm bytes equal
+// the im2col bytes wherever they apply.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +48,7 @@ class Conv2d final : public Layer {
   Shape plan_forward(PlanBuilder& builder, const Shape& input) override;
   void plan_backward(PlanBuilder& builder, const Shape& input) override;
 
-  /// Process-wide toggle for the direct (gemm and fused) lowerings. On by
-  /// default; MINSGD_CONV_DIRECT=off/0/false disables it at startup, sending
-  /// every pass through im2col. The im2col path stays the semantic
-  /// reference — the direct lowerings apply only where they reproduce its
-  /// bytes (plus stride-1 3x3 forward at every size), so tests and benches
-  /// flip this to compare them.
-  static void set_direct_enabled(bool on);
-  static bool direct_enabled();
-
-  /// The lowering `pass` takes at `input` under the current gate.
+  /// The lowering `pass` takes at `input`.
   kernels::ConvLowering lowering(const Shape& input,
                                  kernels::ConvPass pass) const;
 

@@ -146,10 +146,9 @@ class ExecutionPlan {
 /// (default-constructed, what a standalone leaf-layer call gets): every
 /// request allocates a fresh tensor, released when the requesting layer's
 /// forward/backward wrapper returns. Containers never run on a per-call
-/// context — a Network plans itself. `id == kNoTensor` takes the per-call
-/// path even under a plan (used when a runtime gate, e.g.
-/// MINSGD_CONV_DIRECT, changed between plan build and execution and a
-/// scratch exists the plan did not foresee).
+/// context — a Network plans itself. Under a plan every request must name
+/// a tensor the plan walk reserved: `id == kNoTensor` is a MINSGD_CHECK
+/// failure, never a silent per-call allocation.
 class PlanContext {
  public:
   PlanContext() = default;
@@ -167,8 +166,8 @@ class PlanContext {
   /// planned/per-call split. References stay valid until the requesting
   /// layer call returns (per-call) or the plan is rebuilt (planned).
   Tensor& tensor(TensorId id, const Shape& shape) {
-    if (plan_ != nullptr && id != kNoTensor) {
-      Tensor& t = plan_->tensor(id);
+    if (plan_ != nullptr) {
+      Tensor& t = plan_->tensor(id);  // checks id != kNoTensor
       t.resize(shape);
       return t;
     }

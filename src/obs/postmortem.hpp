@@ -23,8 +23,8 @@
 //     blocks) vs overlapped (channel 1, the async engine's worker), and
 //     extracts the elastic reconfiguration timeline from membership events.
 //
-// tools/trace/analyze.py is the offline twin: same join, same report,
-// runnable against any postmortem.json without the binary that wrote it.
+// examples/postmortem <dump.json> prints write_analysis() for any
+// postmortem.json offline, without the binary that wrote it.
 #pragma once
 
 #include <cstdint>
@@ -145,8 +145,7 @@ struct FlightAnalysis {
 /// events. Worlds <= 0 mean "derive from the events" (max rank + 1).
 FlightAnalysis analyze_flight(std::span<const FlightEvent> events, int world);
 
-/// Human-readable report of an analysis (the C++ twin of analyze.py's
-/// output).
+/// Human-readable report of an analysis.
 void write_analysis(std::ostream& out, const FlightAnalysis& a);
 
 }  // namespace minsgd::obs

@@ -108,6 +108,56 @@ void pack_bt_im2col(const float* xn, const Conv2dGeom& g, std::int64_t s0,
   }
 }
 
+// Materializes col(x_n) (kdim x spatial, rows in (c, ki, kj) order) for
+// the im2col lowering. Every element is written (padding as zeros).
+void im2col(const float* xn, float* col, const Conv2dGeom& g) {
+  const std::int64_t spatial = g.spatial();
+  for (std::int64_t row = 0; row < g.kdim(); ++row) {
+    const std::int64_t c = row / (g.k * g.k);
+    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
+    const std::int64_t kj = row % g.k;
+    const float* plane = xn + c * g.h * g.w;
+    float* dst = col + row * spatial;
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride - g.pad + ki;
+      if (ih < 0 || ih >= g.h) {
+        std::memset(dst + oh * g.out_w, 0,
+                    static_cast<std::size_t>(g.out_w) * sizeof(float));
+        continue;
+      }
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::int64_t iw = ow * g.stride - g.pad + kj;
+        dst[oh * g.out_w + ow] =
+            (iw >= 0 && iw < g.w) ? plane[ih * g.w + iw] : 0.0f;
+      }
+    }
+  }
+}
+
+// dx_n += col2im of dcol rows [r0, r0 + rows): `dcol` holds those rows
+// (rows x spatial). Adds run in ascending row order, then output position,
+// so a blocked caller (the fused dx) reproduces one whole-matrix call (the
+// im2col lowering) bit for bit.
+void col2im_add(const float* dcol, std::int64_t r0, std::int64_t rows,
+                float* dxn, const Conv2dGeom& g) {
+  const std::int64_t spatial = g.spatial();
+  for (std::int64_t row = r0; row < r0 + rows; ++row) {
+    const std::int64_t c = row / (g.k * g.k);
+    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
+    const std::int64_t kj = row % g.k;
+    float* plane = dxn + c * g.h * g.w;
+    const float* src = dcol + (row - r0) * spatial;
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride - g.pad + ki;
+      if (ih < 0 || ih >= g.h) continue;
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::int64_t iw = ow * g.stride - g.pad + kj;
+        if (iw >= 0 && iw < g.w) plane[ih * g.w + iw] += src[oh * g.out_w + ow];
+      }
+    }
+  }
+}
+
 // Target footprint of one dcol row block: kKC x kNC floats (512 KiB), the
 // size of a gemm_packed B panel, leaving room in a 1-2 MiB L2 for the
 // packed dy panels it is multiplied against. Blocks never shrink below
@@ -309,48 +359,49 @@ void conv2d_backward_data_direct(const float* wt, const float* dyn,
   }
 }
 
-void im2col(const float* xn, float* col, const Conv2dGeom& g) {
+void conv2d_forward_im2col(const ComputeContext& ctx, const float* xn,
+                           const float* w, const float* bias, float* yn,
+                           float* col, std::int64_t groups,
+                           const Conv2dGeom& g) {
   const std::int64_t spatial = g.spatial();
-  for (std::int64_t row = 0; row < g.kdim(); ++row) {
-    const std::int64_t c = row / (g.k * g.k);
-    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
-    const std::int64_t kj = row % g.k;
-    const float* plane = xn + c * g.h * g.w;
-    float* dst = col + row * spatial;
-    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
-      const std::int64_t ih = oh * g.stride - g.pad + ki;
-      if (ih < 0 || ih >= g.h) {
-        std::memset(dst + oh * g.out_w, 0,
-                    static_cast<std::size_t>(g.out_w) * sizeof(float));
-        continue;
-      }
-      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-        const std::int64_t iw = ow * g.stride - g.pad + kj;
-        dst[oh * g.out_w + ow] =
-            (iw >= 0 && iw < g.w) ? plane[ih * g.w + iw] : 0.0f;
-      }
+  const std::int64_t kdim = g.kdim() / groups;  // per-group depth
+  const std::int64_t g_out = g.out_c / groups;
+  im2col(xn, col, g);
+  for (std::int64_t gi = 0; gi < groups; ++gi) {
+    // y[group gi] = W_gi (g_out x kdim) * col_gi (kdim x spatial)
+    sgemm(ctx, Trans::kNo, Trans::kNo, g_out, spatial, kdim, 1.0f,
+          w + gi * g_out * kdim, kdim, col + gi * kdim * spatial, spatial,
+          0.0f, yn + gi * g_out * spatial, spatial);
+  }
+  if (bias != nullptr) {
+    for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
+      float* dst = yn + oc * spatial;
+      const float bv = bias[oc];
+      for (std::int64_t s = 0; s < spatial; ++s) dst[s] += bv;
     }
   }
 }
 
-void col2im_add(const float* dcol, std::int64_t r0, std::int64_t rows,
-                float* dxn, const Conv2dGeom& g) {
+void conv2d_backward_im2col(const ComputeContext& ctx, const float* xn,
+                            const float* dyn, const float* w, float* dw,
+                            float* dxn, float* col, float* dcol,
+                            std::int64_t groups, const Conv2dGeom& g) {
   const std::int64_t spatial = g.spatial();
-  for (std::int64_t row = r0; row < r0 + rows; ++row) {
-    const std::int64_t c = row / (g.k * g.k);
-    const std::int64_t ki = (row % (g.k * g.k)) / g.k;
-    const std::int64_t kj = row % g.k;
-    float* plane = dxn + c * g.h * g.w;
-    const float* src = dcol + (row - r0) * spatial;
-    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
-      const std::int64_t ih = oh * g.stride - g.pad + ki;
-      if (ih < 0 || ih >= g.h) continue;
-      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-        const std::int64_t iw = ow * g.stride - g.pad + kj;
-        if (iw >= 0 && iw < g.w) plane[ih * g.w + iw] += src[oh * g.out_w + ow];
-      }
-    }
+  const std::int64_t kdim = g.kdim() / groups;  // per-group depth
+  const std::int64_t g_out = g.out_c / groups;
+  im2col(xn, col, g);
+  for (std::int64_t gi = 0; gi < groups; ++gi) {
+    const float* dy_g = dyn + gi * g_out * spatial;
+    // dW_gi += dy_gi (g_out x spatial) * col_giᵀ (spatial x kdim)
+    sgemm(ctx, Trans::kNo, Trans::kYes, g_out, kdim, spatial, 1.0f, dy_g,
+          spatial, col + gi * kdim * spatial, spatial, 1.0f,
+          dw + gi * g_out * kdim, kdim);
+    // dcol_gi = W_giᵀ (kdim x g_out) * dy_gi (g_out x spatial)
+    sgemm(ctx, Trans::kYes, Trans::kNo, kdim, spatial, g_out, 1.0f,
+          w + gi * g_out * kdim, kdim, dy_g, spatial, 0.0f,
+          dcol + gi * kdim * spatial, spatial);
   }
+  col2im_add(dcol, 0, g.kdim(), dxn, g);
 }
 
 }  // namespace minsgd::kernels

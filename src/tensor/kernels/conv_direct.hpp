@@ -90,14 +90,24 @@ void conv2d_backward_data_direct(const float* wt, const float* dyn,
                                  float* dxn, float* dcol,
                                  const Conv2dGeom& g);
 
-/// Materializes col(x_n) (kdim x spatial, rows in (c, ki, kj) order) for
-/// the im2col reference path. Every element is written (padding as zeros).
-void im2col(const float* xn, float* col, const Conv2dGeom& g);
+/// The im2col lowering of one image of a `groups`-way grouped conv (g
+/// describes the whole conv; W is out_c x kdim/groups): y_n = W_g · col_g
+/// per group, plus bias per output channel when bias != nullptr. `col` is
+/// caller scratch of kdim * spatial floats (dirty is fine); sgemm runs on
+/// `ctx`, inline inside a parallel region. The reference every other
+/// lowering reproduces, and the lowering grouped and small shapes take.
+void conv2d_forward_im2col(const ComputeContext& ctx, const float* xn,
+                           const float* w, const float* bias, float* yn,
+                           float* col, std::int64_t groups,
+                           const Conv2dGeom& g);
 
-/// dx_n += col2im of dcol rows [r0, r0 + rows): `dcol` holds those rows
-/// (rows x spatial). Adds run in ascending row order, then output position,
-/// so a blocked caller reproduces one whole-matrix call bit for bit.
-void col2im_add(const float* dcol, std::int64_t r0, std::int64_t rows,
-                float* dxn, const Conv2dGeom& g);
+/// The im2col backward of one image: dw += dy_g · col_gᵀ and dcol_g =
+/// W_gᵀ · dy_g per group, then dx_n += col2im(dcol). `col` and `dcol` are
+/// caller scratch of kdim * spatial floats each (dirty is fine). The bias
+/// gradient is the caller's.
+void conv2d_backward_im2col(const ComputeContext& ctx, const float* xn,
+                            const float* dyn, const float* w, float* dw,
+                            float* dxn, float* col, float* dcol,
+                            std::int64_t groups, const Conv2dGeom& g);
 
 }  // namespace minsgd::kernels

@@ -51,8 +51,7 @@ struct ElasticOptions {
   /// overlap_comm, compute_threads, eval_every (in windows), epochs (used
   /// to derive total_iterations when it is 0). global_batch is ignored —
   /// the elastic invariant is a fixed *local* batch, so the global batch is
-  /// local_batch x live world. compress_one_bit and accumulation_steps are
-  /// unsupported here.
+  /// local_batch x live world. accumulation_steps is unsupported here.
   TrainOptions train;
 
   /// Per-member batch share, constant across resizes.

@@ -19,8 +19,6 @@
 // restores the full trajectory state, so the recovered run's final weights
 // are bit-identical to an uninterrupted run's; the integration tests assert
 // exactly that. Traffic and allreduce-time metrics sum over attempts.
-// compress_one_bit is rejected: the error-feedback residual is not in the
-// checkpoint, so a restart could not be exact.
 //
 // Only FaultError and its subclasses trigger a restart; logic errors (bad
 // arguments, shape mismatches) propagate immediately.

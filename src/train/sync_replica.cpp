@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "comm/compress.hpp"
 #include "core/check.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -45,14 +44,6 @@ void validate_sync_options(const TrainOptions& options,
   if (world <= 0) reject("world <= 0");
   if (global_batch % world != 0) reject("global_batch % world != 0");
   validate_bucket_bytes(options.bucket_bytes, who.c_str());
-  if (options.overlap_comm && options.compress_one_bit) {
-    reject("overlap_comm is incompatible with compress_one_bit");
-  }
-  if (options.compress_one_bit && driver != SyncDriver::kFixed) {
-    reject("compress_one_bit is unsupported: the error-feedback residual "
-           "is not part of the train checkpoint, so recovery could not be "
-           "exact");
-  }
   if (driver == SyncDriver::kElastic && options.accumulation_steps != 1) {
     reject("accumulation_steps is unsupported");
   }
@@ -85,10 +76,6 @@ SyncReplica::SyncReplica(
   net_->grad_span();  // bind the flat storage every reducer works in
   opt_ = opt_factory();
   params_ = net_->params();
-  if (options.compress_one_bit) {
-    compressor_ = std::make_unique<comm::OneBitCompressor>(
-        static_cast<std::size_t>(net_->num_params()));
-  }
 }
 
 SyncReplica::~SyncReplica() { detach(); }
@@ -175,31 +162,15 @@ std::span<float> SyncReplica::reduce() {
     sp.set_bytes(static_cast<std::int64_t>(flat.size()) * 4);
   }
   const auto t0 = std::chrono::steady_clock::now();
-  if (compressor_) {
-    // 1-bit SGD: compress locally (error feedback), allgather the payloads,
-    // reconstruct and sum every rank's contribution.
-    const auto payload = compressor_->compress(flat);
-    const auto world = static_cast<std::size_t>(comm_->world());
-    gathered_.resize(payload.size() * world);
-    comm_->allgather(payload, gathered_);
-    std::fill(flat.begin(), flat.end(), 0.0f);
-    for (std::size_t r = 0; r < world; ++r) {
-      comm::OneBitCompressor::decompress_add(
-          std::span<const float>(gathered_).subspan(r * payload.size(),
-                                                    payload.size()),
-          flat);
-    }
-  } else {
-    // Fixed-stride buckets by flat offset; bucket_bytes 0 is one bucket.
-    const std::size_t bucket =
-        options_.bucket_bytes > 0
-            ? static_cast<std::size_t>(options_.bucket_bytes / 4)
-            : flat.size();
-    for (std::span<float> rest = flat; !rest.empty();) {
-      const auto n = std::min(bucket, rest.size());
-      comm_->allreduce_sum(rest.subspan(0, n), algo_);
-      rest = rest.subspan(n);
-    }
+  // Fixed-stride buckets by flat offset; bucket_bytes 0 is one bucket.
+  const std::size_t bucket =
+      options_.bucket_bytes > 0
+          ? static_cast<std::size_t>(options_.bucket_bytes / 4)
+          : flat.size();
+  for (std::span<float> rest = flat; !rest.empty();) {
+    const auto n = std::min(bucket, rest.size());
+    comm_->allreduce_sum(rest.subspan(0, n), algo_);
+    rest = rest.subspan(n);
   }
   serial_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)

@@ -27,10 +27,6 @@
 #include "tensor/rng.hpp"
 #include "train/trainer.hpp"
 
-namespace minsgd::comm {
-class OneBitCompressor;
-}
-
 namespace minsgd::train {
 
 class OverlapAllreducer;
@@ -38,10 +34,8 @@ class OverlapAllreducer;
 enum class SyncDriver { kFixed, kFaultTolerant, kElastic };
 
 /// Throws std::invalid_argument, before any cluster thread starts, on:
-/// world <= 0; global_batch % world; bad bucket_bytes; overlap_comm with
-/// compress_one_bit; compress_one_bit outside the fixed driver (the
-/// error-feedback residual is not in the v2 checkpoint, so neither a
-/// restart nor a joiner could be exact); accumulation_steps != 1 in elastic.
+/// world <= 0; global_batch % world; bad bucket_bytes; accumulation_steps
+/// != 1 in elastic.
 void validate_sync_options(const TrainOptions& options,
                            std::int64_t global_batch, int world,
                            SyncDriver driver);
@@ -121,14 +115,12 @@ class SyncReplica {
   nn::SoftmaxCrossEntropy loss_;
   Tensor logits_, dlogits_, dx_;
   data::Batch batch_;
-  std::vector<float> gathered_;  // every rank's 1-bit payload
 
   comm::Communicator* comm_ = nullptr;
   const data::ShardedLoader* loader_ = nullptr;
   std::unique_ptr<OverlapAllreducer> overlap_;
-  std::unique_ptr<comm::OneBitCompressor> compressor_;
 
-  std::int64_t serial_ns_ = 0;  // serial and 1-bit reducer time
+  std::int64_t serial_ns_ = 0;  // serial reducer time
   std::int64_t overlap_exposed_ns_ = 0, overlap_total_ns_ = 0;  // detached
   std::optional<double> first_loss_;
   std::int64_t steps_done_ = 0;

@@ -55,16 +55,9 @@ struct TrainOptions {
   /// waits on all of them. Bucket boundaries and reduction order are
   /// identical to the serial bucketed path, so with the same seed and
   /// bucket_bytes the trained weights are bit-identical to overlap off —
-  /// the overlap determinism tests enforce exactly that. Incompatible with
-  /// compress_one_bit. Ignored by train_single.
+  /// the overlap determinism tests enforce exactly that. Ignored by
+  /// train_single.
   bool overlap_comm = false;
-  /// 1-bit SGD gradient compression with error feedback (Seide et al.
-  /// 2014), the bandwidth-side baseline the paper contrasts with its
-  /// latency-side approach. Each rank quantizes its local gradient to sign
-  /// bits + two scales, payloads are exchanged with an allgather, and every
-  /// rank reconstructs and averages — ~32x less gradient traffic, at the
-  /// cost of quantization noise (and no sequential consistency).
-  bool compress_one_bit = false;
   /// Gradient accumulation for the single-process trainer: each optimizer
   /// step averages the gradients of this many consecutive `global_batch`
   /// micro-batches, emulating an effective batch of

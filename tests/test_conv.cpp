@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "grad_check.hpp"
 #include "order_sensitive.hpp"
 #include "nn/conv.hpp"
@@ -173,22 +174,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, ConvGradGrid, ::testing::ValuesIn(conv_grid()));
 //
 // The direct (im2col-free) conv path must agree with (a) a naive
 // double-accumulated reference within float tolerance, and (b) the im2col
-// path byte for byte at sizes where sgemm takes its packed microkernel path
-// — same packed values, same microkernel visit order, so not just close but
-// identical.
-
-/// Restores the process-wide direct-path toggle on scope exit.
-struct DirectPathGuard {
-  bool prev = Conv2d::direct_enabled();
-  ~DirectPathGuard() { Conv2d::set_direct_enabled(prev); }
-};
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  if (a.numel() != b.numel()) return false;
-  if (a.numel() == 0) return true;
-  return std::memcmp(a.data(), b.data(),
-                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
-}
+// reference (tests/conv_reference.hpp) byte for byte at sizes where sgemm
+// takes its packed microkernel path — same packed values, same microkernel
+// visit order, so not just close but identical.
 
 /// Naive direct convolution, double accumulation, groups == 1.
 Tensor naive_conv(const Tensor& x, const Tensor& w, const Tensor* bias,
@@ -250,8 +238,23 @@ TEST(ConvOracle, DirectForwardMatchesNaiveReference) {
   }
 }
 
+/// Conv2d's y, dx, then every parameter gradient, concatenated (the
+/// layout of testing::im2col_passes), for one forward + backward on `ctx`.
+std::vector<float> conv_passes(Conv2d& conv, const Tensor& x, const Tensor& dy,
+                               const ComputeContext& ctx) {
+  Tensor y, dx;
+  conv.forward(x, y, true, ctx);
+  for (auto& p : conv.params()) p.grad->zero();
+  conv.backward(x, y, dy, dx, ctx);
+  std::vector<float> out(y.span().begin(), y.span().end());
+  out.insert(out.end(), dx.span().begin(), dx.span().end());
+  for (auto& p : conv.params()) {
+    out.insert(out.end(), p.grad->span().begin(), p.grad->span().end());
+  }
+  return out;
+}
+
 TEST(ConvOracle, Direct3x3BitIdenticalToIm2colAtPackedSizes) {
-  DirectPathGuard guard;
   // kdim=288, spatial=256, out_c=48: the im2col sgemm takes the packed
   // microkernel path, so direct and im2col must agree bytewise.
   Conv2d conv(32, 48, 3, 1, 1);
@@ -260,48 +263,44 @@ TEST(ConvOracle, Direct3x3BitIdenticalToIm2colAtPackedSizes) {
   rng.fill_normal(conv.bias().span(), 0.0f, 0.5f);
   Tensor x({2, 32, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
+  ASSERT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kForward),
+            kernels::ConvLowering::kFused);
 
-  Tensor y_ref, y_direct;
-  Conv2d::set_direct_enabled(false);
-  conv.forward(x, y_ref, false);
-  Conv2d::set_direct_enabled(true);
+  const ComputeContext ctx1(1);
+  const std::vector<float> y_ref =
+      testing::im2col_forward(ctx1, x, conv.weight(), &conv.bias(), 1, 1);
+  Tensor y_direct;
   conv.forward(x, y_direct, false);
-  EXPECT_TRUE(same_bits(y_ref, y_direct));
+  ASSERT_EQ(static_cast<std::size_t>(y_direct.numel()), y_ref.size());
+  EXPECT_EQ(std::memcmp(y_direct.data(), y_ref.data(),
+                        y_ref.size() * sizeof(float)),
+            0);
 }
 
 TEST(ConvOracle, Direct1x1BitIdenticalToIm2colForwardBackward) {
-  DirectPathGuard guard;
   Conv2d conv(64, 64, 1);
   Rng rng(13);
   conv.init(rng);
   Tensor x({2, 64, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
+  Tensor dy(conv.output_shape(x.shape()));
+  Rng grng(17);
+  grng.fill_normal(dy.span(), 0.0f, 1.0f);
+  for (const auto pass :
+       {kernels::ConvPass::kForward, kernels::ConvPass::kBackward}) {
+    ASSERT_EQ(conv.lowering(x.shape(), pass), kernels::ConvLowering::kGemm);
+  }
 
-  auto run = [&](bool direct, Tensor* y, Tensor* dx,
-                 std::vector<float>* grads) {
-    Conv2d::set_direct_enabled(direct);
-    conv.forward(x, *y, true);
-    Tensor dy(y->shape());
-    Rng grng(17);
-    grng.fill_normal(dy.span(), 0.0f, 1.0f);
-    for (auto& p : conv.params()) p.grad->zero();
-    conv.backward(x, *y, dy, *dx);
-    grads->clear();
-    for (auto& p : conv.params()) {
-      grads->insert(grads->end(), p.grad->span().begin(),
-                    p.grad->span().end());
-    }
-  };
-  Tensor y_ref, dx_ref, y_dir, dx_dir;
-  std::vector<float> g_ref, g_dir;
-  run(false, &y_ref, &dx_ref, &g_ref);
-  run(true, &y_dir, &dx_dir, &g_dir);
-  EXPECT_TRUE(same_bits(y_ref, y_dir));
-  EXPECT_TRUE(same_bits(dx_ref, dx_dir));
-  ASSERT_EQ(g_ref.size(), g_dir.size());
-  EXPECT_EQ(std::memcmp(g_ref.data(), g_dir.data(),
-                        g_ref.size() * sizeof(float)),
-            0);
+  const ComputeContext ctx1(1), ctx4(4);
+  const std::vector<float> ref =
+      testing::im2col_passes(ctx1, x, conv.weight(), &conv.bias(), dy, 1, 0);
+  for (const ComputeContext* ctx : {&ctx1, &ctx4}) {
+    const std::vector<float> got = conv_passes(conv, x, dy, *ctx);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+        << "threads=" << ctx->threads();
+  }
 }
 
 // Forward and backward (y, dx, dW, db) of every conv shape ResNet-50 uses
@@ -326,19 +325,9 @@ TEST(ConvOracle, EveryConvPathBitIdenticalAcrossIsaPaths) {
     Tensor dy(conv.output_shape(x.shape()));
     rng.fill_normal(dy.span(), 0.0f, 1.0f);
 
-    // y, dx, then every parameter gradient, concatenated.
     auto run = [&](kernels::Isa isa) {
       kernels::force(isa);
-      Tensor y, dx;
-      conv.forward(x, y, true);
-      for (auto& p : conv.params()) p.grad->zero();
-      conv.backward(x, y, dy, dx);
-      std::vector<float> out(y.span().begin(), y.span().end());
-      out.insert(out.end(), dx.span().begin(), dx.span().end());
-      for (auto& p : conv.params()) {
-        out.insert(out.end(), p.grad->span().begin(), p.grad->span().end());
-      }
-      return out;
+      return conv_passes(conv, x, dy, ComputeContext::default_ctx());
     };
     const std::vector<float> base = run(kernels::Isa::kPortable);
     for (kernels::Isa isa : kernels::kAllIsas) {
@@ -362,7 +351,6 @@ TEST(ConvOracle, EveryConvPathBitIdenticalAcrossIsaPaths) {
 // block, and a batch of 3 (three backward chunks). A shape just below
 // kSmallGemmFlops keeps the im2col lowering and its bytes.
 TEST(ConvOracle, FusedBackwardBitIdenticalToIm2col) {
-  DirectPathGuard guard;
   struct Case {
     std::int64_t in_c, out_c, k, stride, pad, hw;
     bool fused;
@@ -393,32 +381,16 @@ TEST(ConvOracle, FusedBackwardBitIdenticalToIm2col) {
     const std::int64_t kdim = c.in_c * c.k * c.k;
     ASSERT_EQ(c.out_c * kdim * out[2] * out[3] > kSmallGemmFlops, c.fused)
         << "case geometry does not test what it claims";
+    const auto want = c.fused ? kernels::ConvLowering::kFused
+                              : kernels::ConvLowering::kIm2col;
+    EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kBackward), want);
+    EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kForward), want);
 
-    // y, dx, then every parameter gradient, concatenated.
-    auto run = [&](bool direct, const ComputeContext& ctx) {
-      Conv2d::set_direct_enabled(direct);
-      if (direct) {
-        const auto want = c.fused ? kernels::ConvLowering::kFused
-                                  : kernels::ConvLowering::kIm2col;
-        EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kBackward),
-                  want);
-        EXPECT_EQ(conv.lowering(x.shape(), kernels::ConvPass::kForward),
-                  want);
-      }
-      Tensor y, dx;
-      conv.forward(x, y, true, ctx);
-      for (auto& p : conv.params()) p.grad->zero();
-      conv.backward(x, y, dy, dx, ctx);
-      std::vector<float> res(y.span().begin(), y.span().end());
-      res.insert(res.end(), dx.span().begin(), dx.span().end());
-      for (auto& p : conv.params()) {
-        res.insert(res.end(), p.grad->span().begin(), p.grad->span().end());
-      }
-      return res;
-    };
-    const std::vector<float> ref = run(false, ctx1);
+    const std::vector<float> ref =
+        testing::im2col_passes(ctx1, x, conv.weight(), &conv.bias(), dy,
+                               c.stride, c.pad);
     for (const ComputeContext* ctx : {&ctx1, &ctx4}) {
-      const std::vector<float> got = run(true, *ctx);
+      const std::vector<float> got = conv_passes(conv, x, dy, *ctx);
       ASSERT_EQ(got.size(), ref.size());
       EXPECT_EQ(
           std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)), 0)

@@ -10,20 +10,14 @@
 //
 //   MINSGD_THREADS            -> ComputeContext::default_threads()
 //   MINSGD_KERNEL_ISA         -> kernels::force() / active()
-//   MINSGD_CONV_DIRECT        -> Conv2d::set_direct_enabled()
 //   MINSGD_FLIGHT             -> obs::FlightRecorder::set_enabled()
 //   MINSGD_FLIGHT_CAPACITY    -> obs::FlightRecorder(capacity_per_lane)
 #include <gtest/gtest.h>
 
-#include <cstring>
-
-#include "nn/conv.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "tensor/context.hpp"
 #include "tensor/kernels/dispatch.hpp"
-#include "tensor/rng.hpp"
-#include "tensor/tensor.hpp"
 
 namespace minsgd {
 namespace {
@@ -45,33 +39,6 @@ TEST(EnvGates, KernelIsaForcePinsActiveSelection) {
   }
   kernels::clear_force();
   EXPECT_EQ(kernels::active(), prev);
-}
-
-// MINSGD_CONV_DIRECT seeds Conv2d::direct_enabled(); flipping the toggle
-// must not change a single output bit (the direct path's whole contract).
-// Geometry is chosen so the im2col sgemm takes the packed microkernel path
-// (kdim=288, spatial=256, out_c=48), where bytewise agreement is the pinned
-// contract (ConvOracle.Direct3x3BitIdenticalToIm2colAtPackedSizes).
-TEST(EnvGates, ConvDirectGateIsBitInvisible) {
-  const bool prev = nn::Conv2d::direct_enabled();
-  nn::Conv2d conv(32, 48, 3, 1, 1);
-  Rng rng(29);
-  conv.init(rng);
-  Tensor x({2, 32, 16, 16});
-  rng.fill_normal(x.span(), 0.0f, 1.0f);
-
-  Tensor y_off, y_on;
-  nn::Conv2d::set_direct_enabled(false);
-  conv.forward(x, y_off, /*training=*/false);
-  nn::Conv2d::set_direct_enabled(true);
-  conv.forward(x, y_on, /*training=*/false);
-  nn::Conv2d::set_direct_enabled(prev);
-
-  ASSERT_EQ(y_off.shape(), y_on.shape());
-  EXPECT_EQ(std::memcmp(y_off.data(), y_on.data(),
-                        static_cast<std::size_t>(y_off.numel()) *
-                            sizeof(float)),
-            0);
 }
 
 // MINSGD_FLIGHT / MINSGD_FLIGHT_CAPACITY feed the recorder's enabled flag

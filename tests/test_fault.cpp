@@ -571,14 +571,6 @@ TEST(FaultTolerantTrain, RejectsBadOptions) {
   EXPECT_THROW(
       train::train_sync_fault_tolerant(det_model, sgd_factory(), lr, ds, o, 4),
       std::invalid_argument);
-  // 1-bit compression used to be silently dropped here. Its error-feedback
-  // residual is not in the v2 checkpoint, so a restart could not be exact:
-  // the option is rejected up front instead.
-  o = ft_options("bad3");
-  o.train.compress_one_bit = true;
-  EXPECT_THROW(
-      train::train_sync_fault_tolerant(det_model, sgd_factory(), lr, ds, o, 2),
-      std::invalid_argument);
 }
 
 TEST(FaultTolerantTrainDeath, NegativeRestartBudgetTripsCheck) {

@@ -4,6 +4,7 @@
 // greps: a trace Chrome cannot load is a bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -614,14 +615,17 @@ TEST(Postmortem, RejectsUnknownSchemaAndEnumerators) {
       std::runtime_error);
 }
 
-/// Synthetic cross-rank timeline: rank 2 is late into both complete
-/// collectives, one group is missing rank 3, and a membership commit shrinks
-/// generation 1 to world 2. Mirrors tools/trace/analyze.py --self-test.
+/// Synthetic 4-rank timeline exercising every analyzer feature: rank 2 is
+/// late into both complete collectives, one group is missing crashed rank 3
+/// and rank 0 runs a nested span inside it, a membership commit shrinks
+/// generation 1 to world 2 for an overlapped-channel group, and one fault
+/// marker is recorded.
 TEST(Postmortem, AnalyzerJoinsRanksAndNamesTheStraggler) {
+  using K = obs::FlightKind;
+  using O = obs::FlightOp;
   std::vector<obs::FlightEvent> ev;
-  auto add = [&ev](std::int64_t t, obs::FlightKind kind, obs::FlightOp op,
-                   int rank, int chan, std::int64_t tag, std::int64_t gen,
-                   std::int64_t arg) {
+  auto add = [&ev](std::int64_t t, K kind, O op, int rank, int chan,
+                   std::int64_t tag, std::int64_t gen, std::int64_t arg) {
     obs::FlightEvent e;
     e.t_ns = t;
     e.kind = kind;
@@ -633,46 +637,90 @@ TEST(Postmortem, AnalyzerJoinsRanksAndNamesTheStraggler) {
     e.arg = arg;
     ev.push_back(e);
   };
-  const std::int64_t ms = 1'000'000;
+  const std::int64_t ms = 1'000'000, us = 1'000;
+  // Tag 100: all 4 ranks, rank 2 arrives 2 ms after the pack.
   for (int r = 0; r < 4; ++r) {
-    add(1 * ms + r * 1000 + (r == 2 ? 2 * ms : 0), obs::FlightKind::kCollBegin,
-        obs::FlightOp::kAllreduceRing, r, 0, 100, 0, 0);
-    add(4 * ms, obs::FlightKind::kCollEnd, obs::FlightOp::kAllreduceRing, r,
-        0, 100, 0, 0);
+    add(1 * ms + r * 10 * us + (r == 2 ? 2 * ms : 0), K::kCollBegin,
+        O::kAllreduceRing, r, 0, 100, 0, 0);
+    add(4 * ms + r * 10 * us, K::kCollEnd, O::kAllreduceRing, r, 0, 100, 0, 0);
+  }
+  // Tag 200: rank 2 late again, so attribution must accumulate.
+  for (int r = 0; r < 4; ++r) {
+    add(5 * ms + r * 10 * us + (r == 2 ? 3 * ms : 0), K::kCollBegin,
+        O::kBarrier, r, 0, 200, 0, 0);
+    add(9 * ms + r * 10 * us, K::kCollEnd, O::kBarrier, r, 0, 200, 0, 0);
+  }
+  // Tag 300: rank 3 crashed before it, so only 3 ranks begin (unmatched).
+  for (int r = 0; r < 3; ++r) {
+    add(10 * ms + r * 10 * us, K::kCollBegin, O::kBroadcast, r, 0, 300, 0, 0);
+  }
+  add(10 * ms + 500 * us, K::kCrash, O::kCrashed, 3, 0, 0, 0, 3);
+  // Tag 301 nests inside rank 0's tag-300 window: union, not sum.
+  add(10 * ms + 20 * us, K::kCollBegin, O::kReduce, 0, 0, 301, 0, 0);
+  add(10 * ms + 400 * us, K::kCollEnd, O::kReduce, 0, 0, 301, 0, 0);
+  for (int r = 0; r < 3; ++r) {
+    add(11 * ms + r * 10 * us, K::kCollEnd, O::kBroadcast, r, 0, 300, 0, 0);
+  }
+  // Channel-1 (overlapped) group on ranks 0-1 in generation 1, after a
+  // commit that shrank the world to 2.
+  add(12 * ms, K::kMembership, O::kCommit, 0, 2, 0, 1, 2);
+  for (int r = 0; r < 2; ++r) {
+    add(13 * ms + r * 10 * us, K::kCollBegin, O::kAllreduceRing, r, 1, 400, 1,
+        0);
+    add(14 * ms + r * 10 * us, K::kCollEnd, O::kAllreduceRing, r, 1, 400, 1,
+        0);
   }
   for (int r = 0; r < 4; ++r) {
-    add(5 * ms + r * 1000 + (r == 2 ? 3 * ms : 0), obs::FlightKind::kCollBegin,
-        obs::FlightOp::kBarrier, r, 0, 200, 0, 0);
-    add(9 * ms, obs::FlightKind::kCollEnd, obs::FlightOp::kBarrier, r, 0, 200,
-        0, 0);
+    add(15 * ms, K::kStep, O::kNone, r, 0, 0, 0, 1);
   }
-  for (int r = 0; r < 3; ++r) {  // rank 3 never reaches tag 300
-    add(10 * ms + r * 1000, obs::FlightKind::kCollBegin,
-        obs::FlightOp::kBroadcast, r, 0, 300, 0, 0);
-  }
-  add(11 * ms, obs::FlightKind::kMembership, obs::FlightOp::kCommit, 0, 2, 0,
-      1, 2);
-  for (int r = 0; r < 4; ++r) {
-    add(12 * ms, obs::FlightKind::kStep, obs::FlightOp::kNone, r, 0, 0, 0, 0);
-  }
+  add(2 * ms, K::kFault, O::kDelay, 1, 0, 0, 0, 2);
 
   const obs::FlightAnalysis a = obs::analyze_flight(ev, 4);
   EXPECT_EQ(a.world, 4);
-  EXPECT_EQ(a.groups, 3);
-  EXPECT_EQ(a.matched_groups, 2);
+  // Four main-channel groups plus one overlapped; tags 300 (3/4 ranks) and
+  // 301 (1/4) are unmatched.
+  EXPECT_EQ(a.groups, 5);
+  EXPECT_EQ(a.matched_groups, 3);
+  EXPECT_NEAR(a.match_rate, 0.6, 1e-9);
+  // Rank 2 is charged its margin over the second-last arrival: ~2 ms (tag
+  // 100) + ~3 ms (tag 200), and arrived last at 100, 200 and (by 20 us) 300.
   EXPECT_EQ(a.straggler_rank, 2);
-  EXPECT_GT(a.straggler_lag_ns, 4 * ms);  // ~2 ms + ~3 ms of charged margin
-  ASSERT_FALSE(a.worst.empty());
-  EXPECT_EQ(a.worst.front().tag, 200);  // biggest skew first
+  EXPECT_GT(a.straggler_lag_ns, 4'900 * us);
+  EXPECT_LT(a.straggler_lag_ns, 5'100 * us);
+  const auto rank2 = std::find_if(
+      a.ranks.begin(), a.ranks.end(),
+      [](const obs::RankAttribution& ra) { return ra.rank == 2; });
+  ASSERT_NE(rank2, a.ranks.end());
+  EXPECT_EQ(rank2->arrived_last, 3);
+  EXPECT_EQ(a.fault_events, 1);
+  EXPECT_EQ(a.crash_events, 1);
   ASSERT_EQ(a.reconfigs.size(), 1u);
+  EXPECT_EQ(a.reconfigs[0].t_ns, 12 * ms);
+  EXPECT_EQ(a.reconfigs[0].generation, 1);
   EXPECT_EQ(a.reconfigs[0].world, 2);
-  // Rank 0's exposed comm: tags 100 (3 ms) + 200 (4 ms); tag 300 never ends.
+  // The gen-1 group takes its expected world from the commit: 2/2 matched.
+  int gen1_groups = 0;
+  for (const auto& g : a.worst) {
+    if (g.generation != 1) continue;
+    ++gen1_groups;
+    EXPECT_EQ(g.ranks_expected, 2);
+    EXPECT_EQ(g.ranks_seen, 2);
+  }
+  EXPECT_EQ(gen1_groups, 1);
+  // Biggest skew first: tag 200 (3 ms) ahead of tag 100 (2 ms).
+  ASSERT_GE(a.worst.size(), 2u);
+  EXPECT_EQ(a.worst[0].tag, 200);
+  EXPECT_EQ(a.worst[1].tag, 100);
+  // Rank 0's exposed comm is the union of tags 100 (3 ms), 200 (4 ms) and
+  // 300 (1 ms, with 301 nested inside it) = 8 ms; its channel-1 time is
+  // counted apart as 1 ms overlapped.
   bool saw_rank0 = false;
   for (const auto& row : a.step_comm) {
     if (row.rank != 0) continue;
     saw_rank0 = true;
     EXPECT_EQ(row.steps, 1);
-    EXPECT_NEAR(static_cast<double>(row.exposed_ns), 7.0 * ms, 0.1 * ms);
+    EXPECT_NEAR(static_cast<double>(row.exposed_ns), 8.0 * ms, 200.0 * us);
+    EXPECT_NEAR(static_cast<double>(row.overlapped_ns), 1.0 * ms, 200.0 * us);
   }
   EXPECT_TRUE(saw_rank0);
 
@@ -680,6 +728,8 @@ TEST(Postmortem, AnalyzerJoinsRanksAndNamesTheStraggler) {
   obs::write_analysis(report, a);
   EXPECT_NE(report.str().find("straggler: rank 2"), std::string::npos);
   EXPECT_NE(report.str().find("membership timeline"), std::string::npos);
+  EXPECT_NE(report.str().find("fault events: 1, crash events: 1"),
+            std::string::npos);
 }
 
 TEST(Postmortem, DumpWritesTheConfiguredPath) {

@@ -249,6 +249,38 @@ TEST(Lars, ResetClearsState) {
   EXPECT_TRUE(lars.last_local_lrs().empty());
 }
 
+// ---------------- LARC clipping ----------------
+
+TEST(LarcClip, CapsLocalMultiplierAtOne) {
+  Tensor w({2}, std::vector<float>{30.0f, 40.0f});    // ||w|| = 50
+  Tensor g({2}, std::vector<float>{0.006f, 0.008f});  // ||g|| = 0.01
+  std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
+  optim::Lars unclipped({.trust_coeff = 0.1, .momentum = 0.0,
+                         .weight_decay = 0.0, .eps = 0.0});
+  unclipped.step(p, 1.0);
+  EXPECT_GT(unclipped.last_local_lrs()[0], 100.0);  // 0.1 * 50/0.01 = 500
+
+  Tensor w2({2}, std::vector<float>{30.0f, 40.0f});
+  Tensor g2({2}, std::vector<float>{0.006f, 0.008f});
+  std::vector<nn::ParamRef> p2{{"a", &w2, &g2, true}};
+  optim::Lars clipped({.trust_coeff = 0.1, .momentum = 0.0,
+                       .weight_decay = 0.0, .eps = 0.0,
+                       .adapt_non_decay_params = false, .clip = true});
+  clipped.step(p2, 1.0);
+  EXPECT_DOUBLE_EQ(clipped.last_local_lrs()[0], 1.0);
+}
+
+TEST(LarcClip, LeavesSmallMultipliersAlone) {
+  Tensor w({2}, std::vector<float>{3.0f, 4.0f});
+  Tensor g({2}, std::vector<float>{30.0f, 40.0f});
+  std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
+  optim::Lars clipped({.trust_coeff = 0.1, .momentum = 0.0,
+                       .weight_decay = 0.0, .eps = 0.0,
+                       .adapt_non_decay_params = false, .clip = true});
+  clipped.step(p, 1.0);
+  EXPECT_NEAR(clipped.last_local_lrs()[0], 0.01, 1e-9);  // 0.1 * 5/50
+}
+
 // ---------------- LARS oracle ----------------
 
 /// A parameter list spanning the reduction geometries: two 16-chunk tensors

@@ -422,29 +422,12 @@ TEST(ExecutionPlan, EvalBuildLeavesTrainingGauges) {
   }
 }
 
-/// Restores the process-wide conv lowering gate on scope exit.
-struct ConvDirectGuard {
-  bool prev = nn::Conv2d::direct_enabled();
-  ~ConvDirectGuard() { nn::Conv2d::set_direct_enabled(prev); }
-};
-
 TEST(ExecutionPlan, FusedConvsReserveNoColumnBuffers) {
-  ConvDirectGuard guard;
   // The fused backward needs one L2-sized dcol row block per chunk instead
-  // of whole col and dcol matrices, so tiny-resnet's arena shrinks.
-  auto net = nn::tiny_resnet(/*blocks_per_stage=*/2, /*classes=*/10,
-                             /*resolution=*/16);
-  const Shape input({8, 3, 16, 16});
-  nn::ExecutionPlan direct, reference;
-  nn::Conv2d::set_direct_enabled(true);
-  direct.build(*net, input, /*training=*/true);
-  nn::Conv2d::set_direct_enabled(false);
-  reference.build(*net, input, /*training=*/true);
-  EXPECT_LT(direct.arena_bytes(), reference.arena_bytes());
-
-  // tiny-resnet's conv shapes at their input planes: every fused backward
-  // plans without col/dcol; the im2col ones (the stem and the 1x1
-  // projections, all at or below kSmallGemmFlops) keep them.
+  // of whole col and dcol matrices. tiny-resnet's conv shapes at their
+  // input planes: every fused backward plans without col/dcol; the im2col
+  // ones (the stem and the 1x1 projections, all at or below
+  // kSmallGemmFlops) keep them.
   struct Case {
     std::int64_t in_c, out_c, k, stride, pad, hw;
     bool fused;
@@ -454,21 +437,17 @@ TEST(ExecutionPlan, FusedConvsReserveNoColumnBuffers) {
       {16, 32, 3, 2, 1, 16, true}, {16, 32, 1, 2, 0, 16, false},
       {32, 32, 3, 1, 1, 8, true},  {32, 64, 3, 2, 1, 8, true},
       {32, 64, 1, 2, 0, 8, false}, {64, 64, 3, 1, 1, 4, true}};
-  for (const bool on : {true, false}) {
-    nn::Conv2d::set_direct_enabled(on);
-    for (const Case& c : cases) {
-      nn::Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, /*bias=*/false);
-      const Shape in({8, c.in_c, c.hw, c.hw});
-      nn::PlanBuilder builder(1, /*training=*/true);
-      conv.plan_backward(builder, in);
-      const bool fused = on && c.fused;
-      EXPECT_EQ(conv.lowering(in, kernels::ConvPass::kBackward) ==
-                    kernels::ConvLowering::kFused,
-                fused)
-          << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
-      EXPECT_EQ(conv.plans_backward_columns(), !fused)
-          << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
-    }
+  for (const Case& c : cases) {
+    nn::Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, /*bias=*/false);
+    const Shape in({8, c.in_c, c.hw, c.hw});
+    nn::PlanBuilder builder(1, /*training=*/true);
+    conv.plan_backward(builder, in);
+    EXPECT_EQ(conv.lowering(in, kernels::ConvPass::kBackward) ==
+                  kernels::ConvLowering::kFused,
+              c.fused)
+        << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
+    EXPECT_EQ(conv.plans_backward_columns(), !c.fused)
+        << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride;
   }
 }
 

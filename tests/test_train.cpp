@@ -238,6 +238,34 @@ TEST(TrainDistributed, BucketBytesValidatedUpFront) {
   }
 }
 
+TEST(Bucketing, EquivalentToSingleAllreduce) {
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  train::TrainOptions options;
+  options.global_batch = 32;
+  options.epochs = 2;
+  optim::ConstantLr lr(0.02);
+  auto run = [&](std::int64_t bucket_bytes) {
+    options.bucket_bytes = bucket_bytes;
+    return train::train_sync_data_parallel(
+        [] { return det_model(); },
+        [] {
+          return std::make_unique<optim::Sgd>(
+              optim::SgdConfig{.momentum = 0.9, .weight_decay = 0.0005});
+        },
+        lr, ds, options, 4, comm::AllreduceAlgo::kTree);
+  };
+  const auto whole = run(0);
+  const auto bucketed = run(1024);
+  ASSERT_EQ(whole.result.epochs.size(), bucketed.result.epochs.size());
+  for (std::size_t e = 0; e < whole.result.epochs.size(); ++e) {
+    EXPECT_NEAR(whole.result.epochs[e].train_loss,
+                bucketed.result.epochs[e].train_loss, 1e-5);
+  }
+  // More buckets -> more messages for the same bytes.
+  EXPECT_GT(bucketed.traffic.messages, whole.traffic.messages);
+  EXPECT_EQ(bucketed.traffic.bytes, whole.traffic.bytes);
+}
+
 TEST(SyncReplica, SteadyStateAllocsAreZero) {
   // ExecutionPlan.SteadyStateAllocsAreZero one level up: after two warm-up
   // steps, a 2-rank replica's whole step (batch load into reused storage,

@@ -450,7 +450,6 @@ def check_det_reduction(world: World):
 GATE_DESCRIPTIONS = {
     "MINSGD_THREADS": "intra-op worker threads (default: hardware conc.)",
     "MINSGD_KERNEL_ISA": "force kernel ISA: portable, avx2, avx512, neon",
-    "MINSGD_CONV_DIRECT": "direct-conv fast path on/off (default on)",
     "MINSGD_FLIGHT": "cross-rank flight recorder on/off",
     "MINSGD_FLIGHT_CAPACITY": "flight recorder ring capacity [16, 2^20]",
     "MINSGD_SANITIZE": "build preset: asan-ubsan or tsan",

@@ -1,3 +1,3 @@
-# Shared stdlib-only helpers for the repo's Python tooling (tools/lint,
-# tools/trace, tools/analyze). Keep this package dependency-free: every tool
-# must run on a bare python3 with no site-packages.
+# Shared stdlib-only helpers for the repo's Python tooling. Keep this
+# package dependency-free: every tool must run on a bare python3 with no
+# site-packages.

@@ -1,13 +1,13 @@
 """Shared JSON-report writing for the repo's offline tools.
 
-Both the postmortem analyzer (tools/trace/analyze.py) and the semantic
-analyzer (tools/analyze/analyze.py) emit machine-readable JSON reports that
-other stages (check_all.sh, benches, CI diffing) consume. A half-written
-report is worse than none — a crashed tool must never leave a truncated
-findings.json that a later stage parses as "clean" — so every report is
-written to a temp file in the destination directory and atomically renamed
-over the target, mirroring the tmp+rename discipline of the C++ postmortem
-writer (src/obs/postmortem.cpp).
+The semantic analyzer (tools/analyze/analyze.py) emits machine-readable
+JSON reports that other stages (check_all.sh, benches, CI diffing)
+consume. A half-written report is worse than none — a crashed tool must
+never leave a truncated findings.json that a later stage parses as
+"clean" — so every report is written to a temp file in the destination
+directory and atomically renamed over the target, mirroring the
+tmp+rename discipline of the C++ postmortem writer
+(src/obs/postmortem.cpp).
 """
 
 from __future__ import annotations
