@@ -4,8 +4,14 @@
 // (a) correctness-invariant accuracy, (b) messages and bytes on the wire,
 // and (c) the alpha-beta model's predicted cost of each algorithm on the
 // paper's networks at scale — why production systems pick ring for large
-// gradients and trees for small ones.
+// gradients and trees for small ones. A last section times the ring's
+// transport itself, eager against the shipped eager/rendezvous choice,
+// over chunk sizes from 4 KiB to 32 MiB.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "comm/cluster.hpp"
@@ -13,6 +19,39 @@
 #include "perf/specs.hpp"
 
 using namespace minsgd;
+
+namespace {
+
+/// Median microseconds per ring allreduce of `n` floats per rank on a
+/// fresh `world`-rank cluster, timed on rank 0 from a barrier to the end of
+/// the call. `eager` installs a fault injector that injects nothing, which
+/// keeps every ring step on the eager path at any chunk size.
+double ring_us_per_call(int world, std::size_t n, bool eager, int reps) {
+  comm::SimCluster cluster(
+      comm::ClusterOptions{world, static_cast<std::size_t>(world)});
+  if (eager) {
+    cluster.set_fault_injector(
+        std::make_shared<comm::FaultInjector>(comm::FaultPlan{}, world));
+  }
+  std::vector<double> us;
+  cluster.run([&](comm::Communicator& c) {
+    std::vector<float> buf(n, 1.0f);
+    c.allreduce_sum(buf, comm::AllreduceAlgo::kRing);  // touch every page
+    for (int i = 0; i < reps; ++i) {
+      std::fill(buf.begin(), buf.end(), 1.0f);
+      c.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      c.allreduce_sum(buf, comm::AllreduceAlgo::kRing);
+      const std::chrono::duration<double, std::micro> dt =
+          std::chrono::steady_clock::now() - t0;
+      if (c.rank() == 0) us.push_back(dt.count());
+    }
+  });
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  return us[us.size() / 2];
+}
+
+}  // namespace
 
 int main() {
   bench::banner("Ablation — allreduce algorithm",
@@ -57,5 +96,38 @@ int main() {
   std::printf("\nRing's per-node traffic is batch-size- and node-count-\n"
               "independent (2|W| bytes), which is what lets the 2048-node\n"
               "runs keep t_comm under t_comp (Table 9).\n");
+
+  bench::section("ring transport: eager vs shipped, per chunk size");
+  std::printf("chunks of %zu KiB and more go by rendezvous (the peer reads\n"
+              "the sender's buffer in place); GB/s = per-rank wire bytes\n"
+              "2(p-1)/p * 4n over the median call time\n",
+              comm::Communicator::kRendezvousBytes >> 10);
+  core::CsvWriter tcsv(bench::csv_path("ablation_allreduce_transport"),
+                       {"world", "chunk_bytes", "shipped_protocol", "eager_us",
+                        "shipped_us", "eager_gbs", "shipped_gbs"});
+  std::printf("%6s %10s %11s %11s %11s %11s %12s\n", "world", "chunk",
+              "shipped", "eager us", "shipped us", "eager GB/s",
+              "shipped GB/s");
+  for (const int world : {2, 4}) {
+    for (const std::size_t chunk_kib :
+         {4, 16, 64, 128, 256, 1024, 4096, 16384, 32768}) {
+      const std::size_t chunk_bytes = chunk_kib << 10;
+      const std::size_t n = static_cast<std::size_t>(world) * chunk_bytes / 4;
+      const int reps = static_cast<int>(
+          std::clamp<std::size_t>((std::size_t{256} << 20) / (n * 4), 5, 400));
+      const double eager_us = ring_us_per_call(world, n, true, reps);
+      const double shipped_us = ring_us_per_call(world, n, false, reps);
+      const double wire = 2.0 * (world - 1) / world * 4.0 * n;
+      const char* protocol =
+          chunk_bytes >= comm::Communicator::kRendezvousBytes ? "rendezvous"
+                                                               : "eager";
+      std::printf("%6d %6zu KiB %11s %11.1f %11.1f %11.2f %12.2f\n", world,
+                  chunk_kib, protocol, eager_us, shipped_us,
+                  wire / eager_us / 1e3, wire / shipped_us / 1e3);
+      tcsv.row(world, static_cast<std::int64_t>(chunk_bytes), protocol,
+               eager_us, shipped_us, wire / eager_us / 1e3,
+               wire / shipped_us / 1e3);
+    }
+  }
   return 0;
 }

@@ -11,6 +11,7 @@
 # the bucket and layer slices must be provably disjoint. test_elastic joins the gate: the elastic
 # coordinator's rendezvous/watchdog and communicator re-forms across
 # generations add cross-thread handoffs that must also be race-free.
+# test_comm's rendezvous ring steps read a neighbour rank's chunk in place (Communicator::exchange), ordered only by the mailbox post/complete handshake.
 # test_obs carries the flight recorder's seqlock: concurrent writers racing
 # a snapshot reader must be exact under TSan, not just in practice.
 # test_fault's restart driver tears the shared SyncReplica engine (and its

@@ -122,8 +122,9 @@ class SimCluster {
   FaultStats rank_faults(int rank) const;
   FaultStats total_faults() const;
 
-  /// Deadline applied to every Communicator::recv. kNoTimeout (default)
-  /// preserves the block-forever semantics of a perfect network.
+  /// Deadline applied to every Communicator::recv, and to a rendezvous
+  /// ring step's wait for its peer's read. kNoTimeout (default) preserves
+  /// the block-forever semantics of a perfect network.
   void set_recv_timeout(std::chrono::milliseconds timeout);
   std::chrono::milliseconds recv_timeout() const { return recv_timeout_; }
 

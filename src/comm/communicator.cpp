@@ -50,6 +50,18 @@ WireOp wire_op(AllreduceAlgo algo) {
   return WireOp::kP2P;
 }
 
+/// Hands a taken rendezvous message's view back to its sender once the
+/// read is over, on every exit path; no-op for eager messages.
+struct ReadGuard {
+  explicit ReadGuard(Rendezvous* r) : rv(r) {}
+  ReadGuard(const ReadGuard&) = delete;
+  ReadGuard& operator=(const ReadGuard&) = delete;
+  ~ReadGuard() {
+    if (rv != nullptr) rv->home->complete(*rv);
+  }
+  Rendezvous* rv;
+};
+
 obs::FlightOp flight_op(AllreduceAlgo algo) {
   switch (algo) {
     case AllreduceAlgo::kStar: return obs::FlightOp::kAllreduceStar;
@@ -177,6 +189,14 @@ std::vector<float> Communicator::recv(int src, std::int64_t tag) {
 
 std::vector<float> Communicator::recv_for(int src, std::int64_t tag,
                                           std::chrono::milliseconds timeout) {
+  Message msg = take(src, tag, timeout);
+  if (msg.rendezvous == nullptr) return std::move(msg.payload);
+  ReadGuard read{msg.rendezvous};
+  return std::vector<float>(msg.view.begin(), msg.view.end());
+}
+
+Message Communicator::take(int src, std::int64_t tag,
+                           std::chrono::milliseconds timeout) {
   MINSGD_CHECK(tag >= 0 &&
                    tag < kCollectiveBase + kMaxGenerations * kGenerationStride,
                "Communicator::recv: tag ", tag, " outside the tag space");
@@ -188,7 +208,7 @@ std::vector<float> Communicator::recv_for(int src, std::int64_t tag,
   Message msg;
   switch (mb.take_for(sphys, tag, timeout, msg)) {
     case Mailbox::TakeStatus::kOk:
-      return std::move(msg.payload);
+      return msg;
     case Mailbox::TakeStatus::kTimeout:
       // The black box records the hang before the unwind starts: which tag
       // this rank starved on, and from whom, survives in the postmortem
@@ -200,6 +220,63 @@ std::vector<float> Communicator::recv_for(int src, std::int64_t tag,
       throw ClusterAborted("Communicator::recv: " + cluster_.abort_reason());
   }
   throw std::logic_error("Communicator::recv: unreachable");
+}
+
+void Communicator::exchange(int dst, int src, std::int64_t tag,
+                            std::span<const float> out, std::span<float> in,
+                            bool add) {
+  const auto receive = [&] {
+    Message msg = take(src, tag, cluster_.recv_timeout());
+    ReadGuard read{msg.rendezvous};
+    const std::span<const float> got = msg.data();
+    if (add) {
+      axpy(1.0f, got, in);
+    } else {
+      MINSGD_CHECK(got.size() == in.size(), "exchange: payload size mismatch (",
+                   got.size(), " vs ", in.size(), ")");
+      std::copy(got.begin(), got.end(), in.begin());
+    }
+  };
+  if (out.size_bytes() < kRendezvousBytes ||
+      cluster_.fault_injector() != nullptr) {
+    send(dst, tag, out);
+    receive();
+    return;
+  }
+  if (cluster_.aborted()) {
+    throw ClusterAborted("Communicator::exchange: " + cluster_.abort_reason());
+  }
+  const int dphys = to_phys(dst);
+  Mailbox& peer = cluster_.mailbox(dphys);
+  Mailbox& home = cluster_.mailbox(phys_);
+  Rendezvous rv{&home};
+  cluster_.meter().record_send(static_cast<std::size_t>(phys_),
+                               static_cast<std::int64_t>(out.size_bytes()),
+                               op_);
+  peer.deliver(Message{phys_, tag, {}, out, &rv});
+  // From here on `out` belongs to the peer until it completes `rv` or the
+  // message is withdrawn unread; no exit path may skip that.
+  const auto reclaim = [&] {
+    if (!peer.withdraw(rv)) {
+      home.wait_complete(rv, Mailbox::kNoTimeout, /*abortable=*/false);
+    }
+  };
+  try {
+    receive();
+  } catch (...) {
+    reclaim();
+    throw;
+  }
+  const auto timeout = cluster_.recv_timeout();
+  const auto status = home.wait_complete(rv, timeout, /*abortable=*/true);
+  if (status == Mailbox::TakeStatus::kOk) return;
+  reclaim();
+  if (status == Mailbox::TakeStatus::kAborted) {
+    throw ClusterAborted("Communicator::exchange: " + cluster_.abort_reason());
+  }
+  MINSGD_FLIGHT(obs::FlightKind::kFault, obs::FlightOp::kTimeout, channel_,
+                tag, generation_, 0, dphys);
+  throw CommTimeout(phys_, dphys, tag, timeout, home.snapshot());
 }
 
 void Communicator::maybe_stall() {
@@ -415,18 +492,15 @@ void Communicator::allreduce_ring(std::span<float> data) {
   for (int step = 0; step < p - 1; ++step) {
     const int send_c = (rank_ - step + p) % p;
     const int recv_c = (rank_ - step - 1 + p) % p;
-    send(right, base_tag + step, chunk(send_c));
-    auto payload = recv(left, base_tag + step);
-    axpy(1.0f, payload, chunk(recv_c));
+    exchange(right, left, base_tag + step, chunk(send_c), chunk(recv_c),
+             /*add=*/true);
   }
   // Allgather: circulate the completed chunks.
   for (int step = 0; step < p - 1; ++step) {
     const int send_c = (rank_ + 1 - step + p) % p;
     const int recv_c = (rank_ - step + p) % p;
-    send(right, base_tag + (p - 1) + step, chunk(send_c));
-    auto payload = recv(left, base_tag + (p - 1) + step);
-    auto dst = chunk(recv_c);
-    std::copy(payload.begin(), payload.end(), dst.begin());
+    exchange(right, left, base_tag + (p - 1) + step, chunk(send_c),
+             chunk(recv_c), /*add=*/false);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "comm/mailbox.hpp"
 #include "comm/traffic.hpp"
 
 namespace minsgd {
@@ -94,6 +95,17 @@ class Communicator {
   std::vector<float> recv_for(int src, std::int64_t tag,
                               std::chrono::milliseconds timeout);
 
+  /// Ring allreduce steps whose outgoing chunk is at least this many bytes
+  /// use the rendezvous protocol (see exchange()); smaller ones stay eager.
+  /// The bench_ablation_allreduce transport sweep (EXPERIMENTS.md, 4-vCPU
+  /// AVX-512 VM, worlds 2 and 4, plus a run with this constant at 0) timed
+  /// rendezvous per call 1.5-1.7x slower than eager at 4 KiB chunks, 1-11%
+  /// slower at 64 KiB, even at 128 KiB, and ahead in every run from
+  /// 256 KiB on (1.0-1.3x at 256 KiB, 1.6-2.0x at 1 MiB, 3-7x at 32 MiB).
+  /// The 32 KiB chunks of a 64 KiB overlap bucket on two ranks therefore
+  /// stay eager.
+  static constexpr std::size_t kRendezvousBytes = std::size_t{256} << 10;
+
   // -- collectives ---------------------------------------------------------
   /// Synchronizes all ranks.
   void barrier();
@@ -118,6 +130,22 @@ class Communicator {
   void allreduce_ring(std::span<float> data);
   void allreduce_tree(std::span<float> data);
   void allreduce_rhd(std::span<float> data);
+
+  /// One ring step: sends `out` to `dst` and lands the message from `src`
+  /// in `in` (adds it when `add`, else copies it). An `out` of at least
+  /// kRendezvousBytes goes by rendezvous when no fault injector is
+  /// installed: the peer reads it straight out of this rank's buffer, and
+  /// exchange() returns only once that read is acknowledged, or, on abort
+  /// or deadline, once the view is withdrawn or its read has finished.
+  /// Smaller chunks, and every chunk under an injector, take the eager
+  /// send() path. Either way the meter records one message of out's bytes,
+  /// and `in` must not overlap `out`.
+  void exchange(int dst, int src, std::int64_t tag, std::span<const float> out,
+                std::span<float> in, bool add);
+
+  /// Takes the message (src, tag) from this rank's mailbox, throwing
+  /// CommTimeout after `timeout` or ClusterAborted on abort.
+  Message take(int src, std::int64_t tag, std::chrono::milliseconds timeout);
 
   /// Attributes sends inside a collective to that collective for the
   /// traffic meter. Only the *outermost* collective claims the traffic

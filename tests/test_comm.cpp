@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +25,65 @@ namespace {
 using comm::AllreduceAlgo;
 using comm::Communicator;
 using comm::SimCluster;
+using namespace std::chrono_literals;
+
+// Ring steps whose chunk reaches Communicator::kRendezvousBytes go by
+// rendezvous (the peer reads the sender's buffer in place); smaller ones,
+// and every step under a fault injector, stay eager. The protocol must not
+// change a bit, a byte count or a message count.
+constexpr std::size_t kRvFloats =
+    Communicator::kRendezvousBytes / sizeof(float);
+
+/// Payload lengths, none a multiple of a world >= 2, whose ring chunks
+/// (n / world rounded down or up) sit just below the rendezvous threshold,
+/// straddle it (one chunk exactly at it, the rest one float short), and
+/// sit at or above it.
+std::vector<std::size_t> threshold_lengths(int world) {
+  const auto p = static_cast<std::size_t>(world);
+  return {p * (kRvFloats - 1) - 1, p * (kRvFloats - 1) + 1,
+          p * kRvFloats + 1};
+}
+
+/// Integer-valued input: every summation order of a few ranks is exact, so
+/// algorithms that associate differently must still agree byte for byte.
+std::vector<float> exact_input(int rank, std::size_t n) {
+  Rng rng(static_cast<std::uint64_t>(rank) * 131 + 17);
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = static_cast<float>(static_cast<int>(rng.uniform_int(2001)) - 1000);
+  }
+  return v;
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Installs a fault injector whose plan injects nothing: the run's bytes
+/// are the fault-free ones, but every ring step takes the eager path.
+void force_eager(SimCluster& cluster) {
+  cluster.set_fault_injector(
+      std::make_shared<comm::FaultInjector>(comm::FaultPlan{}, cluster.world()));
+}
+
+/// Every rank's output of one allreduce of `input(rank)` on a fresh
+/// `world`-rank cluster, eager-only when `eager`.
+template <typename Input>
+std::vector<std::vector<float>> allreduce_outputs(int world, AllreduceAlgo algo,
+                                                  bool eager, Input input) {
+  SimCluster cluster(world);
+  if (eager) force_eager(cluster);
+  std::vector<std::vector<float>> outs(static_cast<std::size_t>(world));
+  std::mutex mu;
+  cluster.run([&](Communicator& comm) {
+    auto data = input(comm.rank());
+    comm.allreduce_sum(data, algo);
+    std::lock_guard lk(mu);
+    outs[static_cast<std::size_t>(comm.rank())] = std::move(data);
+  });
+  return outs;
+}
 
 TEST(SimCluster, RejectsNonPositiveWorld) {
   EXPECT_THROW(SimCluster(0), std::invalid_argument);
@@ -233,8 +298,27 @@ TEST_P(AllreduceStarBaseline, AllAlgosMatchStarResult) {
   }
 }
 
+// Across the rendezvous threshold, on integer-valued inputs, the ring is
+// byte-equal to the star on every rank, whichever protocol each chunk took
+// (the straddling length mixes eager and rendezvous chunks in one call).
+TEST_P(AllreduceStarBaseline, RingMatchesStarBytewiseAcrossRendezvousThreshold) {
+  const int world = GetParam();
+  for (const std::size_t n : threshold_lengths(world)) {
+    const auto input = [n](int rank) { return exact_input(rank, n); };
+    const auto star =
+        allreduce_outputs(world, AllreduceAlgo::kStar, false, input);
+    const auto ring =
+        allreduce_outputs(world, AllreduceAlgo::kRing, false, input);
+    for (int r = 0; r < world; ++r) {
+      EXPECT_TRUE(same_bytes(ring[static_cast<std::size_t>(r)],
+                             star[static_cast<std::size_t>(r)]))
+          << "world=" << world << " n=" << n << " rank=" << r;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, AllreduceStarBaseline,
-                         ::testing::Values(1, 3, 5, 7));
+                         ::testing::Values(1, 2, 3, 4, 5, 7));
 
 TEST(Allreduce, RepeatedCollectivesStayConsistent) {
   SimCluster cluster(4);
@@ -289,15 +373,30 @@ TEST(Traffic, StarCountsTwoPMinusTwoMessages) {
 
 TEST(Traffic, RingCountsTwoPMinusOneRounds) {
   const int world = 4;
-  const int n = 100;
-  SimCluster cluster(world);
-  cluster.run([](Communicator& comm) {
-    std::vector<float> data(n, 1.0f);
-    comm.allreduce_sum(data, AllreduceAlgo::kRing);
-  });
-  // Each rank sends 2*(P-1) chunk messages of ~n/P floats.
-  EXPECT_EQ(cluster.total_traffic().messages, world * 2 * (world - 1));
-  EXPECT_EQ(cluster.total_traffic().bytes, 2 * (world - 1) * n * 4);
+  // A small payload, then chunks below, straddling and above the
+  // rendezvous threshold: the protocol must not change what is metered,
+  // so each count also matches an eager-only run.
+  std::vector<std::size_t> lengths{100};
+  for (const std::size_t n : threshold_lengths(world)) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    comm::TrafficStats by_protocol[2];
+    for (const bool eager : {false, true}) {
+      SimCluster cluster(world);
+      if (eager) force_eager(cluster);
+      cluster.run([n](Communicator& comm) {
+        std::vector<float> data(n, 1.0f);
+        comm.allreduce_sum(data, AllreduceAlgo::kRing);
+      });
+      by_protocol[eager ? 1 : 0] = cluster.total_traffic();
+    }
+    const auto& t = by_protocol[0];
+    // Each rank sends 2*(P-1) chunk messages of ~n/P floats.
+    EXPECT_EQ(t.messages, world * 2 * (world - 1)) << "n=" << n;
+    EXPECT_EQ(t.bytes, 2 * (world - 1) * static_cast<std::int64_t>(n) * 4)
+        << "n=" << n;
+    EXPECT_EQ(t.messages, by_protocol[1].messages) << "n=" << n;
+    EXPECT_EQ(t.bytes, by_protocol[1].bytes) << "n=" << n;
+  }
 }
 
 TEST(Traffic, RingMovesLessDataPerNodeThanStarAtScale) {
@@ -370,16 +469,9 @@ std::vector<float> property_input(std::uint64_t trial, int rank,
 std::vector<std::vector<float>> run_allreduce_trial(std::uint64_t trial,
                                                     int world, std::size_t n,
                                                     AllreduceAlgo algo) {
-  SimCluster cluster(world);
-  std::vector<std::vector<float>> outs(static_cast<std::size_t>(world));
-  std::mutex mu;
-  cluster.run([&](Communicator& comm) {
-    auto data = property_input(trial, comm.rank(), n);
-    comm.allreduce_sum(data, algo);
-    std::lock_guard lk(mu);
-    outs[static_cast<std::size_t>(comm.rank())] = std::move(data);
+  return allreduce_outputs(world, algo, false, [trial, n](int rank) {
+    return property_input(trial, rank, n);
   });
-  return outs;
 }
 
 class AllreduceProperty : public ::testing::TestWithParam<AllreduceAlgo> {};
@@ -479,6 +571,34 @@ TEST(AllreduceProperty, BucketedSweepMatchesWholeVectorPerBucket) {
   }
 }
 
+TEST(AllreduceProperty, RingAcrossRendezvousThresholdMatchesEagerRingBytewise) {
+  // Random-valued inputs, where association matters: the rendezvous ring
+  // must give every rank exactly the bytes of the eager-only ring, because
+  // each element gets the same axpy in the same step order.
+  std::uint64_t trial = 900;
+  for (const int world : {2, 3, 4, 5, 7}) {
+    for (const std::size_t n : threshold_lengths(world)) {
+      ++trial;
+      SCOPED_TRACE(::testing::Message() << "world=" << world << " n=" << n);
+      const auto input = [trial, n](int rank) {
+        return property_input(trial, rank, n);
+      };
+      const auto shipped =
+          allreduce_outputs(world, AllreduceAlgo::kRing, false, input);
+      const auto eager =
+          allreduce_outputs(world, AllreduceAlgo::kRing, true, input);
+      for (int r = 0; r < world; ++r) {
+        EXPECT_TRUE(same_bytes(shipped[static_cast<std::size_t>(r)],
+                               eager[static_cast<std::size_t>(r)]))
+            << "rank " << r;
+        EXPECT_TRUE(same_bytes(shipped[static_cast<std::size_t>(r)],
+                               shipped[0]))
+            << "rank " << r << " disagrees with rank 0";
+      }
+    }
+  }
+}
+
 // ---------------- survivor-group allreduce trials ----------------
 //
 // Drop a random rank from worlds 2..8 and run every algorithm over a group
@@ -540,6 +660,284 @@ TEST(SurvivorGroup, AllAlgosBitAgreeWithFixedWorldOfSurvivorSize) {
       }
     }
   }
+}
+
+TEST(SurvivorGroup, RingAcrossRendezvousThresholdMatchesStarBytewise) {
+  // A group communicator translates virtual ranks to physical mailboxes on
+  // the rendezvous path too: across the threshold, the survivors' ring is
+  // byte-equal to their star (integer-valued inputs) and to a fixed world
+  // of the survivor size.
+  for (const auto& [world, dropped] :
+       {std::pair{3, 0}, std::pair{5, 2}, std::pair{8, 7}}) {
+    comm::MembershipView view;
+    view.generation = 1;
+    for (int r = 0; r < world; ++r) {
+      if (r != dropped) view.ranks.push_back(r);
+    }
+    const int survivors = view.world();
+    for (const std::size_t n : threshold_lengths(survivors)) {
+      SCOPED_TRACE(::testing::Message() << "world=" << world << " dropped="
+                                        << dropped << " n=" << n);
+      auto group_run = [&](AllreduceAlgo algo) {
+        std::vector<std::vector<float>> outs(
+            static_cast<std::size_t>(survivors));
+        std::mutex mu;
+        SimCluster cluster(world);
+        cluster.run([&](Communicator& comm) {
+          if (comm.rank() == dropped) return;
+          Communicator gc(cluster, comm.rank(), view, /*channel=*/0);
+          auto data = exact_input(gc.rank(), n);
+          gc.allreduce_sum(data, algo);
+          std::lock_guard lk(mu);
+          outs[static_cast<std::size_t>(gc.rank())] = std::move(data);
+        });
+        return outs;
+      };
+      const auto star = group_run(AllreduceAlgo::kStar);
+      const auto ring = group_run(AllreduceAlgo::kRing);
+      const auto fixed = allreduce_outputs(
+          survivors, AllreduceAlgo::kRing, false,
+          [n](int rank) { return exact_input(rank, n); });
+      for (int v = 0; v < survivors; ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        EXPECT_TRUE(same_bytes(ring[i], star[i])) << "virtual rank " << v;
+        EXPECT_TRUE(same_bytes(ring[i], fixed[i])) << "virtual rank " << v;
+      }
+    }
+  }
+}
+
+// ---------------- rendezvous under abort and timeout ----------------
+//
+// A rendezvous sender lends its buffer to a peer, so no exit path of a ring
+// step may leave the view readable after the sender unwinds: it either
+// withdraws the unread view from the peer's mailbox or waits for the
+// peer's bounded read. Each rank's buffer lives on its own thread's heap
+// and is freed by the unwind, so a late read is a use-after-free the
+// sanitizer builds report. Chunks are 4 MB, well above the threshold.
+
+constexpr std::size_t kBigChunkFloats = std::size_t{1} << 20;
+static_assert(kBigChunkFloats * sizeof(float) >= Communicator::kRendezvousBytes);
+
+/// What one rank's fn saw: "ok", "aborted", "timeout" or another what().
+struct RankOutcomes {
+  explicit RankOutcomes(int world) : seen(static_cast<std::size_t>(world)) {}
+  std::mutex mu;
+  std::vector<std::string> seen;
+
+  /// Runs `body`, records how it ended, and rethrows.
+  template <typename Body>
+  void record(int rank, Body body) {
+    std::string what = "ok";
+    try {
+      body();
+    } catch (const comm::ClusterAborted&) {
+      what = "aborted";
+      set(rank, what);
+      throw;
+    } catch (const comm::CommTimeout&) {
+      what = "timeout";
+      set(rank, what);
+      throw;
+    } catch (const std::exception& e) {
+      what = e.what();
+      set(rank, what);
+      throw;
+    }
+    set(rank, what);
+  }
+  void set(int rank, const std::string& what) {
+    std::lock_guard lk(mu);
+    seen[static_cast<std::size_t>(rank)] = what;
+  }
+};
+
+class RendezvousFaults : public ::testing::TestWithParam<int> {};
+
+TEST_P(RendezvousFaults, RankThrowingBesideTheRingUnwindsEveryPeer) {
+  // Every rank finishes one rendezvous allreduce; then the last rank
+  // throws while its peers are inside the next one, their views posted or
+  // already read. They must all unwind with ClusterAborted long before
+  // the receive deadline, and the run must rethrow the root cause.
+  const int world = GetParam();
+  const std::size_t n = kBigChunkFloats * static_cast<std::size_t>(world) + 1;
+  SimCluster cluster(world);
+  cluster.set_recv_timeout(20s);
+  RankOutcomes outcomes(world);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(cluster.run([&](Communicator& comm) {
+    outcomes.record(comm.rank(), [&] {
+      std::vector<float> data(n, 1.0f);
+      comm.allreduce_sum(data, AllreduceAlgo::kRing);
+      ASSERT_EQ(data[0], static_cast<float>(world));
+      if (comm.rank() == world - 1) {
+        std::this_thread::sleep_for(20ms);
+        throw std::runtime_error("rank failed beside the ring");
+      }
+      comm.allreduce_sum(data, AllreduceAlgo::kRing);
+    });
+  }),
+               std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+  for (int r = 0; r < world - 1; ++r) {
+    EXPECT_EQ(outcomes.seen[static_cast<std::size_t>(r)], "aborted")
+        << "rank " << r;
+  }
+  EXPECT_EQ(outcomes.seen.back(), "rank failed beside the ring");
+}
+
+TEST_P(RendezvousFaults, RankTimingOutMidRingUnwindsEveryPeer) {
+  // Rank 0 arrives far past the deadline, so a peer's ring step times out
+  // mid-ring: inside its receive (its own view possibly already read by
+  // its right neighbour) or while waiting for a view nobody takes. That
+  // rank throws CommTimeout; every other rank unwinds with ClusterAborted.
+  const int world = GetParam();
+  const std::size_t n = kBigChunkFloats * static_cast<std::size_t>(world) + 3;
+  SimCluster cluster(world);
+  cluster.set_recv_timeout(300ms);
+  RankOutcomes outcomes(world);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(cluster.run([&](Communicator& comm) {
+    outcomes.record(comm.rank(), [&] {
+      std::vector<float> data(n, 1.0f);
+      if (comm.rank() == 0) std::this_thread::sleep_for(900ms);
+      comm.allreduce_sum(data, AllreduceAlgo::kRing);
+    });
+  }),
+               comm::CommTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+  EXPECT_EQ(outcomes.seen[0], "aborted");
+  int timeouts = 0;
+  for (int r = 1; r < world; ++r) {
+    const auto& what = outcomes.seen[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(what == "timeout" || what == "aborted")
+        << "rank " << r << ": " << what;
+    timeouts += what == "timeout" ? 1 : 0;
+  }
+  EXPECT_GE(timeouts, 1);
+}
+
+TEST_P(RendezvousFaults, SilentPeerTimesOutWithViewWithdrawn) {
+  // The last rank never joins the allreduce. Its left neighbour's view
+  // sits in its mailbox, reported by a timeout snapshot with the view's
+  // element count; once every active rank has given up with CommTimeout
+  // (caught here, so nothing aborts), the view is gone from the mailbox.
+  const int world = GetParam();
+  const int silent = world - 1;
+  const std::size_t n = kBigChunkFloats * static_cast<std::size_t>(world) + 1;
+  const std::size_t left_chunk =
+      static_cast<std::size_t>(silent) * n / static_cast<std::size_t>(world) -
+      static_cast<std::size_t>(silent - 1) * n /
+          static_cast<std::size_t>(world);
+  SimCluster cluster(world);
+  cluster.set_recv_timeout(1000ms);
+  std::atomic<int> gave_up{0};
+  RankOutcomes outcomes(world);
+  cluster.run([&](Communicator& comm) {
+    if (comm.rank() != silent) {
+      std::vector<float> data(n, 1.0f);
+      try {
+        comm.allreduce_sum(data, AllreduceAlgo::kRing);
+        outcomes.set(comm.rank(), "ok");
+      } catch (const comm::CommTimeout&) {
+        outcomes.set(comm.rank(), "timeout");
+      }
+      gave_up.fetch_add(1);
+      return;
+    }
+    // Polls its own queue through timeout snapshots (an unused tag).
+    auto pending = [&] {
+      try {
+        comm.recv_for(0, 7, 10ms);
+      } catch (const comm::CommTimeout& e) {
+        return e.pending();
+      }
+      ADD_FAILURE() << "unexpected message on the probe tag";
+      return std::vector<comm::PendingMessage>{};
+    };
+    std::vector<comm::PendingMessage> seen;
+    for (int i = 0; i < 50 && seen.empty(); ++i) seen = pending();
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].src, silent - 1);
+    EXPECT_EQ(seen[0].numel, left_chunk);
+    while (gave_up.load() < world - 1) std::this_thread::sleep_for(5ms);
+    EXPECT_TRUE(pending().empty()) << "view left in the silent rank's mailbox";
+  });
+  for (int r = 0; r < silent; ++r) {
+    EXPECT_EQ(outcomes.seen[static_cast<std::size_t>(r)], "timeout")
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Worlds, RendezvousFaults, ::testing::Values(2, 4));
+
+TEST(RendezvousThreshold, InjectorSeesEveryRingSendAtAnyChunkSize) {
+  // Under a fault injector every ring step stays eager, so the injector's
+  // (seed, rank, send index) sequence counts one send per chunk message,
+  // rendezvous-sized or not.
+  const int world = 4;
+  for (const std::size_t n : {std::size_t{100}, kBigChunkFloats * world}) {
+    SimCluster cluster(world);
+    force_eager(cluster);
+    cluster.run([n](Communicator& comm) {
+      std::vector<float> data(n, 1.0f);
+      comm.allreduce_sum(data, AllreduceAlgo::kRing);
+    });
+    EXPECT_EQ(cluster.total_faults().sends_seen, world * 2 * (world - 1))
+        << "n=" << n;
+  }
+}
+
+// ---------------- mailbox rendezvous mechanics ----------------
+
+TEST(MailboxRendezvous, SnapshotReportsTheViewsElementCount) {
+  comm::Mailbox home, peer;
+  const std::vector<float> chunk(37, 1.0f);
+  comm::Rendezvous rv{&home};
+  peer.deliver(comm::Message{3, 11, {}, chunk, &rv});
+  const auto pending = peer.snapshot();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].src, 3);
+  EXPECT_EQ(pending[0].tag, 11);
+  EXPECT_EQ(pending[0].numel, 37u);
+  EXPECT_TRUE(peer.withdraw(rv));
+}
+
+TEST(MailboxRendezvous, WithdrawRemovesOnlyAnUnreadView) {
+  comm::Mailbox home, peer;
+  const std::vector<float> chunk(5, 2.0f);
+  comm::Rendezvous rv{&home};
+  peer.deliver(comm::Message{0, 4, {}, chunk, &rv});
+  EXPECT_TRUE(peer.withdraw(rv));
+  EXPECT_TRUE(peer.empty());
+  EXPECT_FALSE(peer.withdraw(rv));
+
+  // Taken: withdraw fails, and the sender waits for complete().
+  peer.deliver(comm::Message{0, 4, {}, chunk, &rv});
+  comm::Message got;
+  ASSERT_EQ(peer.take_for(0, 4, 10ms, got), comm::Mailbox::TakeStatus::kOk);
+  EXPECT_EQ(got.data().size(), 5u);
+  EXPECT_EQ(got.data().data(), chunk.data());
+  EXPECT_FALSE(peer.withdraw(rv));
+  EXPECT_EQ(home.wait_complete(rv, 10ms, true),
+            comm::Mailbox::TakeStatus::kTimeout);
+  got.rendezvous->home->complete(*got.rendezvous);
+  EXPECT_EQ(home.wait_complete(rv, 10ms, true),
+            comm::Mailbox::TakeStatus::kOk);
+}
+
+TEST(MailboxRendezvous, AbortWakesOnlyAnAbortableWait) {
+  comm::Mailbox home;
+  comm::Rendezvous rv{&home};
+  home.abort();
+  EXPECT_EQ(home.wait_complete(rv, comm::Mailbox::kNoTimeout, true),
+            comm::Mailbox::TakeStatus::kAborted);
+  // A non-abortable wait (a view already being read) outlasts the abort.
+  EXPECT_EQ(home.wait_complete(rv, 10ms, false),
+            comm::Mailbox::TakeStatus::kTimeout);
+  home.complete(rv);
+  EXPECT_EQ(home.wait_complete(rv, comm::Mailbox::kNoTimeout, false),
+            comm::Mailbox::TakeStatus::kOk);
 }
 
 }  // namespace
