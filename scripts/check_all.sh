@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # check_all.sh — the full verification matrix in one command:
 #
-#   lint         tools/lint/minsgd_lint.py over src/ tests/ bench/ examples/
-#                plus its fixture self-test
 #   analyze      tools/analyze/analyze.py --self-test (every fixture still
-#                fires), then its whole-program checks over the tree
+#                fires), then every check over src/ tests/ bench/ examples/
 #   build        default (RelWithDebInfo) configure + build
 #   tier1        full ctest suite in the default build
 #   perfbench    the repo benchmark (perfbench/, declared by BENCHMARK.json):
@@ -73,13 +71,8 @@ skip_stage() {
   STAGE_NAMES+=("$1"); STAGE_RESULTS+=("skipped")
 }
 
-lint_stage() {
-  python3 tools/lint/minsgd_lint.py src tests bench examples &&
-    python3 tools/lint/minsgd_lint.py --self-test
-}
-
-# Cross-TU semantic analysis: fixture self-test first (proves every check
-# still fires), then the five whole-program checks over the real tree.
+# The C++ checker: fixture self-test first (proves every rule still fires),
+# then every check over the real tree.
 # Findings land in analyze_results/findings.json as well as on stdout.
 analyze_stage() {
   python3 tools/analyze/analyze.py --self-test &&
@@ -145,7 +138,6 @@ tsan_stage() {
 }
 
 FAILED=0
-run_stage "lint" lint_stage || FAILED=1
 run_stage "analyze" analyze_stage || FAILED=1
 if run_stage "build" build_stage; then
   run_stage "tier1" tier1_stage || FAILED=1

@@ -143,7 +143,7 @@ void Communicator::send(int dst, std::int64_t tag,
   // Tag-space discipline: non-negative, and below the end of the
   // generation-prefixed channelized collective space. P2P callers must stay
   // under kCollectiveBase; the only tags at or above it are minted by
-  // next_collective_tag (lint rule `collective-tag` keeps it that way).
+  // next_collective_tag (the analyzer's `tag-space` check keeps it so).
   MINSGD_CHECK(tag >= 0 &&
                    tag < kCollectiveBase + kMaxGenerations * kGenerationStride,
                "Communicator::send: tag ", tag, " outside the tag space");

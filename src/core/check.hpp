@@ -21,8 +21,8 @@
 // This header is dependency-free on purpose: it lives in src/core/ but is
 // included from the bottom of the dependency order (tensor) upward.
 //
-// The lint rule `naked-assert` (tools/lint/minsgd_lint.py) forbids plain
-// assert() in src/ so every invariant goes through this layer.
+// The analyzer check `naked-assert` (tools/analyze/checks.py) forbids
+// plain assert() in src/ so every invariant goes through this layer.
 #pragma once
 
 #include <atomic>

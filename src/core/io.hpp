@@ -5,7 +5,7 @@
 // `out.write(reinterpret_cast<const char*>(&v), sizeof(v))` at every site
 // (14 casts across nn/serialize, optim/optimizer, train/checkpoint). All of
 // them funnel through the two functions below now, so the type-punning
-// surface the `cast` lint rule audits is exactly two lines. Everything here
+// surface the `cast` check audits is exactly two lines. Everything here
 // is constrained to trivially-copyable types, for which object
 // representation I/O is well-defined.
 //
@@ -26,7 +26,7 @@ inline void write_bytes(std::ostream& out, const void* p, std::size_t n) {
   // The ostream byte interface is char*; viewing any object representation
   // as char is explicitly sanctioned by the standard's aliasing rules, and
   // every typed overload in this header funnels through here.
-  // minsgd-lint: allow(cast): write_bytes is the sole object-to-char
+  // minsgd-analyze: allow(cast): write_bytes is the sole object-to-char
   // bridge; every typed overload in io.hpp funnels through it (see above)
   out.write(reinterpret_cast<const char*>(p),
             static_cast<std::streamsize>(n));
@@ -35,7 +35,7 @@ inline void write_bytes(std::ostream& out, const void* p, std::size_t n) {
 /// Reads `n` bytes into the storage at `p`. Stream state signals truncation;
 /// callers decide whether that throws (file input) or CHECK-fails.
 inline void read_bytes(std::istream& in, void* p, std::size_t n) {
-  // minsgd-lint: allow(cast): mirror of write_bytes, sole char-to-object bridge
+  // minsgd-analyze: allow(cast): the char-to-object mirror of write_bytes
   in.read(reinterpret_cast<char*>(p), static_cast<std::streamsize>(n));
 }
 

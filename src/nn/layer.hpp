@@ -12,7 +12,7 @@
 // runs on a plan — those requests resolve to pre-laid-out arena slices. A
 // leaf layer called standalone gets a per-call context instead, whose
 // requests allocate, scoped to the layer call by the NVI wrappers — so
-// layer code is identical in both modes and the hot-path-alloc lint rule
+// layer code is identical in both modes and the hot-path-alloc check
 // can hold the line mechanically.
 #pragma once
 

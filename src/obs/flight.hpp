@@ -26,8 +26,8 @@
 // and a torn slot is skipped, never misread.
 //
 // Instrumentation sites in src/ must go through MINSGD_FLIGHT (bottom of
-// this header) so the enabled() gate is never bypassed; the lint rule
-// `flight-record` enforces it.
+// this header) so the enabled() gate is never bypassed; the analyzer
+// check `flight-record` enforces it.
 #pragma once
 
 #include <atomic>
@@ -183,7 +183,7 @@ FlightRecorder& flight();
 
 /// The sanctioned recording macro: the enabled() gate runs before any
 /// argument-side work reaches the recorder. All flight instrumentation in
-/// src/ must use this (lint rule `flight-record`); tests may drive
+/// src/ must use this (analyzer check `flight-record`); tests may drive
 /// FlightRecorder instances directly.
 #define MINSGD_FLIGHT(kind, op, channel, tag, generation, bytes, arg)       \
   do {                                                                      \

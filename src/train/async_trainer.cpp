@@ -38,7 +38,7 @@ AsyncResult train_async_param_server(
 
   std::atomic<bool> abort{false};
   std::atomic<double> last_loss{0.0};
-  // minsgd-lint: allow(thread-spawn): async parameter-server workers are
+  // minsgd-analyze: allow(thread-spawn): async parameter-server workers are
   // rank threads, not intra-op compute — each owns a budgeted ComputeContext
   // so the process-wide thread total stays <= the global budget.
   std::vector<std::thread> threads;

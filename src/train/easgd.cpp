@@ -52,7 +52,7 @@ EasgdResult train_easgd(
   const std::size_t per_worker =
       std::max<std::size_t>(1, budget / static_cast<std::size_t>(workers));
 
-  // minsgd-lint: allow(thread-spawn): EASGD workers are rank threads, not
+  // minsgd-analyze: allow(thread-spawn): EASGD workers are rank threads, not
   // intra-op compute — each one owns a budgeted ComputeContext (per_worker
   // above), mirroring SimCluster's rank-thread arithmetic.
   std::vector<std::thread> threads;

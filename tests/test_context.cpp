@@ -96,7 +96,7 @@ TEST(ComputeContext, SingleThreadRunsInlineWithoutPool) {
   std::int64_t calls = 0;
   ctx.for_chunks(100, 1, [&](std::int64_t, std::int64_t, std::int64_t) {
     // ctx is ComputeContext(1): chunks run strictly inline on this thread.
-    // minsgd-lint: allow(shared-accumulator): ctx is ComputeContext(1), so
+    // minsgd-analyze: allow(det-reduction): ctx is ComputeContext(1), so
     // for_chunks runs every chunk inline on this thread (no concurrency)
     ++calls;
   });

@@ -56,7 +56,7 @@ TEST(MailboxTimeout, TimesOutOnMissingMessage) {
 
 TEST(MailboxTimeout, DeliveredMessageBeatsDeadline) {
   Mailbox mb;
-  // minsgd-lint: allow(thread-spawn): a raw producer thread races a real
+  // minsgd-analyze: allow(thread-spawn): a raw producer thread races a real
   // delivery against the Mailbox::take_for deadline.
   std::thread producer([&] {
     std::this_thread::sleep_for(10ms);
@@ -70,7 +70,7 @@ TEST(MailboxTimeout, DeliveredMessageBeatsDeadline) {
 
 TEST(MailboxTimeout, AbortWakesWaiter) {
   Mailbox mb;
-  // minsgd-lint: allow(thread-spawn): a raw thread calls Mailbox::abort out
+  // minsgd-analyze: allow(thread-spawn): a raw thread calls Mailbox::abort out
   // from under a waiter blocked in Mailbox::take_for.
   std::thread aborter([&] {
     std::this_thread::sleep_for(10ms);

@@ -194,7 +194,7 @@ TEST_F(ObsTest, SummaryGroupsByCategoryAndName) {
 TEST_F(ObsTest, ConcurrentSpansFromThreadPoolProduceValidChromeTrace) {
   obs::tracer().set_enabled(true);
   constexpr int kTasks = 64;
-  // minsgd-lint: allow(thread-spawn): a raw ThreadPool exercises the
+  // minsgd-analyze: allow(thread-spawn): a raw ThreadPool exercises the
   // tracer's per-thread buffers to test cross-thread span collection.
   ThreadPool pool(4);
   for (int t = 0; t < kTasks; ++t) {
@@ -513,7 +513,7 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsStayExact) {
   constexpr int kWriters = 4;
   constexpr int kEvents = 4000;
   std::atomic<bool> done{false};
-  // minsgd-lint: allow(thread-spawn): the FlightRecorder::record vs
+  // minsgd-analyze: allow(thread-spawn): the FlightRecorder::record vs
   // snapshot seqlock race is exactly what this test must create.
   std::vector<std::thread> writers;
   for (int r = 0; r < kWriters; ++r) {
@@ -526,7 +526,7 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsStayExact) {
       obs::set_thread_rank(-1);
     });
   }
-  // minsgd-lint: allow(thread-spawn): FlightRecorder::snapshot reader half
+  // minsgd-analyze: allow(thread-spawn): FlightRecorder::snapshot reader half
   // of the seqlock race.
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
@@ -750,7 +750,7 @@ TEST(Postmortem, DumpWritesTheConfiguredPath) {
 TEST_F(ObsTest, SpansOfExitedThreadsSurviveUntilExportThenPrune) {
   obs::tracer().set_enabled(true);
   const std::size_t base = obs::tracer().thread_buffer_count();
-  // minsgd-lint: allow(thread-spawn): the regression under test is a
+  // minsgd-analyze: allow(thread-spawn): the regression under test is a
   // ScopedSpan recorded by a thread that exits before export.
   std::thread worker([] {
     obs::ScopedSpan sp("short.lived.worker", obs::cat::kCompute);

@@ -62,7 +62,7 @@ TEST(ParameterServer, ConcurrentPushesAllApplied) {
   ParameterServer ps({0.0f});
   const int workers = 8, per_worker = 50;
   ps.set_workers(workers);
-  // minsgd-lint: allow(thread-spawn): raw threads hammer
+  // minsgd-analyze: allow(thread-spawn): raw threads hammer
   // ParameterServer::push_pull on purpose — the unit under test is its
   // internal locking.
   std::vector<std::thread> threads;

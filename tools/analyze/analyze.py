@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""minsgd cross-TU semantic analyzer.
+"""minsgd C++ checker: the cross-TU semantic analyzer.
 
-Whole-program companion to tools/lint/minsgd_lint.py: where the linter
-pattern-matches single files, this builds a real model of the tree — lexed
-TUs, a function/symbol index, the include graph, and a call graph with NVI
-and lambda resolution — and proves five cross-cutting invariants (see
-tools/analyze/checks.py and DESIGN.md §16 for the catalog).
+Builds a model of the tree — lexed TUs, a function/symbol index, the include
+graph, and a call graph with NVI and lambda resolution — and checks the
+project invariants over it: whole-program ones (zero-alloc hot paths,
+disjoint collective tag spaces, fixed-order reductions, documented gates)
+and single-line conventions (thread and RNG sources, asserts, casts, include
+hygiene). See tools/analyze/checks.py and DESIGN.md §16 for the catalog.
 
 Stdlib only. No third-party imports, ever.
 
@@ -27,15 +28,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 TOOL_DIR = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, TOOL_DIR)                       # cpp_model, callgraph, ...
 sys.path.insert(1, os.path.dirname(TOOL_DIR))      # common.report
 
-from common.report import write_json_atomic  # noqa: E402
+from common.report import read_json, write_json_atomic  # noqa: E402
 
 from callgraph import CallGraph  # noqa: E402
-from checks import CHECKS, World, gates_markdown, run_checks  # noqa: E402
+from checks import (CHECKS, RULES, World, gates_markdown,  # noqa: E402
+                    run_checks)
 from cpp_model import build_index  # noqa: E402
 
 INDEX_SUBDIRS = ("src", "tests", "bench", "examples")
@@ -87,8 +90,9 @@ def self_test(verbose=True) -> int:
     Fixture layout: tools/analyze/fixtures/<name>/ is a mini repo root
     (src/, optionally tests/, README.md, ...). expect.txt lists one
     `check/rule` per expected finding (duplicates meaningful); a missing or
-    empty expect.txt asserts the tree is clean. All five checks run on every
-    fixture, so a firing fixture also proves the other four stay quiet.
+    empty expect.txt asserts the tree is clean. All checks run on every
+    fixture, so a firing fixture also proves the others stay quiet, and
+    every catalog rule must be expected by at least one fixture.
     """
     fixdir = os.path.join(TOOL_DIR, "fixtures")
     names = sorted(d for d in os.listdir(fixdir)
@@ -97,37 +101,45 @@ def self_test(verbose=True) -> int:
         print("analyze self-test: no fixtures found", file=sys.stderr)
         return 1
     failures = 0
-    for name in names:
-        root = os.path.join(fixdir, name)
-        expect_path = os.path.join(root, "expect.txt")
-        expected = []
-        if os.path.isfile(expect_path):
-            with open(expect_path, "r", encoding="utf-8") as f:
-                expected = sorted(ln.strip() for ln in f
-                                  if ln.strip() and not ln.startswith("#"))
-        world, findings = analyze(root)
-        got = sorted(f"{f.check}/{f.rule}" for f in findings)
-        # Round-trip the report through the shared atomic writer.
-        obj = report_obj(world, findings)
-        out = os.path.join(root, "analyze_results", "findings.json")
-        write_json_atomic(out, obj)
-        from common.report import read_json
-        back = read_json(out)
-        ok = (got == expected and back["schema"] == SCHEMA
-              and back["summary"]["findings"] == len(findings))
-        if not ok:
-            failures += 1
-            print(f"FAIL {name}")
-            print(f"  expected: {expected}")
-            print(f"  got:      {got}")
-            for f in findings:
-                print(f"    {f.fid}: {f.message}")
-        elif verbose:
-            print(f"ok   {name} ({len(got)} finding(s))")
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            root = os.path.join(fixdir, name)
+            expect_path = os.path.join(root, "expect.txt")
+            expected = []
+            if os.path.isfile(expect_path):
+                with open(expect_path, "r", encoding="utf-8") as f:
+                    expected = sorted(ln.strip() for ln in f
+                                      if ln.strip() and not ln.startswith("#"))
+            covered.update(expected)
+            world, findings = analyze(root)
+            got = sorted(f"{f.check}/{f.rule}" for f in findings)
+            # Round-trip the report through the shared atomic writer.
+            out = os.path.join(tmp, name + ".json")
+            write_json_atomic(out, report_obj(world, findings))
+            back = read_json(out)
+            ok = (got == expected and back["schema"] == SCHEMA
+                  and back["summary"]["findings"] == len(findings))
+            if not ok:
+                failures += 1
+                print(f"FAIL {name}")
+                print(f"  expected: {expected}")
+                print(f"  got:      {got}")
+                for f in findings:
+                    print(f"    {f.fid}: {f.message}")
+            elif verbose:
+                print(f"ok   {name} ({len(got)} finding(s))")
+    untested = sorted({f"{c}/{r}" for c, rules in RULES.items()
+                       for r in rules} - covered)
+    if untested:
+        failures += 1
+        print(f"FAIL: rules with no firing fixture: {untested}")
     if failures:
-        print(f"analyze self-test: {failures}/{len(names)} fixtures FAILED")
+        print(f"analyze self-test: {failures} failure(s) over "
+              f"{len(names)} fixtures")
         return 1
-    print(f"analyze self-test: {len(names)} fixtures passed")
+    print(f"analyze self-test: {len(names)} fixtures passed, all "
+          f"{len(covered)} rules covered")
     return 0
 
 

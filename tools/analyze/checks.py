@@ -1,18 +1,19 @@
-"""checks: the five whole-program invariants the analyzer proves.
+"""checks: the project invariants the analyzer proves.
 
 Each check is a function `check_<name>(world) -> list[Finding]` over the
 shared World (index + call graph + discovery registries). The catalog:
 
-  hot-path-alloc     interprocedural extension of the linter's rule: any
-                     function *reachable* from do_forward/do_backward/do_step
-                     that constructs a Tensor or std::vector is flagged, with
-                     the full entrypoint -> offender call chain.
+  hot-path-alloc     any function *reachable* from do_forward/do_backward/
+                     do_step that constructs a Tensor or std::vector is
+                     flagged, with the full entrypoint -> offender call chain.
   tag-space          evaluates the collective tag constants and every
                      Communicator construction site's channel argument, then
                      proves rank-thread / async / membership channel sets are
-                     disjoint and the field arithmetic cannot collide.
+                     disjoint and the field arithmetic cannot collide; outside
+                     src/comm/communicator.* no line may mint or do arithmetic
+                     in the collective tag space.
   det-reduction      flags FP accumulation that bypasses the fixed-chunk-order
-                     combine contract (shared accumulators written from
+                     combine contract (captured variables written from
                      parallel regions, descending/unordered combines) and
                      cross-checks the -ffp-contract=off CMake source property
                      against the kernel TUs actually on disk.
@@ -20,15 +21,24 @@ shared World (index + call graph + discovery registries). The catalog:
                      gate and fails gates that are undocumented (README or
                      DESIGN.md) or, for runtime gates, untested (tests/ or
                      bench/ mention).
-  suppression-audit  inventories every `minsgd-lint: allow(...)` and
-                     `minsgd-analyze: allow(...)` site with justification and
-                     git blame age, failing suppressions whose justification
-                     no longer names any existing symbol.
+  thread-spawn, rng-source, using-namespace-header, naked-assert, cast,
+  flight-record      single-line conventions (LINE_RULES): threads only from
+                     the context/comm layer, randomness only from Rng, no
+                     `using namespace` in headers, MINSGD_CHECK instead of
+                     assert() in src/, justified casts, MINSGD_FLIGHT instead
+                     of direct flight-recorder calls.
+  include-hygiene    #pragma once in headers, no "../" includes, C++ spellings
+                     of C headers.
+  suppression-audit  inventories every `minsgd-analyze: allow(...)` site with
+                     justification and git blame age, failing malformed ones
+                     (unknown check, short justification, any other shape)
+                     and those whose justification no longer names any
+                     existing symbol.
 
 Findings can be silenced at the site with
     // minsgd-analyze: allow(<check>): <justification>
-on the flagged line or the line above — the same shape the linter uses, and
-itself audited by suppression-audit.
+on the flagged line or in the contiguous comment block directly above it;
+the suppression itself is audited by suppression-audit.
 """
 
 from __future__ import annotations
@@ -40,15 +50,31 @@ import subprocess
 from dataclasses import dataclass, field
 
 from callgraph import CallGraph
-from cpp_model import Index
+from cpp_model import TU, Index
 
-CHECKS = ("hot-path-alloc", "tag-space", "det-reduction", "env-gate",
-          "suppression-audit")
+# Every check/rule a Finding may carry. The self-test fails unless each one
+# is expected by some firing fixture.
+RULES = {
+    "hot-path-alloc": ("transitive-alloc",),
+    "tag-space": ("tag-arith", "channel-range", "channel-overlap",
+                  "hand-minted-tag"),
+    "det-reduction": ("fp-contract", "unordered-combine",
+                      "parallel-shared-accum", "shared-accum-callee"),
+    "env-gate": ("undocumented-gate", "untested-gate"),
+    "thread-spawn": ("raw-thread",),
+    "rng-source": ("foreign-rng",),
+    "using-namespace-header": ("using-namespace",),
+    "include-hygiene": ("missing-pragma-once", "upward-include", "c-header"),
+    "naked-assert": ("assert",),
+    "cast": ("unjustified-cast",),
+    "flight-record": ("direct-record",),
+    # Last: it resolves justifications against env-gate's registry.
+    "suppression-audit": ("malformed-suppression", "stale-suppression"),
+}
+CHECKS = tuple(RULES)
 
 ANALYZE_ALLOW_RE = re.compile(
     r"minsgd-analyze:\s*allow\(([a-zA-Z-]+)\)(?::\s*(\S.*))?")
-ANY_ALLOW_RE = re.compile(
-    r"minsgd-(lint|analyze):\s*allow\(([a-zA-Z-]+)\)(?::\s*(.*))?")
 
 
 @dataclass
@@ -59,6 +85,9 @@ class Finding:
     line: int
     message: str
     trace: list = field(default_factory=list)
+
+    def __post_init__(self):
+        assert self.rule in RULES[self.check], f"{self.check}/{self.rule}"
 
     @property
     def fid(self) -> str:
@@ -227,11 +256,11 @@ def _classify_site(tu, line, args_text, pool):
 
 
 def check_tag_space(world: World):
+    findings = _line_findings(world, "tag-space")
     pool = world.index.constants
     vals = {name: pool.value(name) for name in TAG_CONSTANTS}
     if vals["kCollectiveBase"] is None or vals["kChannelStride"] is None:
-        return []  # no communicator in this tree (e.g. most fixtures)
-    findings = []
+        return findings  # no communicator in this tree (e.g. most fixtures)
     comm_tu = next((tu for rel, tu in sorted(world.index.tus.items())
                     if "kCollectiveBase" in tu.constants), None)
     comm_rel = comm_tu.relpath if comm_tu else "src/comm/communicator.hpp"
@@ -294,8 +323,14 @@ FP_REF_PARAM_RE = re.compile(r"\b(float|double)\s*&\s*(\w+)\b")
 DESC_COMBINE_RE = re.compile(
     r"for\s*\(\s*(?:int|long|auto|std::\w+|\w+_t)\s+(\w+)\s*=\s*[\w.]+\s*"
     r"-\s*1\s*;\s*\1\s*>=\s*0\s*;\s*--\s*\1\s*\)")
-DECL_WORDS = (r"(?:float|double|auto|int|unsigned|long|bool|std::size_t|"
-              r"size_t|std::int64_t|int64_t|std::uint64_t)")
+# A write to a bare name: any compound assignment, x++/x--, ++x/--x (a
+# subscripted `++x[i]` writes an element, not x).
+ACCUM_WRITE_RE = re.compile(
+    r"(?<![\w\])])([A-Za-z_]\w*)\s*(?:(?:[-+*/%&|^]|<<|>>)=(?!=)|\+\+|--)"
+    r"|(?:\+\+|--)\s*([A-Za-z_]\w*)\b(?!\s*\[)")
+DECL_TYPE = (r"\b(?:float|double|bool|char|auto|int|long|short|unsigned|"
+             r"signed|(?:std::)?size_t|(?:std::)?u?int\d+_t|"
+             r"std::[A-Za-z_][\w:<>, ]*?)")
 
 
 def _pinned_kernels(root: str):
@@ -318,9 +353,36 @@ def _pinned_kernels(root: str):
     return cml, pinned, prop_line
 
 
+def _shared_accum_findings(world: World):
+    """Writes to a captured (not span-local) variable inside a parallel
+    region, in every indexed tree."""
+    findings = []
+    for rel, tu in sorted(world.index.tus.items()):
+        for fn in tu.functions:
+            for start, end in world.graph.parallel_spans.get(fn, ()):
+                span = fn.body[start:end]
+                for am in ACCUM_WRITE_RE.finditer(span):
+                    name = am.group(1) or am.group(2)
+                    before = span[:am.start()]
+                    if re.search(DECL_TYPE + r"[\s<>:\w]*[&*]?\s*\b" + name
+                                 + r"\s*[=;({\[:,)]", before):
+                        continue  # declared inside the span
+                    if re.search(r",\s*" + name + r"\s*[=;]", before):
+                        continue  # comma-continued declarator list
+                    line = tu.line_of(fn.body_off + start + am.start())
+                    if is_allowed(tu, line, "det-reduction"):
+                        continue
+                    findings.append(Finding(
+                        "det-reduction", "parallel-shared-accum", rel, line,
+                        f"{fn.qual} writes captured '{name}' from inside a "
+                        f"parallel region; write per-chunk partial[c] and "
+                        f"combine in ascending chunk order"))
+    return findings
+
+
 def check_det_reduction(world: World):
     idx, cg = world.index, world.graph
-    findings = []
+    findings = _shared_accum_findings(world)
 
     # fp-contract: every kernel TU on disk must carry the source property.
     kdir = os.path.join(world.root, "src", "tensor", "kernels")
@@ -395,27 +457,6 @@ def check_det_reduction(world: World):
                             f"{fn.qual} accumulates over unordered "
                             f"container '{cont}'; iteration order is "
                             f"unspecified — combine in a fixed order"))
-            # Direct `x +=` on a captured (not span-local) variable inside a
-            # parallel region.
-            for start, end in cg.parallel_spans.get(fn, ()):
-                span = fn.body[start:end]
-                for am in re.finditer(r"(?<![\w.\]>])([A-Za-z_]\w*)\s*\+=",
-                                      span):
-                    name = am.group(1)
-                    before = span[:am.start()]
-                    if re.search(DECL_WORDS + r"[\s<>:\w]*[&*]?\s*\b" + name
-                                 + r"\s*[=;({]", before):
-                        continue  # declared inside the span
-                    if re.search(r",\s*" + name + r"\s*=", before):
-                        continue  # comma-continued declarator list
-                    line = tu.line_of(fn.body_off + start + am.start(1))
-                    if is_allowed(tu, line, "det-reduction"):
-                        continue
-                    findings.append(Finding(
-                        "det-reduction", "parallel-shared-accum", rel, line,
-                        f"{fn.qual} accumulates into captured '{name}' from "
-                        f"inside a parallel region; write per-chunk "
-                        f"partial[c] and combine in ascending chunk order"))
 
     # Callees with FP-reference accumulator params invoked from parallel
     # regions anywhere in scope.
@@ -452,7 +493,8 @@ GATE_DESCRIPTIONS = {
     "MINSGD_KERNEL_ISA": "force kernel ISA: portable, avx2, avx512, neon",
     "MINSGD_FLIGHT": "cross-rank flight recorder on/off",
     "MINSGD_FLIGHT_CAPACITY": "flight recorder ring capacity [16, 2^20]",
-    "MINSGD_SANITIZE": "build preset: asan-ubsan or tsan",
+    "MINSGD_SANITIZE": "sanitizer build: thread, address, undefined or "
+                       "address,undefined",
     "MINSGD_DCHECK": "heavy debug-check assertions (MINSGD_DCHECK_ON)",
     "MINSGD_DCHECK_ON": "preprocessor define set by -DMINSGD_DCHECK=ON",
     "MINSGD_TIDY": "run clang-tidy during the build",
@@ -605,11 +647,148 @@ def gates_markdown(gates) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 5. suppression audit
+# 5. single-line conventions and include hygiene
+# ---------------------------------------------------------------------------
+
+def _paths(*prefixes, exempt=()):
+    return lambda tu: (tu.relpath.startswith(prefixes)
+                       and not tu.relpath.startswith(exempt))
+
+
+THREAD_LAYER = ("src/tensor/context.", "src/tensor/threadpool.", "src/comm/",
+                "tests/test_threadpool.cpp", "tests/test_context.cpp")
+
+# check -> (rule, which TUs it covers, message tail, [(pattern, what)]).
+# Patterns run over the TU's code with comments and strings blanked and
+# preprocessor lines kept (a macro body is code too); a match is reported
+# on the line where it starts, once per line (run_checks keeps the first
+# pattern's finding). A match that starts inside an identifier
+# (`static_assert(`, `operand(`) is not one: every pattern reads as if it
+# began with \b, which is left out so each can start with a literal (a
+# leading \b makes `re` try the pattern at every offset, ~40x slower).
+LINE_RULES = {
+    "thread-spawn": (
+        "raw-thread", _paths("", exempt=THREAD_LAYER),
+        "outside src/tensor/context.*, src/tensor/threadpool.* and "
+        "src/comm/ — use a ComputeContext",
+        # std::thread::hardware_concurrency() is a query, not a spawn.
+        [(r"std::j?thread\b(?!\s*::)", "std::thread"),
+         (r"ThreadPool\b", "direct ThreadPool use")]),
+    "rng-source": (
+        "foreign-rng", _paths("", exempt=("src/tensor/rng.",)),
+        "outside src/tensor/rng.* — draw from the project Rng (seeded, "
+        "checkpointable)",
+        [(r"std::random_device\b", "std::random_device"),
+         (r"std::mt19937(?:_64)?\b", "std::mt19937"),
+         (r"std::default_random_engine\b", "std::default_random_engine"),
+         (r"std::minstd_rand0?\b", "std::minstd_rand"),
+         (r"rand\s*\(", "rand()"),
+         (r"srand\s*\(", "srand()"),
+         (r"time\s*\(\s*(?:nullptr|NULL|0)\s*\)", "time(nullptr) seeding")]),
+    "tag-space": (
+        "hand-minted-tag", _paths("", exempt=("src/comm/communicator.",)),
+        "outside src/comm/communicator.* — collective tags are minted only "
+        "by Communicator::next_collective_tag",
+        [(r"next_collective_tag\b", "minting collective tags"),
+         (r"kCollectiveBase\b", "referencing kCollectiveBase"),
+         (r"kChannelStride\b", "referencing kChannelStride"),
+         (r"<<\s*(?:40|36)\b", "tag-space shift arithmetic"),
+         (r"\d{13,}\b", "13+-digit literal (collective tag range)")]),
+    "using-namespace-header": (
+        "using-namespace", TU.is_header,
+        "in a header leaks into every translation unit that includes it",
+        [(r"using\s+namespace\b", "`using namespace`")]),
+    "naked-assert": (
+        "assert", _paths("src/"),
+        "in src/ — use MINSGD_CHECK (always on) or MINSGD_DCHECK (debug) "
+        "from core/check.hpp",
+        [(r"assert\s*\(", "assert()"),
+         (r"#\s*include\s*<(?:cassert|assert\.h)>", "including <cassert>")]),
+    "cast": (
+        "unjustified-cast", _paths("src/"),
+        "in src/ needs a justification: '// minsgd-analyze: allow(cast): "
+        "<why this is sound>' on this line or the comment block above",
+        [(r"reinterpret_cast\b", "reinterpret_cast"),
+         (r"const_cast\b", "const_cast")]),
+    "flight-record": (
+        "direct-record", _paths("src/", exempt=("src/obs/flight.",)),
+        "in src/ — record flight events through MINSGD_FLIGHT "
+        "(obs/flight.hpp), which carries the enabled() gate",
+        # The singleton accessor chained into record(), or any record()
+        # whose first argument is a FlightKind (the recorder's signature).
+        [(r"flight\s*\(\s*\)\s*\.\s*record\s*\(", "flight().record(...)"),
+         (r"\.\s*record\s*\(\s*(?:::)?\s*(?:minsgd\s*::\s*)?"
+          r"(?:obs\s*::\s*)?FlightKind\b", ".record(FlightKind...)")]),
+}
+LINE_RULES = {check: (rule, applies, tail,
+                      [(re.compile(p), what) for p, what in pats])
+              for check, (rule, applies, tail, pats) in LINE_RULES.items()}
+
+
+_IDENT_CHAR = re.compile(r"\w")
+
+
+def _line_findings(world: World, check: str):
+    rule, applies, tail, pats = LINE_RULES[check]
+    findings = []
+    for rel, tu in sorted(world.index.tus.items()):
+        if not applies(tu):
+            continue
+        code = tu.directive_code
+        for pat, what in pats:
+            for m in pat.finditer(code):
+                at = m.start()
+                if at and _IDENT_CHAR.match(code, at - 1) \
+                        and _IDENT_CHAR.match(code, at):
+                    continue
+                line = code.count("\n", 0, at) + 1
+                if not is_allowed(tu, line, check):
+                    findings.append(Finding(check, rule, rel, line,
+                                            f"{what} {tail}"))
+    return findings
+
+
+C_HEADER_TO_CXX = {
+    "assert.h": "cassert", "ctype.h": "cctype", "limits.h": "climits",
+    "math.h": "cmath", "stddef.h": "cstddef", "stdint.h": "cstdint",
+    "stdio.h": "cstdio", "stdlib.h": "cstdlib", "string.h": "cstring",
+    "time.h": "ctime",
+}
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
+
+
+def check_include_hygiene(world: World):
+    findings = []
+
+    def report(tu, line, rule, msg):
+        if not is_allowed(tu, line, "include-hygiene"):
+            findings.append(Finding("include-hygiene", rule, tu.relpath,
+                                    line, msg))
+
+    for rel, tu in sorted(world.index.tus.items()):
+        if tu.is_header() and not PRAGMA_ONCE_RE.search(tu.directive_code):
+            report(tu, 1, "missing-pragma-once",
+                   "header is missing #pragma once")
+        for line, inc, _is_angle in tu.includes:
+            if inc.startswith("../"):
+                report(tu, line, "upward-include",
+                       f'"{inc}" is an upward-relative include — include '
+                       f'from the src/ root (e.g. "tensor/ops.hpp")')
+            elif inc in C_HEADER_TO_CXX:
+                report(tu, line, "c-header",
+                       f"<{inc}> — use <{C_HEADER_TO_CXX[inc]}>")
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# 6. suppression audit
 # ---------------------------------------------------------------------------
 
 SYMBOLISH_RE = re.compile(r"[A-Za-z_][\w:]*|[\w./-]+\.(?:cpp|hpp|h|py|sh|md)")
-AUDIT_SCOPES = ("src", "tests", "bench", "examples")
+# Anything that reads as an attempted suppression (any `minsgd-<word>` tag
+# before `allow`), so a misspelt or retired tag cannot silently suppress
+# nothing.
+SUPPRESSION_TAG_RE = re.compile(r"minsgd-\w+:?\s*allow\b")
 
 
 def _symbol_shaped(tok: str) -> bool:
@@ -636,56 +815,57 @@ def _blame_age_days(root: str, rel: str, line: int):
 
 def check_suppression_audit(world: World):
     idx = world.index
-    gate_names = {g["name"] for g in world.gates} if world.gates else set()
+    gate_names = {g["name"] for g in world.gates}
     findings, inventory = [], []
-    files = []
-    for scope in AUDIT_SCOPES:
-        base = os.path.join(world.root, scope)
-        for dirpath, dirnames, names in os.walk(base):
-            dirnames[:] = sorted(d for d in dirnames if d != "fixtures"
-                                 and not d.startswith("."))
-            for f in sorted(names):
-                if f.endswith((".cpp", ".hpp", ".h", ".hh", ".inl")):
-                    files.append(os.path.join(dirpath, f))
-    for path in files:
-        rel = os.path.relpath(path, world.root).replace(os.sep, "/")
-        lines = _read(path).split("\n")
+    for rel, tu in sorted(idx.tus.items()):
+        lines = tu.raw_lines
         for i, raw in enumerate(lines):
-            m = ANY_ALLOW_RE.search(raw)
-            if m is None:
+            if not SUPPRESSION_TAG_RE.search(raw):
                 continue
-            tool, rule, just = m.group(1), m.group(2), (m.group(3) or "")
+            line_no = i + 1
+            suppressed = is_allowed_line(lines, line_no, "suppression-audit")
+
+            def report(rule, msg):
+                if not suppressed:
+                    findings.append(Finding("suppression-audit", rule, rel,
+                                            line_no, msg))
+
+            m = ANALYZE_ALLOW_RE.search(raw)
+            if m is None:
+                report("malformed-suppression",
+                       "unrecognized suppression; expected "
+                       "'// minsgd-analyze: allow(<check>): <justification>'")
+                continue
+            check, just = m.group(1), (m.group(2) or "")
+            if check not in CHECKS:
+                report("malformed-suppression",
+                       f"allow() names unknown check '{check}'")
+                continue
             # Continuation comment lines extend the justification.
             j = i + 1
             while j < len(lines) and re.match(r"\s*//(?!\s*minsgd-)",
                                               lines[j]):
                 just += " " + lines[j].strip().lstrip("/").strip()
                 j += 1
-            line_no = i + 1
+            if len(just.strip()) < 10:
+                report("malformed-suppression",
+                       f"allow({check}) needs a justification of at least "
+                       f"10 characters")
+                continue
             toks = [t for t in SYMBOLISH_RE.findall(just)
                     if _symbol_shaped(t)]
             resolved = sorted({t for t in toks
                                if idx.symbol_exists(t) or t in gate_names})
-            entry = {"file": rel, "line": line_no, "tool": tool,
-                     "rule": rule, "justification": just.strip(),
-                     "age_days": _blame_age_days(world.root, rel, line_no),
-                     "names": resolved}
-            inventory.append(entry)
-            suppressed = is_allowed_line(lines, line_no, "suppression-audit")
-            if tool == "analyze" and len(just.strip()) < 10:
-                if not suppressed:
-                    findings.append(Finding(
-                        "suppression-audit", "malformed-suppression", rel,
-                        line_no,
-                        f"allow({rule}) needs a justification of at least "
-                        f"10 characters"))
-                continue
-            if not resolved and not suppressed:
-                findings.append(Finding(
-                    "suppression-audit", "stale-suppression", rel, line_no,
-                    f"minsgd-{tool}: allow({rule}) justification names no "
-                    f"existing symbol, gate, or file — re-justify with the "
-                    f"concrete symbol that makes it safe, or remove it"))
+            inventory.append({
+                "file": rel, "line": line_no, "check": check,
+                "justification": just.strip(),
+                "age_days": _blame_age_days(world.root, rel, line_no),
+                "names": resolved})
+            if not resolved:
+                report("stale-suppression",
+                       f"allow({check}) justification names no existing "
+                       f"symbol, gate, or file — re-justify with the "
+                       f"concrete symbol that makes it safe, or remove it")
     world.suppressions = inventory
     return findings
 
@@ -715,14 +895,18 @@ CHECK_FNS = {
     "tag-space": check_tag_space,
     "det-reduction": check_det_reduction,
     "env-gate": check_env_gate,
+    "include-hygiene": check_include_hygiene,
     "suppression-audit": check_suppression_audit,
 }
 
 
 def run_checks(world: World, only=None):
-    findings = []
+    """Findings of the selected checks, one per (check, rule, file, line)."""
+    findings = {}
     for name in CHECKS:
         if only and name not in only:
             continue
-        findings.extend(CHECK_FNS[name](world))
-    return findings
+        fn = CHECK_FNS.get(name) or (lambda w, c=name: _line_findings(w, c))
+        for f in fn(world):
+            findings.setdefault((f.check, f.rule, f.file, f.line), f)
+    return list(findings.values())

@@ -19,8 +19,7 @@ This module turns a C++ tree into a queryable model without a real compiler:
     build dir; src/-rooted fallback otherwise).
 
 Everything downstream (tools/analyze/callgraph.py, tools/analyze/checks.py)
-consumes this model. Stdlib only, same packaging discipline as
-tools/lint/minsgd_lint.py.
+consumes this model. Stdlib only.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 CXX_EXTS = (".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh", ".inl")
 HEADER_EXTS = (".hpp", ".h", ".hh")
@@ -43,9 +43,9 @@ CONTROL_KEYWORDS = frozenset(
 def strip_comments_and_strings(text: str) -> str:
     """Blank comments and string/char literals, preserving line structure.
 
-    Same lexer grade as tools/lint: //, /* */, "..." and '...' with escapes.
-    Raw strings are treated as plain strings, which is fine for the patterns
-    matched downstream.
+    Handles //, /* */, "..." and '...' with escapes. Raw strings are
+    treated as plain strings, which is fine for the patterns matched
+    downstream.
     """
     out = []
     i, n = 0, len(text)
@@ -162,13 +162,9 @@ class TU:
     virtual_decls: set = field(default_factory=set)
     classes: set = field(default_factory=set)
 
-    @property
+    @cached_property
     def raw_lines(self):
         return self.raw.split("\n")
-
-    @property
-    def code_lines(self):
-        return self.code.split("\n")
 
     def line_of(self, offset: int) -> int:
         return self.code.count("\n", 0, offset) + 1
@@ -179,7 +175,9 @@ class TU:
 
 def _blank_directives(tu: TU, stripped: str) -> str:
     """Record #include/#define lines (with backslash continuations spliced)
-    and return code with every directive line blanked to spaces."""
+    and return code with every directive line blanked to spaces. Include
+    targets are read from the raw line: the stripped one has its quoted
+    path blanked."""
     out_lines = []
     lines = stripped.split("\n")
     i = 0
@@ -192,7 +190,7 @@ def _blank_directives(tu: TU, stripped: str) -> str:
             while spliced.rstrip().endswith("\\") and i + 1 < len(lines):
                 i += 1
                 spliced = spliced.rstrip()[:-1] + " " + lines[i]
-            m = INCLUDE_RE.match(spliced)
+            m = INCLUDE_RE.match(tu.raw_lines[start])
             if m:
                 tu.includes.append((start + 1, m.group(2), m.group(1) == "<"))
             m = DEFINE_RE.match(spliced)

@@ -1,9 +1,9 @@
-// Fixture: the kernel-driver shape of the shared-accumulator bug. A packed
+// Firing: the kernel-driver shape of the shared-accumulator bug. A packed
 // microkernel lambda's per-chunk scratch writes — subscripted panel and
 // register-tile accumulator stores, for-init locals — are all legal and must
 // NOT fire; the one violation is the captured FLOP counter compound-assigned
-// from inside the parallel region. Expected finding: [shared-accumulator]
-// (exactly one, on the counter line).
+// from inside the parallel region. Expected finding:
+// det-reduction/parallel-shared-accum (exactly one, on the counter line).
 #include <cstdint>
 #include <vector>
 

@@ -1,6 +1,6 @@
-// Fixture: compound-assign to a captured variable inside a parallel region.
-// The canonical nondeterminism/race bug the per-chunk-partials idiom exists
-// to prevent. Expected finding: [shared-accumulator]
+// Firing: compound-assign to a captured variable inside a parallel region,
+// in a test file. The canonical nondeterminism/race bug the per-chunk-partials
+// idiom exists to prevent. Expected finding: det-reduction/parallel-shared-accum
 #include <cstdint>
 #include <span>
 

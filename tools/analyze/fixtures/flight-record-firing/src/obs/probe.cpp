@@ -1,6 +1,6 @@
-// Fixture: direct flight-recorder record() calls bypassing the
+// Firing: direct flight-recorder record() calls bypassing the
 // MINSGD_FLIGHT macro (and its enabled() gate).
-// Expected finding: [flight-record]
+// Expected findings: flight-record/direct-record for each bad_* function.
 #include "obs/flight.hpp"
 
 void bad_direct_singleton(long tag) {

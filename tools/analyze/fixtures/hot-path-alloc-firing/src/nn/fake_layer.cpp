@@ -1,7 +1,8 @@
-// Fixture: heap allocation inside a layer's do_forward/do_backward body.
+// Firing: heap allocation inside a layer's do_forward/do_backward body.
 // Scratch must come from the PlanContext so planned steady-state iterations
-// allocate nothing.
-// Expected finding: [hot-path-alloc]
+// allocate nothing. Expected: hot-path-alloc/transitive-alloc once for each
+// of the three "bad" lines (the `Tensor tmp = Tensor(...)` line matches
+// twice and must still be reported once).
 #include "nn/layer.hpp"
 #include "tensor/tensor.hpp"
 
@@ -29,7 +30,8 @@ void FakeLayer::do_backward(const Tensor& x, const Tensor& y,
   const Tensor* in = &x;
   // Scratch through the plan context: fine.
   Tensor& col = pc.tensor(0, x.shape());
-  // minsgd-lint: allow(hot-path-alloc): one-time cold-path fallback buffer
+  // minsgd-analyze: allow(hot-path-alloc): FakeLayer::do_backward's
+  // one-time cold-path fallback buffer
   Tensor cold(x.shape());
   (void)yy;
   (void)in;

@@ -1,7 +1,7 @@
 namespace minsgd {
 
 int parse_widget(const char* s) {
-  // minsgd-lint: allow(cast): parse_widget byte-views its input here; the
+  // minsgd-analyze: allow(cast): parse_widget byte-views its input here; the
   // typed overloads all funnel through this one bridge.
   return static_cast<int>(s[0]);
 }

@@ -1,7 +1,7 @@
 namespace minsgd {
 
 int helper_fn(int x) {
-  // minsgd-lint: allow(cast): required by old_removed_helper for endianness
+  // minsgd-analyze: allow(cast): required by old_removed_helper for endianness
   return x;
 }
 

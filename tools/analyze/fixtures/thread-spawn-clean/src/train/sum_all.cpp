@@ -1,5 +1,5 @@
-// Fixture: violation-free file including a correctly justified suppression
-// and the per-chunk-partials reduction idiom. Expected findings: none.
+// Clean: a correctly justified suppression outside the thread layer and the
+// per-chunk-partials reduction idiom.
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -31,8 +31,8 @@ double sum_all(const Ctx& ctx, std::span<const float> x) {
 }
 
 void justified_spawn() {
-  // minsgd-lint: allow(thread-spawn): fixture demonstrating a well-formed
-  // suppression with a justification that spans comment lines.
+  // minsgd-analyze: allow(thread-spawn): justified_spawn shows a
+  // well-formed suppression whose justification spans comment lines.
   std::thread t([] {});
   t.join();
 }
