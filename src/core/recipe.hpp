@@ -22,7 +22,6 @@
 #include "optim/lars.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
-#include "train/async_trainer.hpp"
 #include "train/trainer.hpp"
 
 namespace minsgd::core {

@@ -99,7 +99,7 @@ ElasticResult train_sync_elastic(
   options.validate();
   const TrainOptions& t = options.train;
   validate_sync_options(t, options.local_batch * options.initial_world,
-                        options.initial_world, SyncDriver::kElastic);
+                        options.initial_world, "train_sync_elastic");
   const std::int64_t base_gb =
       options.base_global_batch != 0
           ? options.base_global_batch

@@ -51,7 +51,7 @@ struct ElasticOptions {
   /// overlap_comm, compute_threads, eval_every (in windows), epochs (used
   /// to derive total_iterations when it is 0). global_batch is ignored —
   /// the elastic invariant is a fixed *local* batch, so the global batch is
-  /// local_batch x live world. accumulation_steps is unsupported here.
+  /// local_batch x live world.
   TrainOptions train;
 
   /// Per-member batch share, constant across resizes.

@@ -33,7 +33,7 @@ FaultTolerantResult train_sync_fault_tolerant(
     std::shared_ptr<comm::FaultInjector> injector) {
   const TrainOptions& topt = options.train;
   validate_sync_options(topt, topt.global_batch, world,
-                        SyncDriver::kFaultTolerant);
+                        "train_sync_fault_tolerant");
   if (options.checkpoint_every < 1) {
     throw std::invalid_argument(
         "train_sync_fault_tolerant: checkpoint_every < 1");

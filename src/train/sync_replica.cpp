@@ -33,20 +33,13 @@ EpochRecord to_record(std::int64_t window, const RunLog::Window& w) {
 
 void validate_sync_options(const TrainOptions& options,
                            std::int64_t global_batch, int world,
-                           SyncDriver driver) {
-  static constexpr const char* kNames[] = {"train_sync_data_parallel",
-                                            "train_sync_fault_tolerant",
-                                            "train_sync_elastic"};
-  const std::string who = kNames[static_cast<int>(driver)];
+                           const char* who) {
   const auto reject = [&](const char* what) {
-    throw std::invalid_argument(who + ": " + what);
+    throw std::invalid_argument(std::string(who) + ": " + what);
   };
   if (world <= 0) reject("world <= 0");
   if (global_batch % world != 0) reject("global_batch % world != 0");
-  validate_bucket_bytes(options.bucket_bytes, who.c_str());
-  if (driver == SyncDriver::kElastic && options.accumulation_steps != 1) {
-    reject("accumulation_steps is unsupported");
-  }
+  validate_bucket_bytes(options.bucket_bytes, who);
 }
 
 void publish_run_metrics(const comm::SimCluster& cluster,

@@ -31,14 +31,12 @@ namespace minsgd::train {
 
 class OverlapAllreducer;
 
-enum class SyncDriver { kFixed, kFaultTolerant, kElastic };
-
 /// Throws std::invalid_argument, before any cluster thread starts, on:
-/// world <= 0; global_batch % world; bad bucket_bytes; accumulation_steps
-/// != 1 in elastic.
+/// world <= 0; global_batch % world; bad bucket_bytes. The message starts
+/// with `who`, the calling driver's name.
 void validate_sync_options(const TrainOptions& options,
                            std::int64_t global_batch, int world,
-                           SyncDriver driver);
+                           const char* who);
 
 /// Adds a finished cluster's wire traffic (`train.traffic.*`, total and per
 /// op) and gradient-allreduce time (`train.allreduce.{exposed,total}_ns`)

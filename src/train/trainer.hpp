@@ -58,17 +58,9 @@ struct TrainOptions {
   /// the overlap determinism tests enforce exactly that. Ignored by
   /// train_single.
   bool overlap_comm = false;
-  /// Gradient accumulation for the single-process trainer: each optimizer
-  /// step averages the gradients of this many consecutive `global_batch`
-  /// micro-batches, emulating an effective batch of
-  /// global_batch * accumulation_steps without the memory. Equivalent to
-  /// training at the large batch directly for deterministic models (the
-  /// epoch permutation makes consecutive micro-batches exactly the large
-  /// batch's shards).
-  std::int64_t accumulation_steps = 1;
   /// Intra-op compute thread budget. train_single gives the whole budget to
-  /// its one replica; train_sync_data_parallel (and the other multi-replica
-  /// trainers) split it across rank/worker threads via ClusterOptions so the
+  /// its one replica; the SyncReplica drivers (fixed, fault-tolerant,
+  /// elastic) split it across their rank threads via ClusterOptions so the
   /// total number of live pool workers never exceeds it. 0 means
   /// ComputeContext::default_threads() (MINSGD_THREADS env var, else
   /// hardware concurrency). Chunking is thread-count-invariant, so trained

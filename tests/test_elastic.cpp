@@ -368,10 +368,6 @@ TEST(ElasticTrain, RejectsUnsupportedAndBadGeometry) {
   data::SyntheticImageNet ds(tiny_data_cfg());
   optim::ConstantLr lr(0.02);
   auto o = elastic_options();
-  o.train.accumulation_steps = 2;
-  EXPECT_THROW(train::train_sync_elastic(det_model, sgd_factory(), lr, ds, o),
-               std::invalid_argument);
-  o = elastic_options();
   o.local_batch = 512;  // 512 * 3 members > 256 training samples
   EXPECT_THROW(train::train_sync_elastic(det_model, sgd_factory(), lr, ds, o),
                std::invalid_argument);

@@ -1,5 +1,5 @@
-// Tests for the library extensions: gradient accumulation, cosine
-// annealing, and top-k metrics.
+// Tests for the library extensions: cosine annealing, top-k metrics and
+// optimizer-state checkpointing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -39,58 +39,6 @@ std::unique_ptr<nn::Network> det_model() {
   net->emplace<nn::Flatten>();
   net->emplace<nn::Linear>(8 * 36, 4);
   return net;
-}
-
-// ---------------- gradient accumulation ----------------
-
-TEST(Accumulation, EquivalentToLargeBatch) {
-  // batch 64 directly == batch 32 with 2 accumulation steps: the epoch
-  // permutation makes micro-batches (0,1) exactly the large batch's halves.
-  data::SyntheticImageNet ds(data_cfg());
-  optim::ConstantLr lr(0.02);
-
-  train::TrainOptions direct;
-  direct.global_batch = 64;
-  direct.epochs = 2;
-  auto net1 = det_model();
-  optim::Sgd opt1({.momentum = 0.9, .weight_decay = 0.0005});
-  const auto big = train::train_single(*net1, opt1, lr, ds, direct);
-
-  train::TrainOptions accum;
-  accum.global_batch = 32;
-  accum.epochs = 2;
-  accum.accumulation_steps = 2;
-  auto net2 = det_model();
-  optim::Sgd opt2({.momentum = 0.9, .weight_decay = 0.0005});
-  const auto acc = train::train_single(*net2, opt2, lr, ds, accum);
-
-  ASSERT_EQ(big.iterations_run, acc.iterations_run);
-  ASSERT_EQ(big.epochs.size(), acc.epochs.size());
-  for (std::size_t e = 0; e < big.epochs.size(); ++e) {
-    EXPECT_NEAR(big.epochs[e].train_loss, acc.epochs[e].train_loss, 1e-5);
-    EXPECT_NEAR(big.epochs[e].train_acc, acc.epochs[e].train_acc, 1e-9);
-  }
-  EXPECT_EQ(net1->flatten_params().size(), net2->flatten_params().size());
-  const auto w1 = net1->flatten_params();
-  const auto w2 = net2->flatten_params();
-  for (std::size_t i = 0; i < w1.size(); i += 97) {
-    EXPECT_NEAR(w1[i], w2[i], 1e-5);
-  }
-}
-
-TEST(Accumulation, RejectsInvalidSteps) {
-  data::SyntheticImageNet ds(data_cfg());
-  optim::ConstantLr lr(0.02);
-  auto net = det_model();
-  optim::Sgd opt;
-  train::TrainOptions options;
-  options.global_batch = 32;
-  options.accumulation_steps = 0;
-  EXPECT_THROW(train::train_single(*net, opt, lr, ds, options),
-               std::invalid_argument);
-  options.accumulation_steps = 100;  // > iterations per epoch (8)
-  EXPECT_THROW(train::train_single(*net, opt, lr, ds, options),
-               std::invalid_argument);
 }
 
 // ---------------- cosine schedule ----------------

@@ -517,7 +517,9 @@ def _read(path):
 
 
 def _word_in(name, text):
-    return re.search(r"\b" + re.escape(name) + r"\b", text) is not None
+    # The substring test skips most files before the (much slower) \b scan.
+    return name in text and \
+        re.search(r"\b" + re.escape(name) + r"\b", text) is not None
 
 
 def discover_gates(world: World):
@@ -586,7 +588,7 @@ def discover_gates(world: World):
     # Documentation and test coverage.
     docs = {p: _read(os.path.join(world.root, p))
             for p in ("README.md", "DESIGN.md")}
-    test_files = []
+    test_files = {}
     for sub in ("tests", "bench"):
         base = os.path.join(world.root, sub)
         for dirpath, dirnames, files in os.walk(base):
@@ -594,15 +596,17 @@ def discover_gates(world: World):
             for f in sorted(files):
                 if f.endswith((".cpp", ".hpp", ".h", ".cmake", ".txt",
                                ".sh", ".py")):
-                    test_files.append(os.path.join(dirpath, f))
+                    path = os.path.join(dirpath, f)
+                    rel = os.path.relpath(path, world.root)
+                    test_files[rel.replace(os.sep, "/")] = _read(path)
     out = []
     for name in sorted(gates):
         g = gates[name]
         g["documented_in"] = sorted(p for p, text in docs.items()
                                     if _word_in(name, text))
         g["tested_in"] = sorted(
-            os.path.relpath(p, world.root).replace(os.sep, "/")
-            for p in test_files if _word_in(name, _read(p)))[:3]
+            rel for rel, text in test_files.items()
+            if _word_in(name, text))[:3]
         g["description"] = GATE_DESCRIPTIONS.get(name, "")
         out.append(g)
     return out
