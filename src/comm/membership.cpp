@@ -25,12 +25,11 @@ MembershipView MembershipView::initial(int world) {
 
 ElasticCoordinator::ElasticCoordinator(SimCluster& cluster,
                                        MembershipView initial,
-                                       std::vector<ElasticEvent> events,
-                                       Options options)
-    : cluster_(cluster), opts_(options), view_(std::move(initial)) {
+                                       std::vector<ElasticEvent> events)
+    : cluster_(cluster), view_(std::move(initial)) {
   // The coordinator is wired up by the elastic trainer before any rank
-  // thread exists; a bad initial view or event table is a programming
-  // error, not recoverable input.
+  // thread exists; a bad initial view is a programming error, not
+  // recoverable input.
   MINSGD_CHECK(!view_.ranks.empty(), "ElasticCoordinator: empty initial view");
   MINSGD_CHECK(view_.generation >= 0, "ElasticCoordinator: generation ",
                view_.generation, " < 0");
@@ -41,25 +40,12 @@ ElasticCoordinator::ElasticCoordinator(SimCluster& cluster,
                  r, " outside cluster world ", cluster.world());
     prev = r;
   }
-  MINSGD_CHECK(opts_.max_rounds >= 1, "ElasticCoordinator: max_rounds ",
-               opts_.max_rounds, " < 1");
-  MINSGD_CHECK(opts_.round_timeout.count() > 0,
-               "ElasticCoordinator: round_timeout <= 0");
-  MINSGD_CHECK(opts_.rendezvous_timeout.count() > 0,
-               "ElasticCoordinator: rendezvous_timeout <= 0");
   status_.assign(static_cast<std::size_t>(cluster.world()), Status::kStandby);
   for (int r : view_.ranks) {
     status_[static_cast<std::size_t>(r)] = Status::kActive;
   }
   events_.reserve(events.size());
-  for (const ElasticEvent& ev : events) {
-    MINSGD_CHECK(ev.rank >= 0 && ev.rank < cluster.world(),
-                 "ElasticCoordinator: event rank ", ev.rank,
-                 " outside cluster world ", cluster.world());
-    MINSGD_CHECK(ev.at_iter >= 0, "ElasticCoordinator: event at_iter ",
-                 ev.at_iter, " < 0");
-    events_.push_back(PendingEvent{ev, false});
-  }
+  for (const ElasticEvent& ev : events) events_.push_back(PendingEvent{ev});
   committed_view_ = view_;
   // Active ranks split the intra-op budget; standbys idle at 1 thread.
   cluster_.reshape_compute(view_.ranks);
@@ -69,12 +55,6 @@ ElasticCoordinator::ElasticCoordinator(SimCluster& cluster,
   // transport unwind and reach the rendezvous.
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
-
-ElasticCoordinator::ElasticCoordinator(SimCluster& cluster,
-                                       MembershipView initial,
-                                       std::vector<ElasticEvent> events)
-    : ElasticCoordinator(cluster, std::move(initial), std::move(events),
-                         Options{}) {}
 
 ElasticCoordinator::~ElasticCoordinator() {
   {
@@ -340,7 +320,7 @@ void ElasticCoordinator::resolve_attempt_locked() {
         .add(rec.pause_ns / 1'000'000);
   } else {
     ++attempt_;
-    if (attempt_ >= opts_.max_rounds) {
+    if (attempt_ >= kMaxRounds) {
       fail_run_locked("elastic: reconfiguration attempt budget exhausted");
     }
   }
@@ -416,7 +396,7 @@ ReconfigOutcome ElasticCoordinator::reconfigure(int phys,
 
   for (;;) {
     if (run_failed_) return standby_outcome();
-    const auto deadline = epoch_t0_ + 2 * opts_.rendezvous_timeout;
+    const auto deadline = epoch_t0_ + 2 * kRendezvousTimeout;
     const std::int64_t my_seq = decision_seq_;
     wait_or_throw(lk, deadline, "rendezvous", [&] {
       return run_failed_ || decision_seq_ > my_seq ||
@@ -507,7 +487,7 @@ void ElasticCoordinator::watchdog_loop() {
       cv_.wait(lk, [&] { return shutdown_ || epoch_open_; });
       continue;
     }
-    const auto deadline = epoch_t0_ + opts_.rendezvous_timeout;
+    const auto deadline = epoch_t0_ + kRendezvousTimeout;
     const std::int64_t seq = epoch_seq_;
     const bool changed = cv_.wait_until(lk, deadline, [&] {
       return shutdown_ || !epoch_open_ || epoch_seq_ != seq;

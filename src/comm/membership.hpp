@@ -35,14 +35,18 @@
 //                compute budget over the proposed members, and publishes
 //                {generation+1, survivors ∪ joiners}.
 //   4. wire    — proposed members run propose/ack/commit collectives over a
-//                fresh generation-tagged Communicator with a bounded recv
-//                deadline; any fault fails the attempt.
+//                fresh generation-tagged Communicator under the cluster's
+//                recv deadline; any fault fails the attempt.
 //   5. close   — all live proposed members report the wire result; the first
 //                thread past the barrier commits the view (metrics, records)
-//                or bumps the attempt counter and retries from 3. The close
-//                barrier is what makes commit atomic: a member that lost the
-//                wire round's commit message still retries with everyone
-//                else instead of diverging (the classic 2PC window).
+//                or bumps the attempt counter and retries from 3, failing
+//                the run after kMaxRounds attempts. The close barrier is
+//                what makes commit atomic: a member that lost the wire
+//                round's commit message still retries with everyone else
+//                instead of diverging (the classic 2PC window).
+//
+// The two limits are class constants: kRendezvousTimeout (the watchdog
+// threshold; waits fail the run at twice it) and kMaxRounds.
 //
 // Failure detector: only self-reported crashes (report_death) and scheduled
 // leaves shrink the view. A survivor's CommTimeout triggers an epoch but
@@ -125,23 +129,23 @@ struct ReconfigOutcome {
 /// methods are thread-safe.
 class ElasticCoordinator {
  public:
-  struct Options {
-    /// Recv deadline for the in-band wire round. A lost protocol message
-    /// costs one attempt, not a hang.
-    std::chrono::milliseconds round_timeout{2000};
-    /// Watchdog threshold: an epoch open longer than this gets the cluster
-    /// aborted so ranks stuck in old-generation transport can unwind and
-    /// reach the rendezvous. Rendezvous waits give up (and fail the run) at
-    /// twice this value.
-    std::chrono::milliseconds rendezvous_timeout{30000};
-    /// Wire-round attempts per epoch before the run is declared failed.
-    int max_rounds = 8;
-  };
+  /// Watchdog threshold: an epoch open longer than this gets the cluster
+  /// aborted so ranks stuck in old-generation transport can unwind and
+  /// reach the rendezvous; rendezvous waits give up (and fail the run) at
+  /// twice this value. 30 s is far above any healthy reconfiguration (the
+  /// soak's pauses are sub-millisecond, a faulted attempt costs one recv
+  /// deadline) and still ends a wedged run in a minute.
+  static constexpr std::chrono::milliseconds kRendezvousTimeout{30000};
+  /// Wire-round attempts per epoch before the run is declared failed; the
+  /// elastic trainer bounds its state-broadcast retries by the same number.
+  /// A lost message costs one attempt; eight failed attempts in one epoch
+  /// mean a broken transport, and retrying longer only delays the verdict.
+  static constexpr int kMaxRounds = 8;
 
   /// Re-splits the cluster's compute budget over `initial.ranks` (standby
   /// ranks idle at 1 thread) and publishes the initial membership metrics.
-  ElasticCoordinator(SimCluster& cluster, MembershipView initial,
-                     std::vector<ElasticEvent> events, Options options);
+  /// `events` must already be validated against the cluster's world
+  /// (ElasticOptions::validate does that for the elastic trainer).
   ElasticCoordinator(SimCluster& cluster, MembershipView initial,
                      std::vector<ElasticEvent> events);
   ~ElasticCoordinator();
@@ -222,7 +226,6 @@ class ElasticCoordinator {
                      const char* what, Pred pred);
 
   SimCluster& cluster_;
-  Options opts_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

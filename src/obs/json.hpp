@@ -1,4 +1,5 @@
-// Minimal JSON reader for validating the tracer's own output.
+// Minimal JSON reader for validating the tracer's own output, and the one
+// string escaper the obs writers share.
 //
 // The obs tests round-trip trace.json and metrics JSONL through a real
 // parser instead of grepping for substrings — a trace Chrome cannot load is
@@ -11,10 +12,13 @@
 
 #include <cctype>
 #include <cstddef>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace minsgd::obs::json {
@@ -232,6 +236,30 @@ class Parser {
 };
 
 }  // namespace detail
+
+/// Writes `s` as the body of a JSON string: quotes, backslash and control
+/// characters escaped, everything else passed through. The trace and
+/// postmortem writers both use it, and parse() reads it back.
+inline void write_escaped(std::ostream& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\r': out << "\\r"; break;
+      case '\t': out << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out << buf;
+        } else {
+          out << c;
+        }
+    }
+  }
+}
 
 /// Parses a complete JSON document; throws std::runtime_error on error.
 inline Value parse(const std::string& text) {

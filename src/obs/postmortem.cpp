@@ -19,28 +19,6 @@ namespace minsgd::obs {
 
 namespace {
 
-/// JSON string escaping (same policy as the tracer's writer).
-void write_escaped(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 constexpr const char* kSchema = "minsgd-postmortem-v1";
 
 // Every enumerator, for string round-tripping. Extending the enums without
@@ -114,12 +92,12 @@ std::string postmortem_path() {
 void write_postmortem(std::ostream& out, const PostmortemInfo& info,
                       std::span<const FlightEvent> events) {
   out << "{\"schema\":\"" << kSchema << "\",\"reason\":\"";
-  write_escaped(out, info.reason);
+  json::write_escaped(out, info.reason);
   out << "\",\"world\":" << info.world << ",\"errors\":[";
   bool first = true;
   for (const auto& [rank, what] : info.rank_errors) {
     out << (first ? "" : ",") << "{\"rank\":" << rank << ",\"what\":\"";
-    write_escaped(out, what);
+    json::write_escaped(out, what);
     out << "\"}";
     first = false;
   }

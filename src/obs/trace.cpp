@@ -8,6 +8,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace minsgd::obs {
 
 namespace {
@@ -20,29 +22,6 @@ std::int64_t steady_ns() {
 
 thread_local int t_rank = -1;
 thread_local int t_depth = 0;
-
-/// JSON string escaping for span names / labels (quotes, backslash,
-/// control characters; everything else passes through).
-void write_escaped(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -186,7 +165,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   char num[64];
   for (const auto& s : spans) {
     out << (first ? "" : ",") << "{\"name\":\"";
-    write_escaped(out, s.name);
+    json::write_escaped(out, s.name);
     out << "\",\"cat\":\"" << s.category << "\",\"ph\":\"X\"";
     // trace_event timestamps are microseconds; keep ns resolution with a
     // fractional part.
@@ -204,7 +183,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     }
     if (!s.label.empty()) {
       out << (first_arg ? "" : ",") << "\"label\":\"";
-      write_escaped(out, s.label);
+      json::write_escaped(out, s.label);
       out << "\"";
       first_arg = false;
     }

@@ -70,13 +70,6 @@ void ElasticOptions::validate() const {
                base_global_batch, " < 0");
   MINSGD_CHECK(recv_timeout.count() >= 0,
                "ElasticOptions: recv_timeout < 0");
-  MINSGD_CHECK(round_timeout.count() > 0,
-               "ElasticOptions: round_timeout <= 0");
-  MINSGD_CHECK(rendezvous_timeout.count() > 0,
-               "ElasticOptions: rendezvous_timeout <= 0");
-  MINSGD_CHECK(max_reconfig_rounds >= 1,
-               "ElasticOptions: max_reconfig_rounds ", max_reconfig_rounds,
-               " < 1");
   MINSGD_CHECK(train.eval_every >= 1, "ElasticOptions: eval_every ",
                train.eval_every, " < 1");
   MINSGD_CHECK(train.epochs >= 1, "ElasticOptions: epochs ", train.epochs,
@@ -131,11 +124,7 @@ ElasticResult train_sync_elastic(
   comm::MembershipView init;
   init.generation = 0;
   for (int r = 0; r < options.initial_world; ++r) init.ranks.push_back(r);
-  comm::ElasticCoordinator::Options copts;
-  copts.round_timeout = options.round_timeout;
-  copts.rendezvous_timeout = options.rendezvous_timeout;
-  copts.max_rounds = options.max_reconfig_rounds;
-  comm::ElasticCoordinator coordinator(cluster, init, options.events, copts);
+  comm::ElasticCoordinator coordinator(cluster, init, options.events);
 
   RunLog log;
   std::string final_state;  // guarded by log.mu
@@ -144,7 +133,8 @@ ElasticResult train_sync_elastic(
     const int phys = comm.rank();  // full-world: physical identity
     // The replica (and its network's plan) survives generation changes;
     // the plan rebuilds on the batch-geometry change after a resize.
-    SyncReplica replica(model_factory, opt_factory, t, options.algo);
+    SyncReplica replica(model_factory, opt_factory, t,
+                        comm::AllreduceAlgo::kRing);
     optim::ElasticLrScale lrs(schedule, base_gb);
     const RunShape shape{lrs, dataset, t, ipw, total_iters,
                          /*print_world=*/true};
@@ -195,43 +185,43 @@ ElasticResult train_sync_elastic(
       has_state = true;
     };
 
-    // Reconfiguration driver shared by the fault handlers and the
-    // scheduled-event poll. Retries until a committed view either includes
-    // this rank with its state synced (stays active) or excludes it (parks
-    // as standby). Returns false once the rank is no longer active.
-    auto do_reconfig = [&]() -> bool {
-      int sync_failures = 0;
-      for (;;) {
+    // The one reconfiguration routine: scheduled resizes, fault and crash
+    // survivors and admitted joiners all re-form here. Retries until a
+    // committed view either includes this rank with its state synced (stays
+    // active) or excludes it (parks as standby). A state payload that
+    // faults or fails to load burns the generation and re-forms; a rank
+    // whose sync fails kMaxRounds times in a row is reported dead, so the
+    // next view drops it instead of listing a rank that never synced.
+    auto do_reconfig = [&] {
+      for (int sync_failures = 0;;) {
         replica.detach();
         try {
           const auto oc = coordinator.reconfigure(
               phys, has_state ? replica.steps_done() : -1);
-          if (oc.role != comm::MemberRole::kMember) {
-            teardown();
-            return active = false;
-          }
+          if (oc.role != comm::MemberRole::kMember) break;
           adopt(oc.view);
           try {
             state_sync(oc);
-            return active = true;
+            active = true;
+            return;
           } catch (const comm::RankFailure&) {
             throw;  // crash during the broadcast: handled below
           } catch (const std::exception&) {
-            // Torn or corrupted state payload: burn this generation and
-            // re-form. Bounded so a persistent failure cannot spin.
-            if (++sync_failures > options.max_reconfig_rounds) throw;
+            if (++sync_failures > comm::ElasticCoordinator::kMaxRounds) {
+              coordinator.report_death(phys);
+              break;
+            }
             coordinator.report_failure(phys);
-            continue;
           }
         } catch (const comm::RankFailure&) {
           coordinator.report_death(phys);
-          teardown();
-          return active = false;  // the slot parks as a replacement standby
+          break;  // the slot parks as a replacement standby
         } catch (const std::runtime_error&) {
-          teardown();  // run declared failed; unwind via the standby path
-          return active = false;
+          break;  // run declared failed; await_admission then returns false
         }
       }
+      teardown();
+      active = false;
     };
 
     if (active) {
@@ -250,23 +240,7 @@ ElasticResult train_sync_elastic(
     for (;;) {
       if (!active) {
         if (!coordinator.await_admission(phys)) break;
-        try {
-          const auto oc = coordinator.reconfigure(
-              phys, has_state ? replica.steps_done() : -1);
-          if (oc.role == comm::MemberRole::kMember) {
-            adopt(oc.view);
-            state_sync(oc);
-            active = true;
-          }
-        } catch (const comm::RankFailure&) {
-          coordinator.report_death(phys);
-          teardown();
-        } catch (const comm::FaultError&) {
-          coordinator.report_failure(phys);
-          teardown();
-        } catch (const std::runtime_error&) {
-          break;  // run declared failed (deadline / attempt budget)
-        }
+        do_reconfig();
         continue;
       }
 

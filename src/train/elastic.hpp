@@ -6,7 +6,11 @@
 // ranks join mid-run, and the surviving members keep training without a
 // full-cluster restart. Each rank's SyncReplica outlives generations; the
 // step math, trace spans and per-window records are the fixed trainer's.
-// What the driver adds is elastic: across a membership change it
+// What the driver adds is elastic. Every membership change — a scheduled
+// resize, a fault or crash survivor re-forming, a joiner's admission — goes
+// through one reconfiguration routine (reconfigure, adopt the committed
+// view, sync state, with a retry bounded by ElasticCoordinator::kMaxRounds)
+// which
 //
 //   * re-forms the Communicator over the committed view (fresh generation
 //     tag prefix, so stale in-flight ops can never collide) and re-attaches
@@ -47,7 +51,7 @@ namespace minsgd::train {
 
 struct ElasticOptions {
   /// Base trainer knobs. Interpreted fields: augment, init_seed,
-  /// detect_divergence, divergence_factor, verbose, bucket_bytes,
+  /// detect_divergence, verbose, bucket_bytes,
   /// overlap_comm, compute_threads, eval_every (in windows), epochs (used
   /// to derive total_iterations when it is 0). global_batch is ignored —
   /// the elastic invariant is a fixed *local* batch, so the global batch is
@@ -76,13 +80,10 @@ struct ElasticOptions {
   /// Recv deadline for *training* collectives. 0 keeps the cluster default
   /// (block forever without an injector; 30 s with one). Fault-injected
   /// elastic runs want this low: a dropped message then costs one
-  /// CommTimeout -> reconfigure -> retry, not a long stall.
+  /// CommTimeout -> reconfigure -> retry, not a long stall. The gradient
+  /// allreduce is always the ring; the reconfiguration limits are
+  /// ElasticCoordinator's constants.
   std::chrono::milliseconds recv_timeout{0};
-  std::chrono::milliseconds round_timeout{2000};
-  std::chrono::milliseconds rendezvous_timeout{30000};
-  int max_reconfig_rounds = 8;
-
-  comm::AllreduceAlgo algo = comm::AllreduceAlgo::kRing;
 
   /// Serialized v2 train checkpoint to resume from (ElasticResult::
   /// final_state of a previous run); empty starts fresh. Every initial
@@ -90,9 +91,9 @@ struct ElasticOptions {
   std::string resume_state;
 
   /// MINSGD_CHECK the self-contained fields (programming errors, not
-  /// recoverable input): local_batch/worlds/timeouts/attempt budget and
-  /// event targets. Dataset-dependent geometry is validated by
-  /// train_sync_elastic with std::invalid_argument.
+  /// recoverable input): local_batch, worlds, recv_timeout and event
+  /// targets (the coordinator trusts these). Dataset-dependent geometry is
+  /// validated by train_sync_elastic with std::invalid_argument.
   void validate() const;
 };
 

@@ -44,14 +44,15 @@ FaultTolerantResult train_sync_fault_tolerant(
   }
   options.validate();
   const std::string& path = options.checkpoint_path;
-  if (!options.resume_existing) std::remove(path.c_str());
+  std::remove(path.c_str());  // only this run's own checkpoints resume
 
   FaultTolerantResult out;
   RunLog log;
 
   auto rank_fn = [&](comm::Communicator& comm) {
     const bool root = comm.rank() == 0;
-    SyncReplica replica(model_factory, opt_factory, topt, options.algo);
+    SyncReplica replica(model_factory, opt_factory, topt,
+                        comm::AllreduceAlgo::kRing);
     data::ShardedLoader loader(dataset, topt.global_batch, comm.rank(), world,
                                topt.augment);
     replica.attach(comm, loader);
@@ -128,7 +129,7 @@ FaultTolerantResult train_sync_fault_tolerant(
   out.result.iterations_run = log.iterations;  // logical, not just booked
   out.final_weights = std::move(log.final_weights);
   out.iterations = log.iterations;
-  if (!options.keep_checkpoint) std::remove(path.c_str());
+  std::remove(path.c_str());
   return out;
 }
 

@@ -9,7 +9,9 @@
 //   * a checkpoint hook: every `checkpoint_every` global iterations, rank 0
 //     atomically writes a v2 train checkpoint (weights + optimizer +
 //     schedule position + RNG; see train/checkpoint.hpp) — legal because
-//     synchronous SGD keeps every rank's replica identical after the step;
+//     synchronous SGD keeps every rank's replica identical after the step.
+//     The file belongs to one run: a stale one at `checkpoint_path` is
+//     removed at start, and the run's own is removed after it succeeds;
 //   * a restart driver: when a rank dies (injected RankFailure, CommTimeout,
 //     or the cooperative ClusterAborted unwind), it catches the FaultError,
 //     tears the cluster and its replicas down, builds a fresh cluster, and
@@ -21,7 +23,8 @@
 // exactly that. Traffic and allreduce-time metrics sum over attempts.
 //
 // Only FaultError and its subclasses trigger a restart; logic errors (bad
-// arguments, shape mismatches) propagate immediately.
+// arguments, shape mismatches) propagate immediately. Gradients are
+// allreduced with the ring algorithm, as in the elastic driver.
 #pragma once
 
 #include <chrono>
@@ -49,17 +52,11 @@ struct FaultTolerantOptions {
   /// Restart budget: the run fails (rethrowing the last fault) once more
   /// than this many restarts were needed.
   int max_restarts = 4;
-  /// Resume from an existing checkpoint file at `checkpoint_path` instead
-  /// of deleting it at startup (cross-process resume).
-  bool resume_existing = false;
-  /// Keep the checkpoint file after a successful run (default: remove it).
-  bool keep_checkpoint = false;
   /// Recv deadline for the underlying cluster; fault scenarios with message
   /// loss need a finite value or survivors wait forever. Zero means "leave
   /// it to the cluster default" (which arms itself when an injector is
   /// installed).
   std::chrono::milliseconds recv_timeout{0};
-  comm::AllreduceAlgo algo = comm::AllreduceAlgo::kRing;
 
   /// MINSGD_CHECK the self-contained budget fields (max_restarts,
   /// recv_timeout): a negative budget is a programming error, not

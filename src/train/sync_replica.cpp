@@ -179,7 +179,7 @@ bool SyncReplica::diverged(double mean_loss) {
   }
   return options_.detect_divergence &&
          (!std::isfinite(mean_loss) ||
-          mean_loss > options_.divergence_factor * *first_loss_);
+          mean_loss > kDivergenceFactor * *first_loss_);
 }
 
 void RunLog::finish(SyncReplica& replica, std::int64_t gi,

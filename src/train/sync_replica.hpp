@@ -77,7 +77,7 @@ class SyncReplica {
   /// Divergence guard over a step's rank-mean loss. The first call sets the
   /// baseline, rounded through float so a baseline shipped to an elastic
   /// joiner compares identically. True when options.detect_divergence is on
-  /// and the loss is non-finite or above divergence_factor x the baseline.
+  /// and the loss is non-finite or above kDivergenceFactor x the baseline.
   bool diverged(double mean_loss);
   std::optional<double> first_loss() const { return first_loss_; }
   void set_first_loss(std::optional<double> loss) { first_loss_ = loss; }

@@ -64,7 +64,7 @@ TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
       if (first_loss < 0) first_loss = step_loss;
       if (options.detect_divergence &&
           (!std::isfinite(step_loss) ||
-           step_loss > options.divergence_factor * first_loss)) {
+           step_loss > kDivergenceFactor * first_loss)) {
         res.diverged = true;
         EpochRecord rec{epoch, epoch_lr, step_loss,
                         0.0, evaluate(net, dataset, 256, ctx)};

@@ -28,6 +28,11 @@
 
 namespace minsgd::train {
 
+/// A step loss above this multiple of the run's first loss counts as
+/// divergence (TrainOptions::detect_divergence). A healthy run's loss falls
+/// from its first value, so only a blow-up crosses it.
+inline constexpr double kDivergenceFactor = 10.0;
+
 struct TrainOptions {
   std::int64_t global_batch = 64;
   std::int64_t epochs = 5;
@@ -36,10 +41,9 @@ struct TrainOptions {
   /// Evaluate on the test split every `eval_every` epochs (and at the end).
   std::int64_t eval_every = 1;
   /// Abort when the train loss goes non-finite or explodes beyond
-  /// `divergence_factor` x the initial loss (mirrors the paper's 0.001
+  /// kDivergenceFactor x the initial loss (mirrors the paper's 0.001
   /// accuracy rows for diverged LR settings in Table 5).
   bool detect_divergence = true;
-  double divergence_factor = 10.0;
   /// Print one line per epoch to stdout.
   bool verbose = false;
   /// Gradient bucketing for the distributed trainer: the flat gradient is

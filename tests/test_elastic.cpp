@@ -1,14 +1,16 @@
 // Elastic data-parallel training: membership, determinism, and soak.
 //
-// Covers the ElasticCoordinator's option validation (CHECK death tests),
-// the two determinism contracts from train/elastic.hpp — a never-resized
-// elastic run is bit-equal to the fixed sync trainer, and a shrink at step
-// k is bit-equal to a fixed-(world-1) run resumed from the pre-shrink
-// state — and the headline robustness property: a shrink -> grow -> shrink
-// schedule under injected message loss completes without a full-cluster
-// restart and lands on the identical trajectory.
+// Covers ElasticOptions and coordinator view validation (CHECK death
+// tests), the two determinism contracts from train/elastic.hpp — a
+// never-resized elastic run is bit-equal to the fixed sync trainer, and a
+// shrink at step k is bit-equal to a fixed-(world-1) run resumed from the
+// pre-shrink state — and the headline robustness property: a shrink ->
+// grow -> shrink schedule under injected message loss completes without a
+// full-cluster restart and lands on the identical trajectory, including
+// when the loss hits the joiner's admission state broadcast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -75,7 +77,6 @@ train::ElasticOptions elastic_options() {
   o.total_iterations = 24;
   o.train.eval_every = 8;  // weights are what the tests compare
   o.train.detect_divergence = false;  // keep trajectories unconditional
-  o.rendezvous_timeout = 20000ms;
   return o;
 }
 
@@ -89,12 +90,6 @@ TEST(ElasticOptionsDeath, ChecksFireOnBadFields) {
   o = elastic_options();
   o.max_world = o.initial_world - 1;
   EXPECT_DEATH(o.validate(), "max_world");
-  o = elastic_options();
-  o.max_reconfig_rounds = 0;
-  EXPECT_DEATH(o.validate(), "max_reconfig_rounds");
-  o = elastic_options();
-  o.round_timeout = 0ms;
-  EXPECT_DEATH(o.validate(), "round_timeout");
   o = elastic_options();
   o.events.push_back({4, ElasticEventKind::kLeave, o.max_world});
   EXPECT_DEATH(o.validate(), "event rank");
@@ -331,6 +326,41 @@ TEST(ElasticTrain, FaultInjectedSoakMatchesCleanScheduleBitwise) {
     any_fault_triggered |= rec.fault_triggered;
   }
   EXPECT_TRUE(any_fault_triggered);
+  EXPECT_EQ(faulty.iterations, clean.iterations);
+  EXPECT_EQ(faulty.final_weights, clean.final_weights);
+}
+
+TEST(ElasticTrain, JoinerAdmissionUnderMessageLossMatchesCleanSchedule) {
+  // A joiner enters through the same reconfiguration routine as every
+  // member, so a message lost in its admission state broadcast costs one
+  // more generation, not its seat: the joiner stays in the view, the
+  // schedule still ends at world 2, and the weights equal the clean run's.
+  // With seed 3 at this drop rate, a joiner handled outside that routine
+  // was often dropped from the view after a faulted admission.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  optim::ConstantLr lr(0.02);
+  const auto clean = train::train_sync_elastic(det_model, sgd_factory(), lr,
+                                               ds, soak_options());
+  ASSERT_FALSE(clean.final_weights.empty());
+
+  auto o = soak_options();
+  o.recv_timeout = 300ms;
+  comm::FaultPlan plan;
+  plan.seed = 3;
+  plan.drop_prob = 0.02;
+  auto injector = std::make_shared<comm::FaultInjector>(plan, o.max_world);
+  const auto faulty = train::train_sync_elastic(det_model, sgd_factory(), lr,
+                                                ds, o, injector);
+
+  EXPECT_GT(faulty.faults.dropped, 0);
+  // The last view that trained. A message lost in the final barrier can
+  // leave a straggler re-forming alone after the other member finished; that
+  // appends a record at at_iter == iterations and changes no weight.
+  const auto last = std::find_if(
+      faulty.reconfigs.rbegin(), faulty.reconfigs.rend(),
+      [&](const auto& rec) { return rec.at_iter < faulty.iterations; });
+  ASSERT_NE(last, faulty.reconfigs.rend());
+  EXPECT_EQ(last->world, 2);
   EXPECT_EQ(faulty.iterations, clean.iterations);
   EXPECT_EQ(faulty.final_weights, clean.final_weights);
 }
