@@ -121,16 +121,16 @@ int main() {
                        secs;
 
   double total_pause_ms = 0.0, max_pause_ms = 0.0;
-  std::printf("%-4s %6s %6s %10s %9s %6s\n", "gen", "iter", "world",
-              "pause_ms", "attempts", "fault");
+  std::printf("%-4s %6s %6s %10s %6s\n", "gen", "iter", "world",
+              "pause_ms", "fault");
   for (const auto& rec : res.reconfigs) {
     const double pause_ms = static_cast<double>(rec.pause_ns) / 1e6;
     total_pause_ms += pause_ms;
     if (pause_ms > max_pause_ms) max_pause_ms = pause_ms;
-    std::printf("%-4lld %6lld %6d %10.2f %9d %6s\n",
+    std::printf("%-4lld %6lld %6d %10.2f %6s\n",
                 static_cast<long long>(rec.generation),
                 static_cast<long long>(rec.at_iter), rec.world, pause_ms,
-                rec.attempts, rec.fault_triggered ? "yes" : "no");
+                rec.fault_triggered ? "yes" : "no");
   }
   std::printf("\nelastic: %lld iters, %d reconfigs, %.0f img/s "
               "(%.0f%% of the fixed 4-wide rate), pauses total %.2f ms "

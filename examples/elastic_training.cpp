@@ -32,11 +32,10 @@ namespace {
 void print_reconfigs(const train::ElasticResult& res) {
   std::printf("  %d reconfiguration(s):\n", res.reconfigurations);
   for (const auto& rec : res.reconfigs) {
-    std::printf("    gen %lld at iter %lld: world -> %d  (pause %.2f ms, "
-                "%d attempt(s)%s)\n",
+    std::printf("    gen %lld at iter %lld: world -> %d  (pause %.2f ms%s)\n",
                 static_cast<long long>(rec.generation),
                 static_cast<long long>(rec.at_iter), rec.world,
-                static_cast<double>(rec.pause_ns) / 1e6, rec.attempts,
+                static_cast<double>(rec.pause_ns) / 1e6,
                 rec.fault_triggered ? ", fault-triggered" : "");
   }
 }

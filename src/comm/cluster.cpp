@@ -187,70 +187,6 @@ const ComputeContext& SimCluster::rank_context(int rank) const {
   return *rank_contexts_[static_cast<std::size_t>(rank)];
 }
 
-SimCluster::~SimCluster() {
-  if (metrics_registry_) {
-    metrics_registry_->unregister_source(metrics_source_name_);
-  }
-}
-
-void SimCluster::register_metrics(obs::MetricsRegistry& registry,
-                                  const std::string& prefix) {
-  if (metrics_registry_) {
-    metrics_registry_->unregister_source(metrics_source_name_);
-  }
-  metrics_registry_ = &registry;
-  metrics_source_name_ = prefix;
-  registry.register_source(prefix, [this, prefix] {
-    using Kind = obs::Sample::Kind;
-    std::vector<obs::Sample> out;
-    const auto t = total_traffic();
-    out.push_back({prefix + ".traffic.messages",
-                   static_cast<double>(t.messages), Kind::kCounter});
-    out.push_back({prefix + ".traffic.bytes", static_cast<double>(t.bytes),
-                   Kind::kCounter});
-    for (const auto& [op, s] : traffic_by_op()) {
-      out.push_back({prefix + ".traffic." + op + ".messages",
-                     static_cast<double>(s.messages), Kind::kCounter});
-      out.push_back({prefix + ".traffic." + op + ".bytes",
-                     static_cast<double>(s.bytes), Kind::kCounter});
-    }
-    if (injector_) {
-      const auto f = total_faults();
-      out.push_back({prefix + ".faults.sends_seen",
-                     static_cast<double>(f.sends_seen), Kind::kCounter});
-      out.push_back({prefix + ".faults.dropped",
-                     static_cast<double>(f.dropped), Kind::kCounter});
-      out.push_back({prefix + ".faults.delayed",
-                     static_cast<double>(f.delayed), Kind::kCounter});
-      out.push_back({prefix + ".faults.duplicated",
-                     static_cast<double>(f.duplicated), Kind::kCounter});
-      out.push_back({prefix + ".faults.corrupted",
-                     static_cast<double>(f.corrupted), Kind::kCounter});
-      out.push_back({prefix + ".faults.crashes",
-                     static_cast<double>(f.crashes), Kind::kCounter});
-      out.push_back({prefix + ".faults.stalls",
-                     static_cast<double>(f.stalls), Kind::kCounter});
-    }
-    // Intra-op pool activity summed across ranks: are the per-rank compute
-    // budgets actually being exercised, and is work queuing up?
-    std::size_t workers = 0;
-    std::int64_t tasks = 0, depth = 0;
-    for (const auto& c : rank_contexts_) {
-      const PoolStats ps = c->pool_stats();
-      workers += ps.workers;
-      tasks += ps.tasks_executed;
-      depth += ps.queue_depth;
-    }
-    out.push_back({prefix + ".pool.workers", static_cast<double>(workers),
-                   Kind::kGauge});
-    out.push_back({prefix + ".pool.tasks_executed", static_cast<double>(tasks),
-                   Kind::kCounter});
-    out.push_back({prefix + ".pool.queue_depth", static_cast<double>(depth),
-                   Kind::kGauge});
-    return out;
-  });
-}
-
 void SimCluster::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
   injector_ = std::move(injector);
   if (injector_ && !timeout_configured_) recv_timeout_ = kFaultRecvTimeout;

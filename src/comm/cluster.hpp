@@ -24,7 +24,6 @@
 #include "comm/fault.hpp"
 #include "comm/mailbox.hpp"
 #include "comm/traffic.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/context.hpp"
 
 namespace minsgd::comm {
@@ -100,14 +99,6 @@ class SimCluster {
   }
   void reset_traffic() { meter_.reset(); }
 
-  /// Registers this cluster's traffic and fault counters as a source in
-  /// `registry` under `<prefix>.` names (e.g. "cluster.traffic.bytes",
-  /// "cluster.traffic.allreduce-ring.bytes", "cluster.faults.dropped").
-  /// The destructor unregisters automatically.
-  void register_metrics(obs::MetricsRegistry& registry,
-                        const std::string& prefix = "cluster");
-  ~SimCluster();
-
   // -- fault model ---------------------------------------------------------
   /// Installs (or clears, with nullptr) a fault injector on the send path.
   /// Shared ownership lets a recovery driver keep one injector across
@@ -170,9 +161,6 @@ class SimCluster {
   std::atomic<bool> aborted_{false};
   mutable std::mutex abort_mu_;
   std::string abort_reason_;
-
-  obs::MetricsRegistry* metrics_registry_ = nullptr;
-  std::string metrics_source_name_;
 };
 
 }  // namespace minsgd::comm

@@ -39,16 +39,12 @@ const char* to_string(AllreduceAlgo algo);
 
 class Communicator {
  public:
-  /// Reserved channels. Channel 0 is the default rank-facing channel; the
-  /// async collective engine's worker thread uses channel 1 so its
-  /// collectives can run concurrently with the main channel's without tag
-  /// collisions; the elastic membership wire round uses channel 2 so a
-  /// proposed view can be proven live without touching training channels.
-  static constexpr int kMembershipChannel = 2;
-
   /// Full-world communicator over the cluster (generation 0, virtual rank
   /// == physical rank). `channel` selects a disjoint collective-tag space;
-  /// all ranks of a collective must use the same channel.
+  /// all ranks of a collective must use the same channel. Channel 0 is the
+  /// default rank-facing channel; the async collective engine's worker
+  /// thread uses channel 1 so its collectives can run concurrently with the
+  /// main channel's without tag collisions.
   Communicator(SimCluster& cluster, int rank, int channel = 0);
 
   /// Group communicator over the members of `view`. This rank's virtual

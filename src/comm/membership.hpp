@@ -12,10 +12,12 @@
 //     unchanged over any survivor subset.
 //   * ElasticCoordinator — the control plane of a reconfiguration. It models
 //     the out-of-band rendezvous service real elastic stacks lean on (etcd,
-//     c10d TCPStore) with in-process shared state, and drives an in-band
-//     propose/ack/commit round over the *new* generation's tag space before
-//     a view is committed, so the transport of the next generation is proven
-//     live end-to-end first.
+//     c10d TCPStore) with in-process shared state: a view commits as one
+//     decision under the coordinator's lock and sends no message. The first
+//     traffic of a new generation is the elastic trainer's state broadcast,
+//     which is also its only liveness check; a fault there re-forms through
+//     report_failure like any other (TorchElastic's shape: a rendezvous
+//     through a store, then a new process group).
 //
 // Why generations make stale traffic harmless: a group Communicator prefixes
 // its collective tags with the view's generation (see communicator.hpp), so
@@ -25,28 +27,26 @@
 //
 // Epoch lifecycle (one reconfiguration):
 //   1. open    — the first rank to observe a due ElasticEvent or a fault
-//                opens an epoch; due joiners parked in await_admission are
-//                pulled in as participants.
-//   2. arrive  — every live participant parks in reconfigure(); crashed
-//                ranks self-report via report_death and drop out.
-//   3. propose — the lowest-numbered surviving member resets the transport
-//                (mailboxes drained, barrier re-armed, abort cleared — safe
-//                because every live rank is parked here), re-splits the
-//                compute budget over the proposed members, and publishes
-//                {generation+1, survivors ∪ joiners}.
-//   4. wire    — proposed members run propose/ack/commit collectives over a
-//                fresh generation-tagged Communicator under the cluster's
-//                recv deadline; any fault fails the attempt.
-//   5. close   — all live proposed members report the wire result; the first
-//                thread past the barrier commits the view (metrics, records)
-//                or bumps the attempt counter and retries from 3, failing
-//                the run after kMaxRounds attempts. The close barrier is
-//                what makes commit atomic: a member that lost the wire
-//                round's commit message still retries with everyone else
-//                instead of diverging (the classic 2PC window).
+//                opens an epoch; joiners due by its step count that are
+//                parked in await_admission are pulled in as participants.
+//   2. arrive  — every live participant parks in reconfigure() with its
+//                step count; crashed ranks self-report via report_death and
+//                drop out.
+//   3. commit  — the thread that sees the rendezvous complete applies the
+//                events due by the *lowest* step count among the old view's
+//                state-bearing arrivals (later ones stay pending, so no
+//                event commits with a resume point before its at_iter),
+//                resets the transport (mailboxes drained, barrier re-armed,
+//                abort cleared — safe because every live rank is parked
+//                here), re-splits the compute budget, and commits
+//                {generation+1, survivors ∪ admitted joiners} with the
+//                furthest-trained survivor as the state root. Once a member
+//                has called finish, nothing commits: a straggler's
+//                reconfigure returns kStandby.
 //
 // The two limits are class constants: kRendezvousTimeout (the watchdog
-// threshold; waits fail the run at twice it) and kMaxRounds.
+// threshold; waits fail the run at twice it) and kMaxRounds (the elastic
+// trainer's state-sync retries).
 //
 // Failure detector: only self-reported crashes (report_death) and scheduled
 // leaves shrink the view. A survivor's CommTimeout triggers an epoch but
@@ -90,10 +90,12 @@ struct MembershipView {
 
 enum class ElasticEventKind { kJoin, kLeave };
 
-/// A scheduled membership change, consumed at the first reconfiguration
-/// whose trigger iteration satisfies `at_iter <= iter`. Joins target a
-/// standby physical rank, leaves an active one; stale events (join of an
-/// already-active rank, leave of a standby) are consumed and ignored.
+/// A scheduled membership change, applied at the first reconfiguration in
+/// which every state-bearing member of the old view has applied at least
+/// `at_iter` steps (a join also needs its rank pulled in as a participant).
+/// Joins target a standby physical rank, leaves an active one; stale events
+/// (join of an already-active rank, leave of a standby) are consumed and
+/// ignored.
 struct ElasticEvent {
   std::int64_t at_iter = 0;
   ElasticEventKind kind = ElasticEventKind::kLeave;
@@ -106,7 +108,6 @@ struct ReconfigRecord {
   std::int64_t at_iter = 0;      // optimizer steps completed at resume
   int world = 0;                 // members of the committed view
   std::int64_t pause_ns = 0;     // epoch open -> commit wall clock
-  int attempts = 1;              // wire rounds needed (1 = clean commit)
   bool fault_triggered = false;  // a fault report fed this epoch
 };
 
@@ -115,7 +116,8 @@ enum class MemberRole {
   kStandby,  // not in the view (leaver / run over): park in await_admission
 };
 
-/// What reconfigure() hands back once a view committed (or the run failed).
+/// What reconfigure() hands back once a view committed (or the run failed
+/// or finished: kStandby).
 struct ReconfigOutcome {
   MemberRole role = MemberRole::kStandby;
   MembershipView view;           // committed view (meaningful for kMember)
@@ -133,13 +135,13 @@ class ElasticCoordinator {
   /// aborted so ranks stuck in old-generation transport can unwind and
   /// reach the rendezvous; rendezvous waits give up (and fail the run) at
   /// twice this value. 30 s is far above any healthy reconfiguration (the
-  /// soak's pauses are sub-millisecond, a faulted attempt costs one recv
-  /// deadline) and still ends a wedged run in a minute.
+  /// soak's pauses are sub-millisecond, a faulted state sync costs one
+  /// recv deadline) and still ends a wedged run in a minute.
   static constexpr std::chrono::milliseconds kRendezvousTimeout{30000};
-  /// Wire-round attempts per epoch before the run is declared failed; the
-  /// elastic trainer bounds its state-broadcast retries by the same number.
-  /// A lost message costs one attempt; eight failed attempts in one epoch
-  /// mean a broken transport, and retrying longer only delays the verdict.
+  /// The elastic trainer reports a rank dead once its state sync has
+  /// failed more than this many times in a row. A lost message costs one
+  /// re-formation; eight in a row mean a broken transport, and retrying
+  /// longer only delays the verdict.
   static constexpr int kMaxRounds = 8;
 
   /// Re-splits the cluster's compute budget over `initial.ranks` (standby
@@ -177,23 +179,22 @@ class ElasticCoordinator {
   /// completed = -1) or the run ends (returns false).
   bool await_admission(int phys);
 
-  /// Runs the reconfiguration protocol. `completed` is the number of
-  /// optimizer steps this rank has applied (-1 for joiners, who have no
-  /// state). Blocks until a view commits; returns this rank's role in it.
-  /// Throws std::runtime_error if the rendezvous exceeds its hard deadline
-  /// or the attempt budget (after marking the run failed so peers unwind),
-  /// and RankFailure if this rank crashes inside the wire round (the
-  /// caller must then report_death and park).
+  /// Rendezvous and commit. `completed` is the number of optimizer steps
+  /// this rank has applied (-1 for joiners, who have no state). Blocks
+  /// until a view commits and returns this rank's role in it; sends no
+  /// message. Returns kStandby without committing once the run failed or
+  /// a member finished. Throws std::runtime_error if the rendezvous exceeds
+  /// its hard deadline (after marking the run failed so peers unwind).
   ReconfigOutcome reconfigure(int phys, std::int64_t completed);
 
-  /// An active rank calls this once training is complete, just before its
-  /// thread exits: withdraws the rank from membership (so stragglers never
-  /// rendezvous with a departed thread) and wakes every parked standby so
-  /// it can exit too. Idempotent per rank.
-  void finish(int phys);
+  /// An active rank calls this once it has applied the last step, just
+  /// before its thread exits. From then on nothing commits: stragglers at
+  /// the rendezvous and parked standbys wake and exit. Returns true for the
+  /// first caller only.
+  bool finish();
 
-  /// True when the run can no longer make progress (no survivors, attempt
-  /// budget exhausted, or rendezvous deadline blown).
+  /// True when the run can no longer make progress (no survivors, an empty
+  /// or stateless view, or rendezvous deadline blown).
   bool run_failed() const;
   std::string fail_reason() const;
 
@@ -205,32 +206,22 @@ class ElasticCoordinator {
   enum class Status { kActive, kStandby, kDead };
 
   void open_epoch_locked(std::int64_t trigger_iter);
-  void resolve_attempt_locked();
+  /// Applies the due events, resets the transport and commits the next
+  /// view (or fails the run). Every participant has arrived.
+  void commit_locked();
   void fail_run_locked(const std::string& reason);
   bool rendezvous_complete_locked() const;
-  bool close_complete_locked() const;
-  int leader_phys_locked() const;
-  MembershipView make_proposal_locked() const;
-  void compute_resume_locked();
+  void compute_resume_locked(const MembershipView& next);
   void publish_metrics_locked() const;
   ReconfigOutcome standby_outcome() const { return ReconfigOutcome{}; }
-  /// In-band propose/ack/commit over the proposed generation's tag space.
-  /// Returns false on any fault or payload mismatch (costs one attempt).
-  bool wire_round(int phys, const MembershipView& proposal,
-                  std::int64_t round_id);
   void watchdog_loop();
-
-  template <typename Pred>
-  void wait_or_throw(std::unique_lock<std::mutex>& lk,
-                     std::chrono::steady_clock::time_point deadline,
-                     const char* what, Pred pred);
 
   SimCluster& cluster_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
 
-  MembershipView view_;
+  MembershipView view_;  // the committed view
   std::vector<Status> status_;  // by physical rank
   struct PendingEvent {
     ElasticEvent ev;
@@ -242,34 +233,20 @@ class ElasticCoordinator {
   bool run_failed_ = false;
   std::string fail_reason_;
 
-  // One epoch = one reconfiguration (possibly several wire-round attempts).
+  // One epoch = one reconfiguration.
   bool epoch_open_ = false;
   std::int64_t epoch_seq_ = 0;  // epochs opened, ever
-  int attempt_ = 0;             // attempts within the open epoch
   std::chrono::steady_clock::time_point epoch_t0_;
   std::set<int> participants_;           // phys expected at the rendezvous
   std::map<int, std::int64_t> arrived_;  // phys -> completed steps
-  std::set<int> epoch_leavers_;
   bool epoch_fault_ = false;
 
-  // Per-attempt proposal state (valid while decision_seq_ is unchanged).
-  int proposed_attempt_ = -1;
-  MembershipView proposal_;
+  // The last commit's resume point and state root (with view_), read by
+  // every rank that classifies it.
   std::int64_t resume_iter_ = 0;
   int state_root_phys_ = 0;
-  std::int64_t round_id_ = 0;
 
-  // Close barrier + decision log. decision_seq_ is monotone so a thread
-  // that slept through a decision still classifies it correctly.
-  std::set<int> close_reported_;
-  bool wire_ok_ = true;
-  std::int64_t decision_seq_ = 0;
-  std::int64_t commit_seq_ = 0;  // decision_seq_ value of the last commit
-  MembershipView committed_view_;
-  std::int64_t committed_resume_ = 0;
-  int committed_root_phys_ = 0;
-
-  std::vector<ReconfigRecord> records_;
+  std::vector<ReconfigRecord> records_;  // one per commit
 
   // Liveness watchdog (the membership comm worker): aborts the cluster when
   // an epoch stalls so ranks stuck in old-generation transport unwind.

@@ -26,19 +26,8 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-void MetricsRegistry::register_source(const std::string& name, Source source) {
-  std::lock_guard lk(mu_);
-  sources_[name] = std::move(source);
-}
-
-void MetricsRegistry::unregister_source(const std::string& name) {
-  std::lock_guard lk(mu_);
-  sources_.erase(name);
-}
-
 std::vector<Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
-  std::vector<Source> sources;
   {
     std::lock_guard lk(mu_);
     for (const auto& [name, c] : counters_) {
@@ -48,13 +37,6 @@ std::vector<Sample> MetricsRegistry::snapshot() const {
     for (const auto& [name, g] : gauges_) {
       out.push_back({name, g->value(), Sample::Kind::kGauge});
     }
-    sources.reserve(sources_.size());
-    for (const auto& [name, s] : sources_) sources.push_back(s);
-  }
-  // Poll sources outside the lock: a source may itself touch the registry.
-  for (const auto& s : sources) {
-    auto samples = s();
-    out.insert(out.end(), samples.begin(), samples.end());
   }
   std::sort(out.begin(), out.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });
@@ -85,7 +67,6 @@ void MetricsRegistry::clear() {
   std::lock_guard lk(mu_);
   counters_.clear();
   gauges_.clear();
-  sources_.clear();
 }
 
 }  // namespace minsgd::obs

@@ -1,18 +1,17 @@
-// MetricsRegistry: named counters, gauges, and pollable sources.
+// MetricsRegistry: named counters and gauges.
 //
 // Counters are monotonic (bytes moved, messages sent, iterations run);
 // gauges are instantaneous values (LARS trust ratio of a layer, current
 // learning rate). Both are create-on-first-use and safe to update from any
-// thread. Components that already keep their own counters (TrafficMeter,
-// FaultInjector stats) register as *sources*: a callback polled at snapshot
-// time, so their state is reported without double bookkeeping. Snapshots
-// export as JSONL — one JSON object per line, appendable across a run, so
+// thread. Components that keep their own counters (TrafficMeter) are
+// published once per run by the trainer that owns them (train.traffic.*,
+// see train/sync_replica.hpp), so each value has one name. Snapshots export as
+// JSONL — one JSON object per line, appendable across a run, so
 // training curves and traffic totals land in one greppable stream.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -61,20 +60,13 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
 
-  /// A source contributes samples at snapshot time. Re-registering a name
-  /// replaces the previous source; unregister before the callback's
-  /// captures die (SimCluster does this in its destructor).
-  using Source = std::function<std::vector<Sample>()>;
-  void register_source(const std::string& name, Source source);
-  void unregister_source(const std::string& name);
-
-  /// All counters, gauges, and source samples, sorted by name.
+  /// All counters and gauges, sorted by name.
   std::vector<Sample> snapshot() const;
 
   /// One JSON object line: {"name":value,...} with counters as integers.
   void write_jsonl_snapshot(std::ostream& out) const;
 
-  /// Drops every counter, gauge, and source (tests).
+  /// Drops every counter and gauge (tests).
   void clear();
 
  private:
@@ -83,7 +75,6 @@ class MetricsRegistry {
   // later insertions.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, Source> sources_;
 };
 
 /// Shorthand for the process-wide registry.

@@ -270,8 +270,6 @@ void Tracer::write_summary(std::ostream& out) const {
   }
 }
 
-#ifndef MINSGD_TRACE_OFF
-
 void ScopedSpan::begin(std::string name, const char* category) {
   span_.name = std::move(name);
   span_.category = category;
@@ -290,7 +288,5 @@ void ScopedSpan::stop() {
   span_.tid = tr.local_buffer().tid;
   tr.record(std::move(span_));
 }
-
-#endif  // MINSGD_TRACE_OFF
 
 }  // namespace minsgd::obs

@@ -13,8 +13,7 @@
 //
 // Cost policy: tracing is DISABLED at runtime by default. A disabled span
 // is one relaxed atomic load and a branch; no clock is read, no string is
-// built, nothing allocates. Compiling with -DMINSGD_TRACE_OFF turns spans
-// into empty inline bodies for zero overhead. When enabled, spans append to
+// built, nothing allocates. When enabled, spans append to
 // a per-thread buffer; the buffer's mutex is uncontended on the hot path
 // (only export/clear ever lock it from outside), so recording is effectively
 // lock-free while staying clean under ThreadSanitizer.
@@ -91,13 +90,7 @@ class Tracer {
   /// Runtime switch; default off. Spans started while disabled record
   /// nothing even if the tracer is enabled before they close.
   void set_enabled(bool on);
-  bool enabled() const {
-#ifdef MINSGD_TRACE_OFF
-    return false;
-#else
-    return enabled_.load(std::memory_order_relaxed);
-#endif
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Appends a completed span (tests and non-RAII recorders). tid/rank are
   /// taken from `s` verbatim.
@@ -167,19 +160,6 @@ class Tracer {
 /// One-phase form for static names: obs::ScopedSpan sp("barrier", cat::kComm);
 class ScopedSpan {
  public:
-#ifdef MINSGD_TRACE_OFF
-  ScopedSpan() = default;
-  ScopedSpan(const char*, const char*) {}
-  ScopedSpan(std::string, const char*) {}
-  void start(const char*, const char*) {}
-  void start(std::string, const char*) {}
-  void stop() {}
-  void set_bytes(std::int64_t) {}
-  void set_label(std::string) {}
-  void set_threads(int) {}
-  bool active() const { return false; }
-  ~ScopedSpan() = default;
-#else
   ScopedSpan() = default;
   ScopedSpan(const char* name, const char* category) { start(name, category); }
   ScopedSpan(std::string name, const char* category) {
@@ -207,7 +187,6 @@ class ScopedSpan {
 
   Span span_;
   bool active_ = false;
-#endif
 };
 
 }  // namespace minsgd::obs

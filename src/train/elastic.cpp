@@ -147,6 +147,9 @@ ElasticResult train_sync_elastic(
     bool has_state = false;        // replica holds real training state
     bool diverged = false;
     bool active = phys < options.initial_world;
+    // The last step is applied. A fault after it (the closing barrier)
+    // changes no weight, so the rank finishes instead of re-forming.
+    auto done = [&] { return diverged || global_iter >= total_iters; };
 
     auto teardown = [&] {
       replica.detach();  // joins the comm worker before transport changes
@@ -188,36 +191,36 @@ ElasticResult train_sync_elastic(
     // The one reconfiguration routine: scheduled resizes, fault and crash
     // survivors and admitted joiners all re-form here. Retries until a
     // committed view either includes this rank with its state synced (stays
-    // active) or excludes it (parks as standby). A state payload that
-    // faults or fails to load burns the generation and re-forms; a rank
-    // whose sync fails kMaxRounds times in a row is reported dead, so the
-    // next view drops it instead of listing a rank that never synced.
+    // active) or excludes it (parks as standby). The state broadcast is the
+    // new generation's first traffic and its only liveness check: a payload
+    // that faults or fails to load burns the generation and re-forms; a
+    // rank whose sync fails kMaxRounds times in a row is reported dead, so
+    // the next view drops it instead of listing a rank that never synced.
     auto do_reconfig = [&] {
       for (int sync_failures = 0;;) {
         replica.detach();
+        comm::ReconfigOutcome oc;
         try {
-          const auto oc = coordinator.reconfigure(
+          oc = coordinator.reconfigure(
               phys, has_state ? replica.steps_done() : -1);
-          if (oc.role != comm::MemberRole::kMember) break;
-          adopt(oc.view);
-          try {
-            state_sync(oc);
-            active = true;
-            return;
-          } catch (const comm::RankFailure&) {
-            throw;  // crash during the broadcast: handled below
-          } catch (const std::exception&) {
-            if (++sync_failures > comm::ElasticCoordinator::kMaxRounds) {
-              coordinator.report_death(phys);
-              break;
-            }
-            coordinator.report_failure(phys);
-          }
+        } catch (const std::runtime_error&) {
+          break;  // run declared failed; await_admission then returns false
+        }
+        if (oc.role != comm::MemberRole::kMember) break;
+        adopt(oc.view);
+        try {
+          state_sync(oc);
+          active = true;
+          return;
         } catch (const comm::RankFailure&) {
           coordinator.report_death(phys);
           break;  // the slot parks as a replacement standby
-        } catch (const std::runtime_error&) {
-          break;  // run declared failed; await_admission then returns false
+        } catch (const std::exception&) {
+          if (++sync_failures > comm::ElasticCoordinator::kMaxRounds) {
+            coordinator.report_death(phys);
+            break;
+          }
+          coordinator.report_failure(phys);
         }
       }
       teardown();
@@ -244,8 +247,11 @@ ElasticResult train_sync_elastic(
         continue;
       }
 
-      if (diverged || global_iter >= total_iters) {
-        if (gc->rank() == 0) {
+      if (done()) {
+        // Every member that applied the last step holds the same bytes, so
+        // the first to finish records them: a straggler that lost the last
+        // step's final message finds the run over and records nothing.
+        if (coordinator.finish()) {
           std::ostringstream os;
           save_train_checkpoint(os, replica.net(), replica.opt(),
                                 meta_at(global_iter));
@@ -253,7 +259,6 @@ ElasticResult train_sync_elastic(
           std::lock_guard lk(log.mu);
           final_state = os.str();
         }
-        coordinator.finish(phys);
         break;
       }
 
@@ -269,11 +274,13 @@ ElasticResult train_sync_elastic(
         teardown();
         active = false;  // the slot parks as a replacement standby
       } catch (const comm::CommTimeout&) {
-        coordinator.report_failure(phys);
-        do_reconfig();
+        if (!done()) {
+          coordinator.report_failure(phys);
+          do_reconfig();
+        }
       } catch (const comm::ClusterAborted&) {
         // A peer observed the fault first; its report is already pending.
-        do_reconfig();
+        if (!done()) do_reconfig();
       }
     }
   };

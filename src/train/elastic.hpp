@@ -8,9 +8,10 @@
 // step math, trace spans and per-window records are the fixed trainer's.
 // What the driver adds is elastic. Every membership change — a scheduled
 // resize, a fault or crash survivor re-forming, a joiner's admission — goes
-// through one reconfiguration routine (reconfigure, adopt the committed
-// view, sync state, with a retry bounded by ElasticCoordinator::kMaxRounds)
-// which
+// through one reconfiguration routine (the coordinator commits a view
+// without sending a message; the rank adopts it and syncs state, and a
+// failed sync re-forms, at most ElasticCoordinator::kMaxRounds times in a
+// row) which
 //
 //   * re-forms the Communicator over the committed view (fresh generation
 //     tag prefix, so stale in-flight ops can never collide) and re-attaches
@@ -21,11 +22,17 @@
 //   * rescales the effective global batch (local_batch x world) and the
 //     learning rate per the linear scaling rule (optim::ElasticLrScale),
 //   * re-splits the cluster's intra-op thread budget over the members, and
-//   * admits joiners via a state broadcast: the authoritative member
-//     serializes the v2 train checkpoint (weights + optimizer + schedule
-//     position + RNG streams) and broadcasts the bytes over the new
-//     generation's channel, so a joiner is bit-identical before its first
-//     step.
+//   * syncs state with a broadcast after every commit: the authoritative
+//     member serializes the v2 train checkpoint (weights + optimizer +
+//     schedule position + RNG streams) and broadcasts the bytes over the
+//     new generation's channel, so a joiner or a laggard is bit-identical
+//     before its next step. This broadcast is the new generation's first
+//     traffic, so it is also the check that the generation is live.
+//
+// A rank that has applied the last step finishes even if a fault hits
+// after it (the closing barrier), and once one member finished nothing
+// commits, so a straggler never re-forms a view that trains nothing. The
+// first member to finish records the result.
 //
 // Determinism contracts (enforced by tests/test_elastic.cpp):
 //   * no events, no faults  ==> final weights bit-equal
@@ -117,7 +124,7 @@ struct ElasticResult {
 /// membership shrinks, not run failures, as long as one member survives.
 /// Throws std::invalid_argument on bad geometry and comm::RankFailure /
 /// std::runtime_error when the run dies (no survivors, rendezvous
-/// deadline, attempt budget).
+/// deadline).
 ElasticResult train_sync_elastic(
     const std::function<std::unique_ptr<nn::Network>()>& model_factory,
     const std::function<std::unique_ptr<optim::Optimizer>()>& opt_factory,

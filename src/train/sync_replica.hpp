@@ -141,10 +141,11 @@ struct RunLog {
   std::vector<float> final_weights;
   std::int64_t iterations = 0;
   bool diverged = false;
-  std::int64_t exposed_ns = 0, total_ns = 0;  // rank 0's reducer time
+  std::int64_t exposed_ns = 0, total_ns = 0;  // the recording rank's
 
-  /// Rank 0's end of a run (or of a faulted attempt): final weights,
-  /// position, divergence and reducer time.
+  /// One rank's end of a run (or of a faulted attempt): final weights,
+  /// position, divergence and reducer time. Rank 0 records in the fixed and
+  /// fault-tolerant trainers, the first member to finish in the elastic one.
   void finish(SyncReplica& replica, std::int64_t gi, bool diverged_run);
   /// One EpochRecord per window; iterations_run sums the booked iterations.
   TrainResult result();

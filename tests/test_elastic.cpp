@@ -1,7 +1,9 @@
 // Elastic data-parallel training: membership, determinism, and soak.
 //
 // Covers ElasticOptions and coordinator view validation (CHECK death
-// tests), the two determinism contracts from train/elastic.hpp — a
+// tests), the coordinator's commit decisions (a scheduled event never
+// commits before its step; nothing commits after a member finished), the
+// two determinism contracts from train/elastic.hpp — a
 // never-resized elastic run is bit-equal to the fixed sync trainer, and a
 // shrink at step k is bit-equal to a fixed-(world-1) run resumed from the
 // pre-shrink state — and the headline robustness property: a shrink ->
@@ -10,13 +12,14 @@
 // when the loss hits the joiner's admission state broadcast.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "comm/fault.hpp"
 #include "comm/membership.hpp"
@@ -115,6 +118,72 @@ TEST(ElasticOptionsDeath, CoordinatorRejectsMalformedView) {
       "ascending");
 }
 
+// ---------------- coordinator decisions ----------------
+//
+// The coordinator commits in shared state and sends no message, so these
+// drive it directly: each rank thread reports a step count and reads back
+// the committed view.
+
+TEST(ElasticCoordinator, ScheduledLeaveNeverCommitsBeforeItsStep) {
+  // Rank 1 applied step 6 and is due to leave there; ranks 0 and 2 lost the
+  // step's last message and hold 5. Rank 1 opens the epoch first. The leave
+  // must wait until every state-bearing member has reached 6: the first
+  // commit re-forms all three at 6 (rank 1's state heals the others), the
+  // second applies the leave at 6. Committing world 2 at 5 would re-run
+  // step 6 at the smaller world and leave the clean schedule.
+  comm::SimCluster cluster(3);
+  comm::ElasticCoordinator coord(cluster, comm::MembershipView::initial(3),
+                                 {{6, ElasticEventKind::kLeave, 1}});
+  const std::int64_t steps[3] = {5, 6, 5};
+  std::vector<comm::ReconfigOutcome> first(3), second(3);
+  cluster.run([&](comm::Communicator& c) {
+    const int r = c.rank();
+    if (r != 1) {
+      while (!coord.reconfig_due(0)) std::this_thread::yield();
+    }
+    first[static_cast<std::size_t>(r)] = coord.reconfigure(r, steps[r]);
+    second[static_cast<std::size_t>(r)] = coord.reconfigure(r, 6);
+  });
+  for (int r = 0; r < 3; ++r) {
+    const auto& oc = first[static_cast<std::size_t>(r)];
+    EXPECT_EQ(oc.role, comm::MemberRole::kMember) << "rank " << r;
+    EXPECT_EQ(oc.view.world(), 3) << "rank " << r;
+    EXPECT_EQ(oc.resume_iter, 6) << "rank " << r;
+    EXPECT_EQ(oc.is_root, r == 1) << "rank " << r;
+  }
+  EXPECT_EQ(second[1].role, comm::MemberRole::kStandby);
+  for (int r : {0, 2}) {
+    const auto& oc = second[static_cast<std::size_t>(r)];
+    EXPECT_EQ(oc.role, comm::MemberRole::kMember) << "rank " << r;
+    EXPECT_EQ(oc.view.ranks, (std::vector<int>{0, 2})) << "rank " << r;
+    EXPECT_EQ(oc.resume_iter, 6) << "rank " << r;
+  }
+  const auto recs = coord.records();
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].generation, 1);
+  EXPECT_EQ(recs[0].at_iter, 6);
+  EXPECT_EQ(recs[0].world, 3);
+  EXPECT_EQ(recs[1].generation, 2);
+  EXPECT_EQ(recs[1].at_iter, 6);
+  EXPECT_EQ(recs[1].world, 2);
+}
+
+TEST(ElasticCoordinator, ReconfigureAfterFinishCommitsNothing) {
+  // A member applied the last step and finished; its peer lost the step's
+  // final message and re-forms. The run's result is already fixed, so the
+  // straggler parks instead of committing a view that would train alone.
+  comm::SimCluster cluster(2);
+  comm::ElasticCoordinator coord(cluster, comm::MembershipView::initial(2),
+                                 {});
+  EXPECT_TRUE(coord.finish());
+  const auto oc = coord.reconfigure(1, 23);
+  EXPECT_EQ(oc.role, comm::MemberRole::kStandby);
+  EXPECT_EQ(coord.reconfigurations(), 0);
+  EXPECT_FALSE(coord.run_failed());
+  EXPECT_FALSE(coord.finish());  // only the first finisher records
+  EXPECT_FALSE(coord.await_admission(1));
+}
+
 // ---------------- determinism contracts ----------------
 
 TEST(ElasticTrain, NoEventsBitMatchesFixedSyncTrainer) {
@@ -168,7 +237,6 @@ TEST(ElasticTrain, NoEventsOverlapPathBitMatchesFixedOverlapTrainer) {
   EXPECT_EQ(elastic.final_weights, fixed.final_weights);
 }
 
-#ifndef MINSGD_TRACE_OFF
 TEST(ElasticTrain, SerialPathRecordsOneAllreduceSpanPerStep) {
   // obs::report reads allreduce time from phase.allreduce spans; elastic's
   // serial path used to record none, so its column read 0. A traced,
@@ -217,7 +285,6 @@ TEST(ElasticTrain, SerialPathRecordsOneAllreduceSpanPerStep) {
   EXPECT_EQ(elastic.first, elastic.second * 2);
   EXPECT_EQ(elastic.first, fixed.first);
 }
-#endif  // MINSGD_TRACE_OFF
 
 TEST(ElasticTrain, ShrinkMatchesFixedWorldResumedFromPreShrinkState) {
   // Shrink determinism: a 3-member run that loses rank 1 at step k must
@@ -353,14 +420,8 @@ TEST(ElasticTrain, JoinerAdmissionUnderMessageLossMatchesCleanSchedule) {
                                                 ds, o, injector);
 
   EXPECT_GT(faulty.faults.dropped, 0);
-  // The last view that trained. A message lost in the final barrier can
-  // leave a straggler re-forming alone after the other member finished; that
-  // appends a record at at_iter == iterations and changes no weight.
-  const auto last = std::find_if(
-      faulty.reconfigs.rbegin(), faulty.reconfigs.rend(),
-      [&](const auto& rec) { return rec.at_iter < faulty.iterations; });
-  ASSERT_NE(last, faulty.reconfigs.rend());
-  EXPECT_EQ(last->world, 2);
+  ASSERT_FALSE(faulty.reconfigs.empty());
+  EXPECT_EQ(faulty.reconfigs.back().world, 2);
   EXPECT_EQ(faulty.iterations, clean.iterations);
   EXPECT_EQ(faulty.final_weights, clean.final_weights);
 }

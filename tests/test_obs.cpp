@@ -78,7 +78,6 @@ TEST_F(ObsTest, SpanStartedWhileDisabledStaysUnrecorded) {
   EXPECT_EQ(obs::tracer().span_count(), 0u);
 }
 
-#ifndef MINSGD_TRACE_OFF
 TEST_F(ObsTest, RecordsNameCategoryNestingAndArgs) {
   obs::tracer().set_enabled(true);
   {
@@ -125,7 +124,6 @@ TEST_F(ObsTest, ClearDropsSpansAndResetsEpoch) {
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_GE(spans[0].start_ns, 0);
 }
-#endif  // MINSGD_TRACE_OFF
 
 // -- summary math -----------------------------------------------------------
 
@@ -190,7 +188,6 @@ TEST_F(ObsTest, SummaryGroupsByCategoryAndName) {
 
 // -- concurrent recording + chrome export -----------------------------------
 
-#ifndef MINSGD_TRACE_OFF
 TEST_F(ObsTest, ConcurrentSpansFromThreadPoolProduceValidChromeTrace) {
   obs::tracer().set_enabled(true);
   constexpr int kTasks = 64;
@@ -225,7 +222,6 @@ TEST_F(ObsTest, ConcurrentSpansFromThreadPoolProduceValidChromeTrace) {
   }
   EXPECT_EQ(x_events, 2u * kTasks);
 }
-#endif  // MINSGD_TRACE_OFF
 
 TEST_F(ObsTest, ChromeTraceEscapesSpecialCharacters) {
   obs::Span s;
@@ -246,7 +242,6 @@ TEST_F(ObsTest, ChromeTraceEscapesSpecialCharacters) {
   EXPECT_TRUE(found);
 }
 
-#ifndef MINSGD_TRACE_OFF
 TEST_F(ObsTest, SimClusterRanksGetTheirOwnTraceLanes) {
   obs::tracer().set_enabled(true);
   constexpr int kWorld = 3;
@@ -279,7 +274,6 @@ TEST_F(ObsTest, SimClusterRanksGetTheirOwnTraceLanes) {
     EXPECT_TRUE(lane_used[r]) << "no span in rank " << r << "'s lane";
   }
 }
-#endif  // MINSGD_TRACE_OFF
 
 // -- metrics registry -------------------------------------------------------
 
@@ -292,29 +286,6 @@ TEST_F(ObsTest, CountersAndGaugesAreCreateOnFirstUseAndStable) {
 
   obs::metrics().gauge("lr").set(0.25);
   EXPECT_DOUBLE_EQ(obs::metrics().gauge("lr").value(), 0.25);
-}
-
-TEST_F(ObsTest, SourcesContributeSamplesAtSnapshotTime) {
-  int polls = 0;
-  obs::metrics().register_source("src", [&polls] {
-    ++polls;
-    std::vector<obs::Sample> out;
-    out.push_back({"src.live", static_cast<double>(polls),
-                   obs::Sample::Kind::kGauge});
-    return out;
-  });
-  obs::metrics().counter("fixed").add(3);
-
-  auto snap = obs::metrics().snapshot();
-  ASSERT_EQ(snap.size(), 2u);  // sorted by name: fixed, src.live
-  EXPECT_EQ(snap[0].name, "fixed");
-  EXPECT_EQ(snap[1].name, "src.live");
-  EXPECT_DOUBLE_EQ(snap[1].value, 1.0);
-
-  obs::metrics().unregister_source("src");
-  snap = obs::metrics().snapshot();
-  EXPECT_EQ(snap.size(), 1u);
-  EXPECT_EQ(polls, 1);
 }
 
 TEST_F(ObsTest, JsonlSnapshotParsesAndKeepsCountersIntegral) {
@@ -379,32 +350,6 @@ TEST_F(ObsTest, ClusterAttributesCollectiveTraffic) {
   EXPECT_GT(cluster.op_traffic(comm::WireOp::kAllreduceTree).messages, 0);
   EXPECT_EQ(cluster.op_traffic(comm::WireOp::kReduce).messages, 0);
   EXPECT_EQ(cluster.op_traffic(comm::WireOp::kBroadcast).messages, 0);
-}
-
-TEST_F(ObsTest, ClusterRegistersAsMetricsSource) {
-  auto& reg = obs::metrics();
-  {
-    comm::SimCluster cluster(2);
-    cluster.register_metrics(reg, "c0");
-    cluster.run([](comm::Communicator& comm) {
-      std::vector<float> v(8, 1.0f);
-      comm.allreduce_sum(v, comm::AllreduceAlgo::kStar);
-    });
-    bool saw_bytes = false, saw_op = false;
-    for (const auto& s : reg.snapshot()) {
-      if (s.name == "c0.traffic.bytes") {
-        saw_bytes = true;
-        EXPECT_GT(s.value, 0.0);
-      }
-      if (s.name == "c0.traffic.allreduce-star.messages") saw_op = true;
-    }
-    EXPECT_TRUE(saw_bytes);
-    EXPECT_TRUE(saw_op);
-  }
-  // Destructor unregistered the source: snapshot no longer polls it.
-  for (const auto& s : reg.snapshot()) {
-    EXPECT_TRUE(s.name.rfind("c0.", 0) != 0) << s.name;
-  }
 }
 
 // -- TrainResult exporters --------------------------------------------------

@@ -26,7 +26,6 @@ std::string read_all(const std::string& path) {
   return os.str();
 }
 
-#ifndef MINSGD_TRACE_OFF
 TEST(TraceSmoke, InstrumentedTrainingProducesLoadableTrace) {
   const auto proxy = core::micro_proxy();
   data::SyntheticImageNet dataset(proxy.dataset);
@@ -96,7 +95,6 @@ TEST(TraceSmoke, InstrumentedTrainingProducesLoadableTrace) {
   EXPECT_TRUE(phase_allreduce);
   obs::tracer().clear();
 }
-#endif  // MINSGD_TRACE_OFF
 
 TEST(TraceSmoke, DisabledTrainingRecordsNoSpans) {
   const auto proxy = core::micro_proxy();

@@ -498,7 +498,6 @@ GATE_DESCRIPTIONS = {
     "MINSGD_DCHECK": "heavy debug-check assertions (MINSGD_DCHECK_ON)",
     "MINSGD_DCHECK_ON": "preprocessor define set by -DMINSGD_DCHECK=ON",
     "MINSGD_TIDY": "run clang-tidy during the build",
-    "MINSGD_TRACE_OFF": "compile out trace spans entirely",
 }
 
 GETENV_RE = re.compile(r'getenv\s*\(\s*"(MINSGD_\w+)"')
