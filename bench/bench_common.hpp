@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/csv.hpp"
+#include "obs/json.hpp"
 
 namespace minsgd::bench {
 
@@ -59,13 +61,11 @@ class JsonSummary {
     return *this;
   }
   JsonSummary& add_string(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (const char c : value) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    entries_.emplace_back(key, quoted);
+    std::ostringstream quoted;
+    quoted << '"';
+    obs::json::write_escaped(quoted, value);
+    quoted << '"';
+    entries_.emplace_back(key, quoted.str());
     return *this;
   }
 

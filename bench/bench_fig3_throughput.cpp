@@ -14,6 +14,7 @@
 using namespace minsgd;
 
 int main() {
+  const ComputeContext ctx;
   bench::banner("Figure 3 — device throughput vs per-device batch size",
                 "within a range, larger batches make a single device faster "
                 "(better kernel efficiency); memory bounds the range");
@@ -34,7 +35,7 @@ int main() {
   std::int64_t best_batch = 0;
   for (std::int64_t batch : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
     // Build a batch of the requested size from the loader's 512-image batch.
-    const auto full = loader.load_train(0, 0);
+    const auto full = loader.load_train(0, 0, ctx);
     const std::int64_t img = ds.image_numel();
     data::Batch b;
     b.x = Tensor({batch, 3, ds.resolution(), ds.resolution()});
@@ -44,18 +45,18 @@ int main() {
     Tensor logits, dlogits, dx;
     // Warm-up pass, then timed passes covering >= 512 images.
     net->zero_grad();
-    net->forward(b.x, logits, true);
-    auto lres = loss.forward_backward(logits, b.labels, &dlogits);
+    net->forward(b.x, logits, true, ctx);
+    auto lres = loss.forward_backward(logits, b.labels, &dlogits, ctx);
     (void)lres;
-    net->backward(b.x, logits, dlogits, dx);
+    net->backward(b.x, logits, dlogits, dx, ctx);
 
     const std::int64_t reps = std::max<std::int64_t>(1, 512 / batch);
     const auto t0 = std::chrono::steady_clock::now();
     for (std::int64_t r = 0; r < reps; ++r) {
       net->zero_grad();
-      net->forward(b.x, logits, true);
-      loss.forward_backward(logits, b.labels, &dlogits);
-      net->backward(b.x, logits, dlogits, dx);
+      net->forward(b.x, logits, true, ctx);
+      loss.forward_backward(logits, b.labels, &dlogits, ctx);
+      net->backward(b.x, logits, dlogits, dx, ctx);
     }
     const double dt =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -51,9 +51,10 @@ void BM_Sgemm(benchmark::State& state) {
   std::vector<float> c(static_cast<std::size_t>(n * n));
   rng.fill_normal(a, 0.0f, 1.0f);
   rng.fill_normal(b, 0.0f, 1.0f);
+  const ComputeContext ctx;
   for (auto _ : state) {
-    sgemm(Trans::kNo, Trans::kNo, n, n, n, 1.0f, a.data(), b.data(), 0.0f,
-          c.data());
+    sgemm(ctx, Trans::kNo, Trans::kNo, n, n, n, 1.0f, a.data(), n, b.data(), n,
+          0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -68,9 +69,10 @@ void BM_SgemmTransB(benchmark::State& state) {
   std::vector<float> c(static_cast<std::size_t>(n * n));
   rng.fill_normal(a, 0.0f, 1.0f);
   rng.fill_normal(b, 0.0f, 1.0f);
+  const ComputeContext ctx;
   for (auto _ : state) {
-    sgemm(Trans::kNo, Trans::kYes, n, n, n, 1.0f, a.data(), b.data(), 0.0f,
-          c.data());
+    sgemm(ctx, Trans::kNo, Trans::kYes, n, n, n, 1.0f, a.data(), n, b.data(),
+          n, 0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -78,6 +80,7 @@ void BM_SgemmTransB(benchmark::State& state) {
 BENCHMARK(BM_SgemmTransB)->Arg(128)->Arg(256);
 
 void BM_ConvForward(benchmark::State& state) {
+  const ComputeContext ctx;
   const auto channels = state.range(0);
   nn::Conv2d conv(channels, channels, 3, 1, 1);
   Rng rng(3);
@@ -86,7 +89,7 @@ void BM_ConvForward(benchmark::State& state) {
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
   for (auto _ : state) {
-    conv.forward(x, y, true);
+    conv.forward(x, y, true, ctx);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 4 * conv.flops(x.shape()));
@@ -94,6 +97,7 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_ConvBackward(benchmark::State& state) {
+  const ComputeContext ctx;
   const auto channels = state.range(0);
   nn::Conv2d conv(channels, channels, 3, 1, 1);
   Rng rng(4);
@@ -101,17 +105,18 @@ void BM_ConvBackward(benchmark::State& state) {
   Tensor x({4, channels, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y, dy, dx;
-  conv.forward(x, y, true);
+  conv.forward(x, y, true, ctx);
   dy.resize(y.shape());
   rng.fill_normal(dy.span(), 0.0f, 1.0f);
   for (auto _ : state) {
-    conv.backward(x, y, dy, dx);
+    conv.backward(x, y, dy, dx, ctx);
     benchmark::DoNotOptimize(dx.data());
   }
 }
 BENCHMARK(BM_ConvBackward)->Arg(16)->Arg(32);
 
 void BM_BatchNormForward(benchmark::State& state) {
+  const ComputeContext ctx;
   const auto channels = state.range(0);
   nn::BatchNorm2d bn(channels);
   Rng rng(5);
@@ -119,7 +124,7 @@ void BM_BatchNormForward(benchmark::State& state) {
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
   for (auto _ : state) {
-    bn.forward(x, y, true);
+    bn.forward(x, y, true, ctx);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * x.numel());
@@ -298,6 +303,7 @@ bool threads_row(bench::JsonSummary& summary, const std::string& key,
 /// the parameter gradients) with the single-thread one. Returns false on any
 /// mismatch.
 bool run_non_gemm_rows(bench::JsonSummary& summary) {
+  const ComputeContext ctx;
   const Shape shape{2, 64, 112, 112};
   const double n = static_cast<double>(shape.numel());
   Rng rng(21);
@@ -334,7 +340,7 @@ bool run_non_gemm_rows(bench::JsonSummary& summary) {
     row(key + "_fwd", 3 * 4 * n,
         [&](const ComputeContext& ctx) { bn.forward(x, y, true, ctx); },
         [&] { return floats(y); });
-    bn.forward(x, y, true);
+    bn.forward(x, y, true, ctx);
     // Backward: dy and xhat in (and y, for the fused mask), dx out.
     row(key + "_bwd", (fused ? 4 : 3) * 4 * n,
         [&](const ComputeContext& ctx) {
@@ -464,7 +470,7 @@ bool run_reduction_rows(bench::JsonSummary& summary) {
       }
     };
     optim::Lars timed;
-    timed.step(params, 0.1, ComputeContext::default_ctx());  // velocity
+    timed.step(params, 0.1, ComputeContext(1));  // velocity
     all_match =
         threads_row(summary, big ? "lars_step_resnet50" : "lars_step_alexnet",
                     bytes,
@@ -663,14 +669,15 @@ bool run_kernel_summary() {
     Tensor y;
     const double flops = 8.0 * conv.flops(x.shape());
 
-    const ComputeContext& ctx = ComputeContext::default_ctx();
+    const ComputeContext ctx;
     std::vector<float> y_ref;
     const double t_im2col = time_best(5, [&] {
       y_ref = testing::im2col_forward(ctx, x, conv.weight(), &conv.bias(), 1,
                                       1);
     });
     const std::uint64_t sum_im2col = bits_checksum(y_ref);
-    const double t_direct = time_best(5, [&] { conv.forward(x, y, false); });
+    const double t_direct =
+        time_best(5, [&] { conv.forward(x, y, false, ctx); });
     const std::uint64_t sum_direct = bits_checksum(
         std::vector<float>(y.span().begin(), y.span().end()));
 
@@ -683,7 +690,7 @@ bool run_kernel_summary() {
     // The fused path under each arm: same bytes, and the per-arm time.
     for (kernels::Isa isa : arms) {
       kernels::force(isa);
-      const double t = time_best(5, [&] { conv.forward(x, y, false); });
+      const double t = time_best(5, [&] { conv.forward(x, y, false, ctx); });
       const bool same = bits_checksum(std::vector<float>(
                             y.span().begin(), y.span().end())) == sum_direct;
       match = match && same;
@@ -713,26 +720,26 @@ bool run_kernel_summary() {
                                {"conv7x7_stem", 3, 64, 7, 2, 3, 2, 224}};
   for (const BwdCase& bc : bwd_cases) {
     nn::Conv2d conv(bc.in_c, bc.out_c, bc.k, bc.stride, bc.pad);
+    const ComputeContext ctx;
     Rng rng(10);
     conv.init(rng);
     Tensor x({bc.batch, bc.in_c, bc.hw, bc.hw});
     rng.fill_normal(x.span(), 0.0f, 1.0f);
     Tensor y, dx;
-    conv.forward(x, y, true);
+    conv.forward(x, y, true, ctx);
     Tensor dy(y.shape());
     rng.fill_normal(dy.span(), 0.0f, 1.0f);
     // dW and dx each cost one forward's FLOPs.
     const double flops = 2.0 * bc.batch * conv.flops(x.shape());
     std::vector<float> ref;
     const double t_im2col = time_best(5, [&] {
-      ref = testing::im2col_backward(ComputeContext::default_ctx(), x,
-                                     conv.weight(), &conv.bias(), dy,
+      ref = testing::im2col_backward(ctx, x, conv.weight(), &conv.bias(), dy,
                                      bc.stride, bc.pad);
     });
     const std::uint64_t sum_im2col = bits_checksum(ref);
     const double t_direct = time_best(5, [&] {
       for (auto& p : conv.params()) p.grad->zero();
-      conv.backward(x, y, dy, dx);
+      conv.backward(x, y, dy, dx, ctx);
     });
     std::vector<float> bytes(dx.span().begin(), dx.span().end());
     for (auto& p : conv.params()) {

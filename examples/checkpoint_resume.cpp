@@ -17,6 +17,7 @@
 using namespace minsgd;
 
 int main() {
+  const ComputeContext ctx;
   auto proxy = core::bench_proxy();
   data::SyntheticImageNet ds(proxy.dataset);
   const std::string path = "checkpoint_demo.bin";
@@ -39,7 +40,7 @@ int main() {
   Rng rng(999);  // deliberately different init, about to be overwritten
   resumed->init(rng);
   nn::load_checkpoint(*resumed, path);
-  const double acc_loaded = train::evaluate(*resumed, ds);
+  const double acc_loaded = train::evaluate(*resumed, ds, 256, ctx);
   std::printf("reloaded:  test acc %.1f%% (same weights, same accuracy)\n",
               100 * acc_loaded);
 
@@ -52,16 +53,16 @@ int main() {
   Tensor logits, dlogits, dx;
   for (std::int64_t epoch = 0; epoch < 4; ++epoch) {
     for (std::int64_t it = 0; it < loader.iterations_per_epoch(); ++it) {
-      const auto batch = loader.load_train(epoch + 100, it);
+      const auto batch = loader.load_train(epoch + 100, it, ctx);
       resumed->zero_grad();
-      resumed->forward(batch.x, logits, true);
-      loss.forward_backward(logits, batch.labels, &dlogits);
-      resumed->backward(batch.x, logits, dlogits, dx);
-      opt2.step(params, 0.02);
+      resumed->forward(batch.x, logits, true, ctx);
+      loss.forward_backward(logits, batch.labels, &dlogits, ctx);
+      resumed->backward(batch.x, logits, dlogits, dx, ctx);
+      opt2.step(params, 0.02, ctx);
     }
   }
   std::printf("resumed +4 epochs: test acc %.1f%%\n",
-              100 * train::evaluate(*resumed, ds));
+              100 * train::evaluate(*resumed, ds, 256, ctx));
   std::remove(path.c_str());
   return 0;
 }

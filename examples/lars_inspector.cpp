@@ -21,6 +21,7 @@
 using namespace minsgd;
 
 int main() {
+  const ComputeContext ctx;
   auto proxy = core::bench_proxy();
   data::SyntheticImageNet dataset(proxy.dataset);
   auto net = proxy.alexnet_factory()();
@@ -42,12 +43,12 @@ int main() {
 
   Tensor logits, dlogits, dx;
   for (std::int64_t iter = 0; iter < 3; ++iter) {
-    const auto b = loader.load_train(0, iter);
+    const auto b = loader.load_train(0, iter, ctx);
     net->zero_grad();
-    net->forward(b.x, logits, true);
-    loss.forward_backward(logits, b.labels, &dlogits);
-    net->backward(b.x, logits, dlogits, dx);
-    lars.step(params, lr.lr(iter));
+    net->forward(b.x, logits, true, ctx);
+    loss.forward_backward(logits, b.labels, &dlogits, ctx);
+    net->backward(b.x, logits, dlogits, dx, ctx);
+    lars.step(params, lr.lr(iter), ctx);
 
     std::printf("iteration %lld\n", static_cast<long long>(iter));
     std::printf("  %-40s %10s %10s %12s\n", "parameter", "||w||", "||g||",

@@ -65,9 +65,10 @@ comm::TrafficStats data_parallel_step(int world, std::int64_t in,
                                 static_cast<std::size_t>(local * out)),
          dyl.span());
     Tensor y, dx;
-    layer.forward(xl, y, true);
+    const ComputeContext& ctx = comm.ctx();
+    layer.forward(xl, y, true, ctx);
     for (auto& p : layer.params()) p.grad->zero();
-    layer.backward(xl, y, dyl, dx);
+    layer.backward(xl, y, dyl, dx, ctx);
     // The one communication of the data-parallel step: gradient allreduce.
     for (auto& p : layer.params()) {
       comm.allreduce_sum(p.grad->span(), comm::AllreduceAlgo::kRing);

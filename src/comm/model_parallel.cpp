@@ -54,8 +54,8 @@ void ShardedLinear::forward(const Tensor& x, Tensor& y) {
   const std::int64_t batch = x.shape()[0];
   // Local block: (batch x rows_) = x (batch x in) * W_local^T.
   Tensor local({batch, rows_});
-  sgemm(Trans::kNo, Trans::kYes, batch, rows_, in_, 1.0f, x.data(), in_,
-        w_.data(), in_, 0.0f, local.data(), rows_);
+  sgemm(comm_.ctx(), Trans::kNo, Trans::kYes, batch, rows_, in_, 1.0f,
+        x.data(), in_, w_.data(), in_, 0.0f, local.data(), rows_);
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t r = 0; r < rows_; ++r) local.at(n, r) += b_[r];
   }
@@ -106,16 +106,16 @@ void ShardedLinear::backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
     }
   }
   // dW_local += dy_local^T * x ;  db_local += column sums.
-  sgemm(Trans::kYes, Trans::kNo, rows_, in_, batch, 1.0f, dy_local.data(),
-        rows_, x.data(), in_, 1.0f, dw_.data(), in_);
+  sgemm(comm_.ctx(), Trans::kYes, Trans::kNo, rows_, in_, batch, 1.0f,
+        dy_local.data(), rows_, x.data(), in_, 1.0f, dw_.data(), in_);
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t r = 0; r < rows_; ++r) db_[r] += dy_local.at(n, r);
   }
   // dx = sum over ranks of dy_local * W_local (each rank contributes the
   // part of the chain rule flowing through its rows).
   dx.resize({batch, in_});
-  sgemm(Trans::kNo, Trans::kNo, batch, in_, rows_, 1.0f, dy_local.data(),
-        rows_, w_.data(), in_, 0.0f, dx.data(), in_);
+  sgemm(comm_.ctx(), Trans::kNo, Trans::kNo, batch, in_, rows_, 1.0f,
+        dy_local.data(), rows_, w_.data(), in_, 0.0f, dx.data(), in_);
   comm_.allreduce_sum(dx.span(), AllreduceAlgo::kRing);
 }
 

@@ -42,9 +42,8 @@ class ShardedLoader {
   /// augmentation run batch-parallel on `ctx`; the augmentation RNG is keyed
   /// by (epoch, sample), so the batch bytes are identical for any thread
   /// count (and any rank/world split).
-  Batch load_train(
-      std::int64_t epoch, std::int64_t iter,
-      const ComputeContext& ctx = ComputeContext::default_ctx()) const;
+  Batch load_train(std::int64_t epoch, std::int64_t iter,
+                   const ComputeContext& ctx) const;
 
   /// load_train into caller-owned storage: `b`'s x/labels are resized in
   /// place, so a trainer that keeps one Batch across iterations allocates

@@ -6,6 +6,10 @@
 // gradients are *accumulated* into ParamRef::grad, so data-parallel code can
 // sum local gradients before the optimizer step.
 //
+// forward() and backward() take the caller's ComputeContext with no default:
+// the intra-op threads a layer uses are always ones its caller owns (a rank
+// thread passes comm.ctx(), a single worker its own context).
+//
 // Per-call scratch (im2col buffers, per-chunk reduction partials) is NOT
 // allocated by layers: do_forward/do_backward request it from the
 // PlanContext they receive (nn/plan.hpp). Inside a Network — which always
@@ -76,8 +80,7 @@ class Layer {
   /// plan).
   /// Precondition (checked): x is non-empty.
   void forward(const Tensor& x, Tensor& y, bool training,
-               const ComputeContext& ctx = ComputeContext::default_ctx(),
-               PlanContext* pc = nullptr);
+               const ComputeContext& ctx, PlanContext* pc = nullptr);
 
   /// Given dL/dy, accumulates parameter gradients and writes dL/dx.
   /// Must be called with the same (x, y) the preceding forward produced.
@@ -85,8 +88,7 @@ class Layer {
   /// preceding forward consumed (dy.shape == y.shape is the generic part;
   /// layers check their own cached-state contracts).
   void backward(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
-                const ComputeContext& ctx = ComputeContext::default_ctx(),
-                PlanContext* pc = nullptr);
+                const ComputeContext& ctx, PlanContext* pc = nullptr);
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }

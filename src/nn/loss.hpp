@@ -28,8 +28,7 @@ class SoftmaxCrossEntropy {
   /// bit-identical for any thread count.
   LossResult forward_backward(
       const Tensor& logits, std::span<const std::int32_t> labels,
-      Tensor* dlogits,
-      const ComputeContext& ctx = ComputeContext::default_ctx()) const;
+      Tensor* dlogits, const ComputeContext& ctx) const;
 };
 
 }  // namespace minsgd::nn

@@ -21,7 +21,7 @@ class Optimizer {
   /// Applies one update with global learning rate `lr`. `ctx` supplies the
   /// intra-op thread budget; updates are bit-identical for any thread count.
   void step(std::span<nn::ParamRef> params, double lr,
-            const ComputeContext& ctx = ComputeContext::default_ctx()) {
+            const ComputeContext& ctx) {
     do_step(params, lr, ctx);
   }
 

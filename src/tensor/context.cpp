@@ -6,9 +6,91 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <queue>
 #include <thread>
+#include <vector>
 
 namespace minsgd {
+namespace {
+
+// Set while a thread executes inside a parallel region (a pool worker's
+// task, or a caller running its own region's chunks). Nested regions check
+// it and run inline: re-entering a pool from a worker could deadlock if
+// every worker blocked on its own sub-chunks, and re-entering from a rank
+// thread would oversubscribe.
+thread_local bool g_in_parallel_region = false;
+
+class ParallelRegionGuard {
+ public:
+  ParallelRegionGuard() : prev_(g_in_parallel_region) {
+    g_in_parallel_region = true;
+  }
+  ~ParallelRegionGuard() { g_in_parallel_region = prev_; }
+  ParallelRegionGuard(const ParallelRegionGuard&) = delete;
+  ParallelRegionGuard& operator=(const ParallelRegionGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
+}  // namespace
+
+// The fixed-size worker pool a context with T > 1 threads owns: T-1 workers
+// pulling void() tasks from one queue. Destruction runs every queued task,
+// then joins the workers.
+class ComputeContext::ThreadPool {
+ public:
+  explicit ThreadPool(std::size_t workers) {
+    workers_.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  }
+
+  ~ThreadPool() {
+    {
+      std::lock_guard lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (auto& w : workers_) w.join();
+  }
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  std::size_t size() const { return workers_.size(); }
+
+  void submit(std::function<void()> task) {
+    {
+      std::lock_guard lk(mu_);
+      tasks_.push(std::move(task));
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void worker_loop() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock lk(mu_);
+        cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+        if (stop_ && tasks_.empty()) return;
+        task = std::move(tasks_.front());
+        tasks_.pop();
+      }
+      ParallelRegionGuard in_region;
+      task();
+    }
+  }
+
+  std::vector<std::thread> workers_;
+  std::queue<std::function<void()>> tasks_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+};
 
 ComputeContext::ComputeContext(std::size_t threads)
     : threads_(threads == 0 ? default_threads() : threads) {
@@ -21,7 +103,7 @@ ComputeContext::~ComputeContext() = default;
 
 PoolStats ComputeContext::pool_stats() const {
   if (!pool_) return {};
-  return {pool_->size(), pool_->tasks_executed(), pool_->queue_depth()};
+  return {pool_->size()};
 }
 
 std::int64_t ComputeContext::chunk_count(std::int64_t n, std::int64_t grain) {
@@ -54,7 +136,7 @@ void ComputeContext::for_chunks_n(
 
   // Inline path: single chunk, no pool, or already inside a parallel region
   // (nested regions must not re-enter a pool).
-  if (chunks == 1 || !pool_ || detail::in_parallel_region()) {
+  if (chunks == 1 || !pool_ || g_in_parallel_region) {
     for (std::int64_t c = 0; c < chunks; ++c) {
       const auto [lo, hi] = chunk_bounds(n, chunks, c);
       if (lo < hi) fn(c, lo, hi);
@@ -102,7 +184,7 @@ void ComputeContext::for_chunks_n(
   }
   {
     // The caller participates; nested parallel calls inside fn run inline.
-    detail::ParallelRegionGuard in_region;
+    ParallelRegionGuard in_region;
     run_chunks();
   }
   {
@@ -123,11 +205,6 @@ void ComputeContext::parallel_for(
              });
 }
 
-ComputeContext& ComputeContext::default_ctx() {
-  static ComputeContext ctx;
-  return ctx;
-}
-
 std::size_t ComputeContext::default_threads() {
   if (const char* env = std::getenv("MINSGD_THREADS")) {
     char* end = nullptr;
@@ -135,14 +212,6 @@ std::size_t ComputeContext::default_threads() {
     if (end != env && v > 0) return static_cast<std::size_t>(v);
   }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-// Legacy entry point kept for callers that have no context to thread
-// through; chunking and nesting behaviour now match the context policy.
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn,
-                  std::int64_t grain) {
-  ComputeContext::default_ctx().parallel_for(begin, end, fn, grain);
 }
 
 }  // namespace minsgd

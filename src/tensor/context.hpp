@@ -20,8 +20,12 @@
 // order is fixed, the results do not. A context with T threads owns T-1
 // pool workers; the calling thread executes chunks too, so a SimCluster
 // rank thread counts toward its own budget. Nested parallel regions run
-// inline (the in-region flag from threadpool.hpp), which is what lets P
-// rank threads each drive their own context without oversubscription.
+// inline (a thread-local in-region flag), which is what lets P rank threads
+// each drive their own context without oversubscription.
+//
+// There is no process-wide context and no public pool: every intra-op
+// thread belongs to a ComputeContext its caller constructed and passed in
+// explicitly, so a thread budget split between rank threads stays split.
 #pragma once
 
 #include <cstddef>
@@ -30,15 +34,11 @@
 #include <memory>
 #include <utility>
 
-#include "tensor/threadpool.hpp"
-
 namespace minsgd {
 
-/// Snapshot of a context's pool activity (zeros for a 1-thread context).
+/// Snapshot of a context's pool (zero workers for a 1-thread context).
 struct PoolStats {
   std::size_t workers = 0;
-  std::int64_t tasks_executed = 0;
-  std::int64_t queue_depth = 0;
 };
 
 class ComputeContext {
@@ -87,24 +87,18 @@ class ComputeContext {
       const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& fn)
       const;
 
-  /// Runs fn(lo, hi) over [begin, end) in deterministic chunks. The drop-in
-  /// replacement for the old global-pool parallel_for; safe for disjoint
-  /// writes (no reduction).
+  /// Runs fn(lo, hi) over [begin, end) in deterministic chunks; safe for
+  /// disjoint writes (no reduction).
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t, std::int64_t)>& fn,
                     std::int64_t grain = 1024) const;
-
-  /// Process-wide context sized default_threads(), used by code paths that
-  /// predate explicit plumbing (default arguments on Layer::forward etc.).
-  /// SimCluster rank threads never touch it — each rank gets its own
-  /// budgeted context.
-  static ComputeContext& default_ctx();
 
   /// MINSGD_THREADS environment variable if set and positive, else
   /// hardware_concurrency(). The total intra-op budget a process splits.
   static std::size_t default_threads();
 
  private:
+  class ThreadPool;  // defined in context.cpp
   std::size_t threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
 };

@@ -88,18 +88,4 @@ void sgemm(const ComputeContext& ctx, Trans ta, Trans tb, std::int64_t m,
   kernels::gemm_packed(ctx, ta, tb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
-void sgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           float alpha, const float* a, std::int64_t lda, const float* b,
-           std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
-  sgemm(ComputeContext::default_ctx(), ta, tb, m, n, k, alpha, a, lda, b, ldb,
-        beta, c, ldc);
-}
-
-void sgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           float alpha, const float* a, const float* b, float beta, float* c) {
-  const std::int64_t lda = (ta == Trans::kNo) ? k : m;
-  const std::int64_t ldb = (tb == Trans::kNo) ? n : k;
-  sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, n);
-}
-
 }  // namespace minsgd

@@ -1,12 +1,13 @@
 // sgemm: single-precision general matrix multiply.
 //
-// C = alpha * op(A) * op(B) + beta * C, row-major. Large problems route to
-// register-blocked, panel-packed microkernels behind a runtime ISA
-// dispatcher (see tensor/kernels/); small problems take a direct scalar
-// path. Which path runs is a function of shape only, and the microkernel
-// contract makes results bit-identical across ISA paths and thread counts.
-// This is the compute backbone: Conv2d lowers to im2col + sgemm (or a fused
-// direct-conv variant of the same kernels), Linear is a direct sgemm.
+// C = alpha * op(A) * op(B) + beta * C, row-major, on the ComputeContext the
+// caller passes. Large problems route to register-blocked, panel-packed
+// microkernels behind a runtime ISA dispatcher (see tensor/kernels/); small
+// problems take a direct scalar path. Which path runs is a function of shape
+// only, and the microkernel contract makes results bit-identical across ISA
+// paths and thread counts. This is the compute backbone: Conv2d lowers to
+// im2col + sgemm (or a fused direct-conv variant of the same kernels),
+// Linear is a direct sgemm.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +26,13 @@ enum class Trans { kNo, kYes };
 inline constexpr std::int64_t kSmallGemmFlops = std::int64_t{1} << 18;
 
 /// Row-major sgemm. A is (M x K) if ta==kNo else (K x M); B is (K x N) if
-/// tb==kNo else (N x K); C is always (M x N) with leading dimension N.
-/// lda/ldb are the leading dimensions of A/B as stored.
-void sgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           float alpha, const float* a, std::int64_t lda, const float* b,
-           std::int64_t ldb, float beta, float* c, std::int64_t ldc);
-
-/// Context-aware sgemm: row-blocks of C run on `ctx`. Each row-block is
+/// tb==kNo else (N x K); C is (M x N); lda/ldb/ldc are the leading
+/// dimensions of A/B/C as stored. Row-blocks of C run on `ctx`, each
 /// computed serially within itself, so the result is bit-identical for any
 /// thread count; inside an outer parallel region the whole call runs inline.
 void sgemm(const ComputeContext& ctx, Trans ta, Trans tb, std::int64_t m,
            std::int64_t n, std::int64_t k, float alpha, const float* a,
            std::int64_t lda, const float* b, std::int64_t ldb, float beta,
            float* c, std::int64_t ldc);
-
-/// Convenience overload with packed leading dimensions.
-void sgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           float alpha, const float* a, const float* b, float beta, float* c);
 
 }  // namespace minsgd

@@ -105,7 +105,11 @@ struct ElasticOptions {
 };
 
 struct ElasticResult {
-  TrainResult result;  // window-aggregated metrics (one record per window)
+  /// One record per window. A window's loss and accuracy average only the
+  /// steps its view's rank 0 booked: under message loss a step whose result
+  /// reached rank 0 through the post-commit state sync is applied but not
+  /// booked. result.iterations_run counts every applied step (== iterations).
+  TrainResult result;
   /// Final member-replica weights (flatten_params layout) — the witness
   /// the determinism tests compare bitwise.
   std::vector<float> final_weights;

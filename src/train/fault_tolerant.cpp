@@ -126,7 +126,6 @@ FaultTolerantResult train_sync_fault_tolerant(
 
   if (injector) out.faults = injector->total();
   out.result = log.result();
-  out.result.iterations_run = log.iterations;  // logical, not just booked
   out.final_weights = std::move(log.final_weights);
   out.iterations = log.iterations;
   std::remove(path.c_str());

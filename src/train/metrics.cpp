@@ -100,54 +100,4 @@ double evaluate_top_k(nn::Network& net,
          static_cast<double>(dataset.test_size());
 }
 
-void write_csv(const TrainResult& result, const std::string& path) {
-  core::CsvWriter csv(
-      path, {"epoch", "lr", "train_loss", "train_acc", "test_acc"});
-  for (const auto& e : result.epochs) {
-    csv.row(e.epoch, e.lr, e.train_loss, e.train_acc, e.test_acc);
-  }
-}
-
-namespace {
-
-void write_json_number(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";  // a diverged run's loss is NaN; JSON has no NaN
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out << buf;
-}
-
-}  // namespace
-
-void write_jsonl(const TrainResult& result, std::ostream& out) {
-  for (const auto& e : result.epochs) {
-    out << "{\"epoch\":" << e.epoch << ",\"lr\":";
-    write_json_number(out, e.lr);
-    out << ",\"train_loss\":";
-    write_json_number(out, e.train_loss);
-    out << ",\"train_acc\":";
-    write_json_number(out, e.train_acc);
-    out << ",\"test_acc\":";
-    write_json_number(out, e.test_acc);
-    out << "}\n";
-  }
-  out << "{\"summary\":true,\"epochs\":" << result.epochs.size()
-      << ",\"iterations_run\":" << result.iterations_run
-      << ",\"diverged\":" << (result.diverged ? "true" : "false")
-      << ",\"best_test_acc\":";
-  write_json_number(out, result.best_test_acc);
-  out << ",\"final_test_acc\":";
-  write_json_number(out, result.final_test_acc);
-  out << "}\n";
-}
-
-void write_jsonl(const TrainResult& result, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_jsonl: cannot open " + path);
-  write_jsonl(result, out);
-}
-
 }  // namespace minsgd::train

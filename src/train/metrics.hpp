@@ -39,8 +39,7 @@ void print_epoch(const EpochRecord& rec);
 
 /// Top-1 accuracy of `net` on the dataset's test split (eval mode).
 double evaluate(nn::Network& net, const data::SyntheticImageNet& dataset,
-                std::int64_t eval_batch = 256,
-                const ComputeContext& ctx = ComputeContext::default_ctx());
+                std::int64_t eval_batch, const ComputeContext& ctx);
 
 /// Top-k hits over a batch of logits: a sample counts if its label is among
 /// the k largest logits. k = 1 reproduces the loss head's `correct`.
@@ -51,17 +50,6 @@ std::int64_t top_k_correct(const Tensor& logits,
 /// Top-k accuracy on the test split.
 double evaluate_top_k(nn::Network& net,
                       const data::SyntheticImageNet& dataset, std::int64_t k,
-                      std::int64_t eval_batch = 256,
-                      const ComputeContext& ctx = ComputeContext::default_ctx());
-
-// -- training-curve export --------------------------------------------------
-// The paper's accuracy claims are curves (Figures 1, 4, 5); these dump any
-// TrainResult without bench-specific glue. CSV: one row per epoch. JSONL:
-// one object per epoch plus a final {"summary":true,...} line; non-finite
-// values (diverged losses) are emitted as null.
-
-void write_csv(const TrainResult& result, const std::string& path);
-void write_jsonl(const TrainResult& result, std::ostream& out);
-void write_jsonl(const TrainResult& result, const std::string& path);
+                      std::int64_t eval_batch, const ComputeContext& ctx);
 
 }  // namespace minsgd::train

@@ -197,9 +197,9 @@ TrainResult RunLog::result() {
   TrainResult res;
   for (const auto& [window, w] : windows) {
     res.epochs.push_back(to_record(window, w));
-    res.iterations_run += w.iters;
   }
   finalize(res);
+  res.iterations_run = iterations;
   res.diverged = diverged;
   return res;
 }

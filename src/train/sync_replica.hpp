@@ -147,7 +147,11 @@ struct RunLog {
   /// position, divergence and reducer time. Rank 0 records in the fixed and
   /// fault-tolerant trainers, the first member to finish in the elastic one.
   void finish(SyncReplica& replica, std::int64_t gi, bool diverged_run);
-  /// One EpochRecord per window; iterations_run sums the booked iterations.
+  /// One EpochRecord per window, averaged over the steps booked in it;
+  /// iterations_run is the logical step count `iterations`. The two differ
+  /// when a step is applied but not booked: an elastic rank 0 that lost the
+  /// step's last message receives its result through the post-commit state
+  /// sync, and a fault-tolerant restart drops the replayed windows' records.
   TrainResult result();
 };
 

@@ -18,9 +18,10 @@ namespace minsgd::testing {
 
 /// Computes L(x) = sum_i w_out[i] * f(x)[i] for the current layer state.
 inline double weighted_output(nn::Layer& layer, const Tensor& x,
-                              const std::vector<float>& w_out) {
+                              const std::vector<float>& w_out,
+                              const ComputeContext& ctx) {
   Tensor y;
-  layer.forward(x, y, /*training=*/true);
+  layer.forward(x, y, /*training=*/true, ctx);
   double acc = 0.0;
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     acc += static_cast<double>(w_out[static_cast<std::size_t>(i)]) * y[i];
@@ -43,13 +44,14 @@ struct GradCheckOptions {
 inline void check_gradients(nn::Layer& layer, const Shape& input_shape,
                             std::uint64_t seed = 123,
                             GradCheckOptions opt = {}) {
+  const ComputeContext ctx;
   Rng rng(seed);
   Tensor x(input_shape);
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   layer.init(rng);
 
   Tensor y;
-  layer.forward(x, y, /*training=*/true);
+  layer.forward(x, y, /*training=*/true, ctx);
   std::vector<float> w_out(static_cast<std::size_t>(y.numel()));
   Rng wrng(seed ^ 0xabcdef);
   wrng.fill_uniform(w_out, -1.0f, 1.0f);
@@ -61,7 +63,7 @@ inline void check_gradients(nn::Layer& layer, const Shape& input_shape,
   }
   for (auto& p : layer.params()) p.grad->zero();
   Tensor dx;
-  layer.backward(x, y, dy, dx);
+  layer.backward(x, y, dy, dx, ctx);
 
   auto expect_close = [&](double analytic, double numeric,
                           const std::string& what) {
@@ -80,9 +82,9 @@ inline void check_gradients(nn::Layer& layer, const Shape& input_shape,
     if (std::fabs(x[i]) < opt.kink_skip) continue;
     const float orig = x[i];
     x[i] = orig + static_cast<float>(opt.step);
-    const double lp = weighted_output(layer, x, w_out);
+    const double lp = weighted_output(layer, x, w_out, ctx);
     x[i] = orig - static_cast<float>(opt.step);
-    const double lm = weighted_output(layer, x, w_out);
+    const double lm = weighted_output(layer, x, w_out, ctx);
     x[i] = orig;
     expect_close(dx[i], (lp - lm) / (2 * opt.step),
                  "dx[" + std::to_string(i) + "]");
@@ -96,16 +98,16 @@ inline void check_gradients(nn::Layer& layer, const Shape& input_shape,
       float& w = (*p.value)[i];
       const float orig = w;
       w = orig + static_cast<float>(opt.step);
-      const double lp = weighted_output(layer, x, w_out);
+      const double lp = weighted_output(layer, x, w_out, ctx);
       w = orig - static_cast<float>(opt.step);
-      const double lm = weighted_output(layer, x, w_out);
+      const double lm = weighted_output(layer, x, w_out, ctx);
       w = orig;
       expect_close((*p.grad)[i], (lp - lm) / (2 * opt.step),
                    p.name + "[" + std::to_string(i) + "]");
     }
   }
   // Restore a clean forward so subsequent assertions see consistent state.
-  layer.forward(x, y, /*training=*/true);
+  layer.forward(x, y, /*training=*/true, ctx);
 }
 
 }  // namespace minsgd::testing

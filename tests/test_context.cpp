@@ -81,6 +81,40 @@ TEST(ComputeContext, ParallelForCoversRangeExactlyOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ComputeContext, ParallelForEmptyRangeIsNoOp) {
+  ComputeContext ctx(4);
+  bool called = false;
+  ctx.parallel_for(5, 5, [&](std::int64_t, std::int64_t) { called = true; });
+  ctx.parallel_for(5, 3, [&](std::int64_t, std::int64_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ComputeContext, ParallelForOffsetsNonZeroBegin) {
+  ComputeContext ctx(4);
+  std::atomic<std::int64_t> sum{0};
+  ctx.parallel_for(
+      10, 20,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) sum.fetch_add(i);
+      },
+      /*grain=*/2);
+  EXPECT_EQ(sum.load(), 145);  // 10+..+19
+}
+
+TEST(ComputeContext, ParallelForRangeBelowGrainIsOneChunk) {
+  // grain larger than the range: one chunk, run inline on the caller.
+  ComputeContext ctx(4);
+  EXPECT_EQ(ComputeContext::chunk_count(8, 1024), 1);
+  std::vector<int> hits(8, 0);
+  ctx.parallel_for(
+      0, 8,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) ++hits[i];
+      },
+      /*grain=*/1024);
+  EXPECT_EQ(hits, std::vector<int>(8, 1));
+}
+
 TEST(ComputeContext, SingleThreadRunsInlineWithoutPool) {
   ComputeContext ctx(1);
   EXPECT_EQ(ctx.threads(), 1u);
@@ -145,15 +179,13 @@ TEST(ComputeContext, ExceptionInChunkPropagates) {
   EXPECT_EQ(n.load(), 16);
 }
 
-TEST(ComputeContext, PoolStatsTrackWork) {
+TEST(ComputeContext, PoolStatsCountWorkers) {
   ComputeContext ctx(4);
   EXPECT_EQ(ctx.pool_stats().workers, 3u);  // caller is the 4th executor
   ctx.parallel_for(
       0, std::int64_t{1} << 16, [](std::int64_t, std::int64_t) {},
       /*grain=*/1);
-  const PoolStats st = ctx.pool_stats();
-  EXPECT_GE(st.tasks_executed, 0);
-  EXPECT_EQ(st.queue_depth, 0);  // region completed; nothing left queued
+  EXPECT_EQ(ctx.pool_stats().workers, 3u);  // a region keeps its pool
 }
 
 TEST(ComputeContext, DefaultThreadsReadsEnv) {

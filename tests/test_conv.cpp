@@ -55,44 +55,48 @@ TEST(Conv2d, RejectsBadConfig) {
 }
 
 TEST(Conv2d, IdentityKernelPassesThrough) {
+  const ComputeContext ctx;
   Conv2d c(1, 1, 1, 1, 0, /*bias=*/false);
   c.weight().fill(1.0f);
   Tensor x({1, 1, 3, 3}, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8, 9});
   Tensor y;
-  c.forward(x, y, false);
+  c.forward(x, y, false, ctx);
   for (std::int64_t i = 0; i < 9; ++i) EXPECT_EQ(y[i], x[i]);
 }
 
 TEST(Conv2d, KnownSmallConvolution) {
   // 2x2 input, 2x2 kernel of ones, no pad: output = sum of all inputs.
+  const ComputeContext ctx;
   Conv2d c(1, 1, 2, 1, 0, /*bias=*/false);
   c.weight().fill(1.0f);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   Tensor y;
-  c.forward(x, y, false);
+  c.forward(x, y, false, ctx);
   ASSERT_EQ(y.numel(), 1);
   EXPECT_EQ(y[0], 10.0f);
 }
 
 TEST(Conv2d, BiasAddsPerChannel) {
+  const ComputeContext ctx;
   Conv2d c(1, 2, 1, 1, 0, /*bias=*/true);
   c.weight().zero();
   c.bias()[0] = 1.5f;
   c.bias()[1] = -2.0f;
   Tensor x({1, 1, 2, 2}, 3.0f);
   Tensor y;
-  c.forward(x, y, false);
+  c.forward(x, y, false, ctx);
   EXPECT_EQ(y.at(0, 0, 0, 0), 1.5f);
   EXPECT_EQ(y.at(0, 1, 1, 1), -2.0f);
 }
 
 TEST(Conv2d, GroupsPartitionChannels) {
   // 2 groups: output channel 0 must not depend on input channel 1.
+  const ComputeContext ctx;
   Conv2d c(2, 2, 1, 1, 0, /*bias=*/false, /*groups=*/2);
   c.weight().fill(1.0f);
   Tensor x({1, 2, 1, 1}, std::vector<float>{5.0f, 7.0f});
   Tensor y;
-  c.forward(x, y, false);
+  c.forward(x, y, false, ctx);
   EXPECT_EQ(y[0], 5.0f);
   EXPECT_EQ(y[1], 7.0f);
 }
@@ -213,6 +217,7 @@ Tensor naive_conv(const Tensor& x, const Tensor& w, const Tensor* bias,
 }
 
 TEST(ConvOracle, DirectForwardMatchesNaiveReference) {
+  const ComputeContext ctx;
   struct Case {
     std::int64_t in_c, out_c, k, pad, hw;
   };
@@ -228,7 +233,7 @@ TEST(ConvOracle, DirectForwardMatchesNaiveReference) {
     Tensor x({2, c.in_c, c.hw, c.hw});
     rng.fill_normal(x.span(), 0.0f, 1.0f);
     Tensor y;
-    conv.forward(x, y, false);
+    conv.forward(x, y, false, ctx);
     const Tensor ref = naive_conv(x, conv.weight(), &conv.bias(), 1, c.pad);
     ASSERT_EQ(y.shape(), ref.shape());
     for (std::int64_t i = 0; i < y.numel(); ++i) {
@@ -257,6 +262,7 @@ std::vector<float> conv_passes(Conv2d& conv, const Tensor& x, const Tensor& dy,
 TEST(ConvOracle, Direct3x3BitIdenticalToIm2colAtPackedSizes) {
   // kdim=288, spatial=256, out_c=48: the im2col sgemm takes the packed
   // microkernel path, so direct and im2col must agree bytewise.
+  const ComputeContext ctx;
   Conv2d conv(32, 48, 3, 1, 1);
   Rng rng(11);
   conv.init(rng);
@@ -270,7 +276,7 @@ TEST(ConvOracle, Direct3x3BitIdenticalToIm2colAtPackedSizes) {
   const std::vector<float> y_ref =
       testing::im2col_forward(ctx1, x, conv.weight(), &conv.bias(), 1, 1);
   Tensor y_direct;
-  conv.forward(x, y_direct, false);
+  conv.forward(x, y_direct, false, ctx);
   ASSERT_EQ(static_cast<std::size_t>(y_direct.numel()), y_ref.size());
   EXPECT_EQ(std::memcmp(y_direct.data(), y_ref.data(),
                         y_ref.size() * sizeof(float)),
@@ -325,9 +331,10 @@ TEST(ConvOracle, EveryConvPathBitIdenticalAcrossIsaPaths) {
     Tensor dy(conv.output_shape(x.shape()));
     rng.fill_normal(dy.span(), 0.0f, 1.0f);
 
+    const ComputeContext ctx;
     auto run = [&](kernels::Isa isa) {
       kernels::force(isa);
-      return conv_passes(conv, x, dy, ComputeContext::default_ctx());
+      return conv_passes(conv, x, dy, ctx);
     };
     const std::vector<float> base = run(kernels::Isa::kPortable);
     for (kernels::Isa isa : kernels::kAllIsas) {
@@ -414,15 +421,16 @@ TEST(ConvOracle, ZeroBatchDirectKernelNoOp) {
 }
 
 TEST(Conv2d, GradientsAccumulateAcrossBackwardCalls) {
+  const ComputeContext ctx;
   Conv2d c(1, 1, 1, 1, 0, /*bias=*/false);
   Rng rng(5);
   c.init(rng);
   Tensor x({1, 1, 2, 2}, 1.0f), y, dy({1, 1, 2, 2}, 1.0f), dx;
-  c.forward(x, y, true);
+  c.forward(x, y, true, ctx);
   for (auto& p : c.params()) p.grad->zero();
-  c.backward(x, y, dy, dx);
+  c.backward(x, y, dy, dx, ctx);
   const float once = c.params()[0].grad->operator[](0);
-  c.backward(x, y, dy, dx);
+  c.backward(x, y, dy, dx, ctx);
   EXPECT_FLOAT_EQ(c.params()[0].grad->operator[](0), 2.0f * once);
 }
 

@@ -208,26 +208,28 @@ TEST(Loader, IterationsPerEpoch) {
 }
 
 TEST(Loader, LocalBatchIsGlobalOverWorld) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(small_cfg());
   data::ShardedLoader loader(ds, 64, 1, 4);
   EXPECT_EQ(loader.local_batch(), 16);
-  const auto b = loader.load_train(0, 0);
+  const auto b = loader.load_train(0, 0, ctx);
   EXPECT_EQ(b.x.shape(), Shape({16, 3, 12, 12}));
   EXPECT_EQ(b.labels.size(), 16u);
 }
 
 TEST(Loader, ShardsPartitionTheGlobalBatch) {
   // The union of P rank-shards must equal the world=1 batch, in order.
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(small_cfg());
   const std::int64_t B = 32;
   data::ShardedLoader whole(ds, B, 0, 1);
-  const auto full = whole.load_train(2, 1);
+  const auto full = whole.load_train(2, 1, ctx);
   const int world = 4;
   const std::int64_t lb = B / world;
   const std::int64_t img = ds.image_numel();
   for (int r = 0; r < world; ++r) {
     data::ShardedLoader shard(ds, B, r, world);
-    const auto part = shard.load_train(2, 1);
+    const auto part = shard.load_train(2, 1, ctx);
     for (std::int64_t i = 0; i < lb; ++i) {
       EXPECT_EQ(part.labels[static_cast<std::size_t>(i)],
                 full.labels[static_cast<std::size_t>(r * lb + i)]);
@@ -240,13 +242,14 @@ TEST(Loader, ShardsPartitionTheGlobalBatch) {
 }
 
 TEST(Loader, ShardingPartitionHoldsWithAugmentation) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(small_cfg());
   const std::int64_t B = 16;
   data::AugmentConfig aug;
   data::ShardedLoader whole(ds, B, 0, 1, aug);
-  const auto full = whole.load_train(1, 0);
+  const auto full = whole.load_train(1, 0, ctx);
   data::ShardedLoader shard(ds, B, 1, 2, aug);
-  const auto part = shard.load_train(1, 0);
+  const auto part = shard.load_train(1, 0, ctx);
   const std::int64_t img = ds.image_numel();
   for (std::int64_t i = 0; i < B / 2; ++i) {
     for (std::int64_t k = 0; k < img; ++k) {
@@ -256,22 +259,24 @@ TEST(Loader, ShardingPartitionHoldsWithAugmentation) {
 }
 
 TEST(Loader, EpochsUseDifferentPermutations) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(small_cfg());
   data::ShardedLoader loader(ds, 64);
-  const auto e0 = loader.load_train(0, 0);
-  const auto e1 = loader.load_train(1, 0);
+  const auto e0 = loader.load_train(0, 0, ctx);
+  const auto e1 = loader.load_train(1, 0, ctx);
   EXPECT_NE(e0.labels, e1.labels);  // overwhelmingly likely
 }
 
 TEST(Loader, EachEpochTouchesEverySampleOnce) {
   // Collect all labels over one epoch from all shards; multiset must match
   // the dataset's own labels.
+  const ComputeContext ctx;
   auto cfg = small_cfg();
   data::SyntheticImageNet ds(cfg);
   std::multiset<std::int32_t> seen;
   data::ShardedLoader loader(ds, 64);
   for (std::int64_t it = 0; it < loader.iterations_per_epoch(); ++it) {
-    const auto b = loader.load_train(3, it);
+    const auto b = loader.load_train(3, it, ctx);
     seen.insert(b.labels.begin(), b.labels.end());
   }
   std::multiset<std::int32_t> expected;
@@ -319,13 +324,14 @@ TEST(Loader, TestBatchesSequentialAndCapped) {
 }
 
 TEST(Loader, InvalidConfigsThrow) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(small_cfg());
   EXPECT_THROW(data::ShardedLoader(ds, 0), std::invalid_argument);
   EXPECT_THROW(data::ShardedLoader(ds, 63, 0, 2), std::invalid_argument);
   EXPECT_THROW(data::ShardedLoader(ds, 64, 2, 2), std::invalid_argument);
   EXPECT_THROW(data::ShardedLoader(ds, 512), std::invalid_argument);
   data::ShardedLoader ok(ds, 64);
-  EXPECT_THROW(ok.load_train(-1, 0), std::invalid_argument);
+  EXPECT_THROW(ok.load_train(-1, 0, ctx), std::invalid_argument);
   EXPECT_THROW(ok.load_test(64, 1), std::invalid_argument);
 }
 

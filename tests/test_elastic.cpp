@@ -394,6 +394,7 @@ TEST(ElasticTrain, FaultInjectedSoakMatchesCleanScheduleBitwise) {
   }
   EXPECT_TRUE(any_fault_triggered);
   EXPECT_EQ(faulty.iterations, clean.iterations);
+  EXPECT_EQ(faulty.result.iterations_run, faulty.iterations);
   EXPECT_EQ(faulty.final_weights, clean.final_weights);
 }
 

@@ -22,11 +22,12 @@
 namespace minsgd {
 namespace {
 
-// MINSGD_THREADS seeds the process-wide context width; whatever the
+// MINSGD_THREADS seeds a default-constructed context's width; whatever the
 // environment says, the resolved count must be usable (>= 1).
 TEST(EnvGates, ThreadsGateResolvesToUsableWidth) {
   EXPECT_GE(ComputeContext::default_threads(), 1u);
-  EXPECT_GE(ComputeContext::default_ctx().threads(), 1u);
+  const ComputeContext ctx;
+  EXPECT_EQ(ctx.threads(), ComputeContext::default_threads());
 }
 
 // MINSGD_KERNEL_ISA is the env twin of kernels::force(): both pin active().

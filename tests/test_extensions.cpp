@@ -110,14 +110,15 @@ TEST(TopK, RejectsBadArguments) {
 }
 
 TEST(TopK, EvaluateTopKAtLeastTopOne) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(data_cfg());
   auto net = det_model();
   Rng rng(1);
   net->init(rng);
-  const double top1 = train::evaluate_top_k(*net, ds, 1);
-  const double top3 = train::evaluate_top_k(*net, ds, 3);
+  const double top1 = train::evaluate_top_k(*net, ds, 1, 256, ctx);
+  const double top3 = train::evaluate_top_k(*net, ds, 3, 256, ctx);
   EXPECT_GE(top3, top1);
-  EXPECT_NEAR(top1, train::evaluate(*net, ds), 1e-9);
+  EXPECT_NEAR(top1, train::evaluate(*net, ds, 256, ctx), 1e-9);
 }
 
 // ---------------- optimizer state checkpointing ----------------
@@ -125,6 +126,7 @@ TEST(TopK, EvaluateTopKAtLeastTopOne) {
 TEST(OptimizerState, SgdRoundTripResumesExactly) {
   // Train 2 epochs in one go vs 1 epoch + state save/restore + 1 epoch:
   // the weights must match exactly (momentum is part of the trajectory).
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(data_cfg());
   data::ShardedLoader loader(ds, 32);
   nn::SoftmaxCrossEntropy loss;
@@ -133,12 +135,12 @@ TEST(OptimizerState, SgdRoundTripResumesExactly) {
     auto params = net.params();
     Tensor logits, dlogits, dx;
     for (std::int64_t it = 0; it < loader.iterations_per_epoch(); ++it) {
-      const auto batch = loader.load_train(epoch, it);
+      const auto batch = loader.load_train(epoch, it, ctx);
       net.zero_grad();
-      net.forward(batch.x, logits, true);
-      loss.forward_backward(logits, batch.labels, &dlogits);
-      net.backward(batch.x, logits, dlogits, dx);
-      opt.step(params, 0.02);
+      net.forward(batch.x, logits, true, ctx);
+      loss.forward_backward(logits, batch.labels, &dlogits, ctx);
+      net.backward(batch.x, logits, dlogits, dx, ctx);
+      opt.step(params, 0.02, ctx);
     }
   };
 
@@ -173,11 +175,12 @@ TEST(OptimizerState, FreshOptimizerSavesEmptyState) {
 }
 
 TEST(OptimizerState, LarsRoundTrip) {
+  const ComputeContext ctx;
   Tensor w({4}, std::vector<float>{1, 2, 3, 4});
   Tensor g({4}, std::vector<float>{0.1f, 0.2f, 0.3f, 0.4f});
   std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
   optim::Lars a({.trust_coeff = 0.1, .momentum = 0.9});
-  a.step(p, 0.5);
+  a.step(p, 0.5, ctx);
   std::stringstream s;
   a.save_state(s);
 
@@ -185,16 +188,17 @@ TEST(OptimizerState, LarsRoundTrip) {
   std::vector<nn::ParamRef> p2{{"a", &w2, &g2, true}};
   optim::Lars b({.trust_coeff = 0.1, .momentum = 0.9});
   b.load_state(s);
-  a.step(p, 0.5);
-  b.step(p2, 0.5);
+  a.step(p, 0.5, ctx);
+  b.step(p2, 0.5, ctx);
   for (std::int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(w[i], w2[i]);
 }
 
 TEST(OptimizerState, TruncatedStateThrows) {
+  const ComputeContext ctx;
   optim::Sgd sgd;
   Tensor w({2}, 1.0f), g({2}, 1.0f);
   std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
-  sgd.step(p, 0.1);
+  sgd.step(p, 0.1, ctx);
   std::stringstream s;
   sgd.save_state(s);
   const std::string full = s.str();

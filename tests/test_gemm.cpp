@@ -58,8 +58,11 @@ TEST_P(GemmVsReference, Matches) {
   rng.fill_normal(c, 0.0f, 1.0f);
   std::vector<float> c_ref = c;
 
-  sgemm(p.ta, p.tb, p.m, p.n, p.k, p.alpha, a.data(), b.data(), p.beta,
-        c.data());
+  const ComputeContext ctx;
+  const std::int64_t lda = (p.ta == Trans::kNo) ? p.k : p.m;
+  const std::int64_t ldb = (p.tb == Trans::kNo) ? p.n : p.k;
+  sgemm(ctx, p.ta, p.tb, p.m, p.n, p.k, p.alpha, a.data(), lda, b.data(), ldb,
+        p.beta, c.data(), p.n);
   ref_gemm(p.ta, p.tb, p.m, p.n, p.k, p.alpha, a, b, p.beta, c_ref);
 
   for (std::size_t i = 0; i < c.size(); ++i) {
@@ -85,17 +88,19 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{70, 40, 1, Trans::kNo, Trans::kNo, 1.0f, 0.0f}));
 
 TEST(Gemm, ZeroAlphaOnlyScalesC) {
+  const ComputeContext ctx;
   std::vector<float> a{1, 2, 3, 4}, b{5, 6, 7, 8}, c{1, 1, 1, 1};
-  sgemm(Trans::kNo, Trans::kNo, 2, 2, 2, 0.0f, a.data(), b.data(), 3.0f,
-        c.data());
+  sgemm(ctx, Trans::kNo, Trans::kNo, 2, 2, 2, 0.0f, a.data(), 2, b.data(), 2,
+        3.0f, c.data(), 2);
   for (float v : c) EXPECT_EQ(v, 3.0f);
 }
 
 TEST(Gemm, BetaZeroIgnoresGarbageC) {
   std::vector<float> a{1, 0, 0, 1}, b{1, 2, 3, 4};
   std::vector<float> c{std::numeric_limits<float>::quiet_NaN(), 0, 0, 0};
-  sgemm(Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), b.data(), 0.0f,
-        c.data());
+  const ComputeContext ctx;
+  sgemm(ctx, Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2,
+        0.0f, c.data(), 2);
   EXPECT_EQ(c[0], 1.0f);
   EXPECT_EQ(c[1], 2.0f);
   EXPECT_EQ(c[2], 3.0f);
@@ -104,14 +109,16 @@ TEST(Gemm, BetaZeroIgnoresGarbageC) {
 
 TEST(Gemm, EmptyDimsNoOp) {
   std::vector<float> c{7.0f};
-  sgemm(Trans::kNo, Trans::kNo, 0, 0, 0, 1.0f, nullptr, nullptr, 0.0f,
-        c.data());
+  const ComputeContext ctx;
+  sgemm(ctx, Trans::kNo, Trans::kNo, 0, 0, 0, 1.0f, nullptr, 0, nullptr, 0,
+        0.0f, c.data(), 0);
   EXPECT_EQ(c[0], 7.0f);
 }
 
 TEST(GemmDeath, NegativeDimsAbort) {
-  EXPECT_DEATH(sgemm(Trans::kNo, Trans::kNo, -1, 2, 2, 1.0f, nullptr, nullptr,
-                     0.0f, nullptr),
+  const ComputeContext ctx;
+  EXPECT_DEATH(sgemm(ctx, Trans::kNo, Trans::kNo, -1, 2, 2, 1.0f, nullptr, 2,
+                     nullptr, 2, 0.0f, nullptr, 2),
                "sgemm: bad dims \\(m=-1 n=2 k=2\\)");
 }
 
@@ -120,8 +127,9 @@ TEST(Gemm, StridedLeadingDimensions) {
   std::vector<float> a{1, 2, 9, 9, 3, 4, 9, 9};
   std::vector<float> b{1, 0, 0, 1};
   std::vector<float> c(6, 0.0f);
-  sgemm(Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), 4, b.data(), 2, 0.0f,
-        c.data(), 3);
+  const ComputeContext ctx;
+  sgemm(ctx, Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), 4, b.data(), 2,
+        0.0f, c.data(), 3);
   EXPECT_EQ(c[0], 1.0f);
   EXPECT_EQ(c[1], 2.0f);
   EXPECT_EQ(c[3], 3.0f);

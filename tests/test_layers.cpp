@@ -19,10 +19,11 @@ namespace {
 // ---------------- ReLU ----------------
 
 TEST(ReLU, ForwardClampsNegatives) {
+  const ComputeContext ctx;
   nn::ReLU r;
   Tensor x({1, 4}, std::vector<float>{-2, -0.5f, 0, 3});
   Tensor y;
-  r.forward(x, y, false);
+  r.forward(x, y, false, ctx);
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[1], 0.0f);
   EXPECT_EQ(y[2], 0.0f);
@@ -60,13 +61,14 @@ TEST(Flatten, RejectsRank1) {
 // ---------------- Linear ----------------
 
 TEST(Linear, ForwardMatchesManual) {
+  const ComputeContext ctx;
   nn::Linear l(2, 3);
   // W is (out x in) = [[1,2],[3,4],[5,6]], b = [0.5, -0.5, 0].
   l.weight() = Tensor({3, 2}, std::vector<float>{1, 2, 3, 4, 5, 6});
   l.bias() = Tensor({3}, std::vector<float>{0.5f, -0.5f, 0.0f});
   Tensor x({1, 2}, std::vector<float>{10, 20});
   Tensor y;
-  l.forward(x, y, false);
+  l.forward(x, y, false, ctx);
   EXPECT_FLOAT_EQ(y[0], 50.5f);
   EXPECT_FLOAT_EQ(y[1], 109.5f);
   EXPECT_FLOAT_EQ(y[2], 170.0f);
@@ -97,11 +99,12 @@ TEST(Linear, RejectsBadInput) {
 // ---------------- MaxPool ----------------
 
 TEST(MaxPool, ForwardPicksMaxima) {
+  const ComputeContext ctx;
   nn::MaxPool2d p(2, 2);
   Tensor x({1, 1, 4, 4});
   for (std::int64_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
   Tensor y;
-  p.forward(x, y, false);
+  p.forward(x, y, false, ctx);
   EXPECT_EQ(y.shape(), Shape({1, 1, 2, 2}));
   EXPECT_EQ(y[0], 5.0f);
   EXPECT_EQ(y[1], 7.0f);
@@ -115,11 +118,12 @@ TEST(MaxPool, AlexNetOverlappingPoolGeometry) {
 }
 
 TEST(MaxPool, BackwardRoutesToArgmaxOnly) {
+  const ComputeContext ctx;
   nn::MaxPool2d p(2, 2);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 9, 3, 4});
   Tensor y, dy({1, 1, 1, 1}, std::vector<float>{2.0f}), dx;
-  p.forward(x, y, true);
-  p.backward(x, y, dy, dx);
+  p.forward(x, y, true, ctx);
+  p.backward(x, y, dy, dx, ctx);
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 2.0f);
   EXPECT_EQ(dx[2], 0.0f);
@@ -134,10 +138,11 @@ TEST(MaxPool, GradCheck) {
 }
 
 TEST(MaxPool, PaddedPoolIgnoresPadding) {
+  const ComputeContext ctx;
   nn::MaxPool2d p(3, 2, 1);
   Tensor x({1, 1, 2, 2}, std::vector<float>{-1, -2, -3, -4});
   Tensor y;
-  p.forward(x, y, false);
+  p.forward(x, y, false, ctx);
   // With negative inputs, zero padding must NOT win (it is skipped, not 0).
   EXPECT_EQ(y[0], -1.0f);
 }
@@ -190,12 +195,13 @@ PoolResult naive_maxpool(const Tensor& x, const Tensor& dy, std::int64_t k,
 void expect_pool_matches_naive(const Tensor& x, std::int64_t k,
                                std::int64_t stride, std::int64_t pad) {
   nn::MaxPool2d p(k, stride, pad);
+  const ComputeContext ctx;
   Tensor y, dx;
-  p.forward(x, y, true);
+  p.forward(x, y, true, ctx);
   Tensor dy(y.shape());
   Rng rng(static_cast<std::uint64_t>(k * 100 + stride * 10 + pad));
   rng.fill_normal(dy.span(), 0.0f, 1.0f);
-  p.backward(x, y, dy, dx);
+  p.backward(x, y, dy, dx, ctx);
   const PoolResult ref = naive_maxpool(x, dy, k, stride, pad);
   ASSERT_EQ(y.shape(), ref.y.shape());
   for (std::int64_t i = 0; i < y.numel(); ++i) {
@@ -211,11 +217,12 @@ void expect_pool_matches_naive(const Tensor& x, std::int64_t k,
 }
 
 TEST(MaxPool, AllEqualWindowRoutesToFirstTap) {
+  const ComputeContext ctx;
   nn::MaxPool2d p(2, 2);
   Tensor x({1, 1, 4, 4}, 3.0f), y, dx;
-  p.forward(x, y, true);
+  p.forward(x, y, true, ctx);
   const Tensor dy(y.shape(), 1.0f);
-  p.backward(x, y, dy, dx);
+  p.backward(x, y, dy, dx, ctx);
   // Each 2x2 window's first tap in row-major order is its top-left.
   for (std::int64_t i = 0; i < 4; ++i) {
     for (std::int64_t j = 0; j < 4; ++j) {
@@ -230,14 +237,15 @@ TEST(MaxPool, AllEqualWindowRoutesToFirstTap) {
 TEST(MaxPool, AllZeroPostReluWindowRoutesToFirstTap) {
   // A post-ReLU map of negative pre-activations is all +0: every window
   // ties, and dy goes to its first in-bounds tap.
+  const ComputeContext ctx;
   Tensor pre({2, 3, 9, 8}, -1.0f), x;
   nn::ReLU relu;
-  relu.forward(pre, x, false);
+  relu.forward(pre, x, false, ctx);
   nn::MaxPool2d p(3, 2, 1);
   Tensor y, dx;
-  p.forward(x, y, true);
+  p.forward(x, y, true, ctx);
   const Tensor dy(y.shape(), 1.0f);
-  p.backward(x, y, dy, dx);
+  p.backward(x, y, dy, dx, ctx);
   // Output (i, j)'s first in-bounds tap is (max(2i - 1, 0), max(2j - 1, 0)).
   Tensor want(x.shape());
   for (std::int64_t n = 0; n < 2; ++n) {
@@ -260,14 +268,15 @@ TEST(MaxPool, PaddedBorderWindowsNeverIndexPadding) {
   // All inputs below zero: a padded zero would win every border window if
   // padding were a candidate. And an all -inf map has no max above the
   // initial -inf, so nothing is routed (no tap, and no padding, is picked).
+  const ComputeContext ctx;
   for (const float v : {-5.0f, -std::numeric_limits<float>::infinity()}) {
     Tensor x({1, 2, 6, 5}, v);
     nn::MaxPool2d p(3, 2, 1);
     Tensor y, dx;
-    p.forward(x, y, true);
+    p.forward(x, y, true, ctx);
     for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], v);
     const Tensor dy(y.shape(), 1.0f);
-    p.backward(x, y, dy, dx);
+    p.backward(x, y, dy, dx, ctx);
     double routed = 0.0;
     for (std::int64_t i = 0; i < dx.numel(); ++i) routed += dx[i];
     EXPECT_EQ(routed, v > -std::numeric_limits<float>::infinity()
@@ -333,10 +342,11 @@ TEST(MaxPool, NarrowRowsMatchNaiveScan) {
 // ---------------- AvgPool ----------------
 
 TEST(AvgPool, ForwardAverages) {
+  const ComputeContext ctx;
   nn::AvgPool2d p(2, 2);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   Tensor y;
-  p.forward(x, y, false);
+  p.forward(x, y, false, ctx);
   EXPECT_FLOAT_EQ(y[0], 2.5f);
 }
 
@@ -353,10 +363,11 @@ TEST(AvgPool, GradCheckOverlapping) {
 // ---------------- GlobalAvgPool ----------------
 
 TEST(GlobalAvgPool, ReducesToChannels) {
+  const ComputeContext ctx;
   nn::GlobalAvgPool g;
   Tensor x({2, 3, 4, 4}, 2.0f);
   Tensor y;
-  g.forward(x, y, false);
+  g.forward(x, y, false, ctx);
   EXPECT_EQ(y.shape(), Shape({2, 3}));
   EXPECT_FLOAT_EQ(y[0], 2.0f);
 }
@@ -366,6 +377,7 @@ TEST(GlobalAvgPool, ForwardMatchesPerPlaneReference) {
   // planes interleaved kMaxLanes at a time: channel counts around the lane
   // width and a 7x7 plane (the ResNet head) must give the bytes of a
   // one-plane-at-a-time loop on every ISA arm.
+  const ComputeContext ctx;
   Rng rng(29);
   for (const std::int64_t ch : {1, 3, 5, 17, 33}) {
     Tensor x({2, ch, 7, 7});
@@ -377,7 +389,7 @@ TEST(GlobalAvgPool, ForwardMatchesPerPlaneReference) {
       kernels::force(isa);
       nn::GlobalAvgPool g;
       Tensor y;
-      g.forward(x, y, false);
+      g.forward(x, y, false, ctx);
       for (std::int64_t p = 0; p < 2 * ch; ++p) {
         double acc = 0.0;
         for (std::int64_t s = 0; s < 49; ++s) acc += x[p * 49 + s];
@@ -400,16 +412,18 @@ TEST(GlobalAvgPool, GradCheck) {
 // ---------------- Dropout ----------------
 
 TEST(Dropout, EvalModeIsIdentity) {
+  const ComputeContext ctx;
   nn::Dropout d(0.5f);
   Tensor x({1, 100}, 1.0f), y;
-  d.forward(x, y, /*training=*/false);
+  d.forward(x, y, /*training=*/false, ctx);
   for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(y[i], 1.0f);
 }
 
 TEST(Dropout, TrainModeZeroesAboutPFraction) {
+  const ComputeContext ctx;
   nn::Dropout d(0.5f, /*seed=*/42);
   Tensor x({1, 10000}, 1.0f), y;
-  d.forward(x, y, /*training=*/true);
+  d.forward(x, y, /*training=*/true, ctx);
   int zeros = 0;
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     if (y[i] == 0.0f) ++zeros;
@@ -418,26 +432,29 @@ TEST(Dropout, TrainModeZeroesAboutPFraction) {
 }
 
 TEST(Dropout, SurvivorsScaledByInverseKeep) {
+  const ComputeContext ctx;
   nn::Dropout d(0.75f, 1);
   Tensor x({1, 1000}, 1.0f), y;
-  d.forward(x, y, true);
+  d.forward(x, y, true, ctx);
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     EXPECT_TRUE(y[i] == 0.0f || y[i] == 4.0f);
   }
 }
 
 TEST(Dropout, BackwardUsesSameMask) {
+  const ComputeContext ctx;
   nn::Dropout d(0.5f, 7);
   Tensor x({1, 64}, 1.0f), y, dy({1, 64}, 1.0f), dx;
-  d.forward(x, y, true);
-  d.backward(x, y, dy, dx);
+  d.forward(x, y, true, ctx);
+  d.backward(x, y, dy, dx, ctx);
   for (std::int64_t i = 0; i < 64; ++i) EXPECT_EQ(dx[i], y[i]);
 }
 
 TEST(Dropout, ZeroProbabilityIsIdentityInTraining) {
+  const ComputeContext ctx;
   nn::Dropout d(0.0f);
   Tensor x({1, 8}, 3.0f), y;
-  d.forward(x, y, true);
+  d.forward(x, y, true, ctx);
   for (std::int64_t i = 0; i < 8; ++i) EXPECT_EQ(y[i], 3.0f);
 }
 

@@ -16,6 +16,7 @@ namespace {
 class ShardedLinearWorlds : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedLinearWorlds, ForwardMatchesLocalLinear) {
+  const ComputeContext ctx;
   const int world = GetParam();
   const std::int64_t in = 6, out = 10, batch = 3;
 
@@ -28,7 +29,7 @@ TEST_P(ShardedLinearWorlds, ForwardMatchesLocalLinear) {
   Rng xrng(5);
   xrng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y_ref;
-  ref.forward(x, y_ref, false);
+  ref.forward(x, y_ref, false, ctx);
 
   comm::SimCluster cluster(world);
   cluster.run([&](comm::Communicator& comm) {
@@ -44,6 +45,7 @@ TEST_P(ShardedLinearWorlds, ForwardMatchesLocalLinear) {
 }
 
 TEST_P(ShardedLinearWorlds, BackwardMatchesLocalLinear) {
+  const ComputeContext ctx;
   const int world = GetParam();
   const std::int64_t in = 5, out = 9, batch = 2;
 
@@ -56,9 +58,9 @@ TEST_P(ShardedLinearWorlds, BackwardMatchesLocalLinear) {
   xrng.fill_normal(x.span(), 0.0f, 1.0f);
   xrng.fill_normal(dy.span(), 0.0f, 1.0f);
   Tensor y_ref, dx_ref;
-  ref.forward(x, y_ref, true);
+  ref.forward(x, y_ref, true, ctx);
   for (auto& p : ref.params()) p.grad->zero();
-  ref.backward(x, y_ref, dy, dx_ref);
+  ref.backward(x, y_ref, dy, dx_ref, ctx);
   const auto ref_params = ref.params();
 
   comm::SimCluster cluster(world);

@@ -84,28 +84,30 @@ TEST(Models, ResNetRejectsUnknownDepth) {
 }
 
 TEST(Models, TinyAlexNetForwardBackwardSmoke) {
+  const ComputeContext ctx;
   auto net = nn::tiny_alexnet(8, 16);
   Rng rng(1);
   net->init(rng);
   Tensor x({4, 3, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  net->forward(x, y, true);
+  net->forward(x, y, true, ctx);
   EXPECT_EQ(y.shape(), Shape({4, 8}));
   Tensor dy(y.shape(), 0.1f), dx;
   net->zero_grad();
-  net->backward(x, y, dy, dx);
+  net->backward(x, y, dy, dx, ctx);
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
 TEST(Models, TinyResNetForwardSmoke) {
+  const ComputeContext ctx;
   auto net = nn::tiny_resnet(1, 8, 16);  // ResNet-8 style
   Rng rng(2);
   net->init(rng);
   Tensor x({2, 3, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  net->forward(x, y, false);
+  net->forward(x, y, false, ctx);
   EXPECT_EQ(y.shape(), Shape({2, 8}));
 }
 
@@ -117,30 +119,32 @@ TEST(Models, TinyModelsRejectBadConfig) {
 
 TEST(Models, FullAlexNetForwardSmoke) {
   // One full-resolution image through the real architecture.
+  const ComputeContext ctx;
   auto net = nn::alexnet(1000);
   Rng rng(3);
   net->init(rng);
   Tensor x({1, 3, 227, 227});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  net->forward(x, y, false);
+  net->forward(x, y, false, ctx);
   EXPECT_EQ(y.shape(), Shape({1, 1000}));
 }
 
 TEST(Models, ResNet18BackwardSmoke) {
   // Full residual architecture end to end (reduced input resolution so the
   // test stays fast; the graph structure is identical to 224).
+  const ComputeContext ctx;
   auto net = nn::resnet(18, 10);
   Rng rng(4);
   net->init(rng);
   Tensor x({1, 3, 64, 64});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  net->forward(x, y, true);
+  net->forward(x, y, true, ctx);
   ASSERT_EQ(y.shape(), Shape({1, 10}));
   Tensor dy(y.shape(), 0.1f), dx;
   net->zero_grad();
-  net->backward(x, y, dy, dx);
+  net->backward(x, y, dy, dx, ctx);
   EXPECT_EQ(dx.shape(), x.shape());
   EXPECT_TRUE(all_finite(dx.span()));
   for (auto& p : net->params()) {
@@ -151,17 +155,18 @@ TEST(Models, ResNet18BackwardSmoke) {
 TEST(Models, NetworkHandlesVaryingBatchSizes) {
   // Layers cache scratch buffers; a smaller batch after a larger one must
   // resize them correctly (the evaluation path does exactly this).
+  const ComputeContext ctx;
   auto net = nn::tiny_alexnet(4, 16, nn::AlexNetNorm::kBN, 4);
   Rng rng(6);
   net->init(rng);
   Tensor big({8, 3, 16, 16}), small({2, 3, 16, 16}), y;
   rng.fill_normal(big.span(), 0.0f, 1.0f);
   rng.fill_normal(small.span(), 0.0f, 1.0f);
-  net->forward(big, y, true);
+  net->forward(big, y, true, ctx);
   EXPECT_EQ(y.shape()[0], 8);
-  net->forward(small, y, true);
+  net->forward(small, y, true, ctx);
   EXPECT_EQ(y.shape()[0], 2);
-  net->forward(big, y, false);
+  net->forward(big, y, false, ctx);
   EXPECT_EQ(y.shape()[0], 8);
 }
 

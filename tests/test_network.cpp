@@ -36,13 +36,14 @@ TEST(Network, OutputShapeComposes) {
 }
 
 TEST(Network, ForwardRuns) {
+  const ComputeContext ctx;
   auto net = small_net();
   Rng rng(1);
   net->init(rng);
   Tensor x({2, 2, 6, 6});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  net->forward(x, y, false);
+  net->forward(x, y, false, ctx);
   EXPECT_EQ(y.shape(), Shape({2, 5}));
 }
 
@@ -52,15 +53,17 @@ TEST(Network, GradCheckWholeStack) {
 }
 
 TEST(Network, EmptyForwardThrows) {
+  const ComputeContext ctx;
   nn::Network net;
   Tensor x({1, 2}), y;
-  EXPECT_THROW(net.forward(x, y, false), std::logic_error);
+  EXPECT_THROW(net.forward(x, y, false, ctx), std::logic_error);
 }
 
 TEST(Network, BackwardBeforeForwardThrows) {
+  const ComputeContext ctx;
   auto net = small_net();
   Tensor x({1, 2, 6, 6}), y({1, 5}), dy({1, 5}), dx;
-  EXPECT_THROW(net->backward(x, y, dy, dx), std::logic_error);
+  EXPECT_THROW(net->backward(x, y, dy, dx, ctx), std::logic_error);
 }
 
 TEST(Network, AddNullThrows) {
@@ -257,6 +260,7 @@ TEST(ResidualBlock, IdentityShortcutShape) {
 }
 
 TEST(ResidualBlock, ZeroBranchPassesReluOfInput) {
+  const ComputeContext ctx;
   auto branch = std::make_unique<nn::Network>("b");
   branch->emplace<nn::Conv2d>(2, 2, 1, 1, 0, false);
   auto blk = one_layer(std::make_unique<nn::ResidualBlock>(std::move(branch)));
@@ -266,19 +270,20 @@ TEST(ResidualBlock, ZeroBranchPassesReluOfInput) {
   for (auto& p : blk->params()) p.value->zero();
   Tensor x({1, 2, 2, 2}, std::vector<float>{-1, 2, -3, 4, 5, -6, 7, -8});
   Tensor y;
-  blk->forward(x, y, false);
+  blk->forward(x, y, false, ctx);
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     EXPECT_EQ(y[i], std::max(0.0f, x[i]));
   }
 }
 
 TEST(ResidualBlock, StandaloneForwardDies) {
+  const ComputeContext ctx;
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto blk = identity_block(2);
   Rng rng(5);
   blk->init(rng);
   Tensor x({1, 2, 3, 3}), y;
-  EXPECT_DEATH(blk->forward(x, y, false), "planned Network");
+  EXPECT_DEATH(blk->forward(x, y, false, ctx), "planned Network");
 }
 
 TEST(ResidualBlock, GradCheckIdentity) {

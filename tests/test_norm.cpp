@@ -14,12 +14,13 @@ namespace minsgd {
 namespace {
 
 TEST(BatchNorm, TrainForwardNormalizesPerChannel) {
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(2);
   Rng rng(3);
   Tensor x({4, 2, 3, 3});
   rng.fill_normal(x.span(), 5.0f, 2.0f);
   Tensor y;
-  bn.forward(x, y, /*training=*/true);
+  bn.forward(x, y, /*training=*/true, ctx);
   // Each channel of y should have ~zero mean and ~unit variance.
   for (std::int64_t c = 0; c < 2; ++c) {
     double mean = 0.0, var = 0.0;
@@ -47,6 +48,7 @@ TEST(BatchNorm, TrainForwardNormalizesPerChannel) {
 }
 
 TEST(BatchNorm, GammaBetaApplied) {
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(1);
   auto params = bn.params();
   params[0].value->fill(3.0f);   // gamma
@@ -55,47 +57,50 @@ TEST(BatchNorm, GammaBetaApplied) {
   Rng rng(5);
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y;
-  bn.forward(x, y, true);
+  bn.forward(x, y, true, ctx);
   double mean = 0.0;
   for (std::int64_t i = 0; i < y.numel(); ++i) mean += y[i];
   EXPECT_NEAR(mean / y.numel(), -1.0, 1e-4);  // beta shifts the mean
 }
 
 TEST(BatchNorm, EvalUsesRunningStats) {
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(1, 1e-5f, /*momentum=*/0.0f);  // running = last batch
   Rng rng(7);
   Tensor x({8, 1, 4, 4});
   rng.fill_normal(x.span(), 2.0f, 3.0f);
   Tensor y;
-  bn.forward(x, y, /*training=*/true);
+  bn.forward(x, y, /*training=*/true, ctx);
   // Eval on the same data should now normalize with those captured stats.
   Tensor y2;
-  bn.forward(x, y2, /*training=*/false);
+  bn.forward(x, y2, /*training=*/false, ctx);
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     EXPECT_NEAR(y[i], y2[i], 2e-2);
   }
 }
 
 TEST(BatchNorm, BackwardWithoutForwardThrows) {
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(1);
   Tensor x({1, 1, 2, 2}), y({1, 1, 2, 2}), dy({1, 1, 2, 2}), dx;
-  EXPECT_THROW(bn.backward(x, y, dy, dx), std::logic_error);
+  EXPECT_THROW(bn.backward(x, y, dy, dx, ctx), std::logic_error);
 }
 
 TEST(BatchNorm, BackwardAfterEvalForwardThrows) {
   // An eval forward of the same shape leaves xhat_/batch_inv_std_ from the
   // older training forward in place; backward must refuse them.
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(2);
   Rng rng(4);
   Tensor x({2, 2, 3, 3}), y, dx;
   rng.fill_normal(x.span(), 0.0f, 1.0f);
-  bn.forward(x, y, /*training=*/true);
-  bn.forward(x, y, /*training=*/false);
+  bn.forward(x, y, /*training=*/true, ctx);
+  bn.forward(x, y, /*training=*/false, ctx);
   const Tensor dy(y.shape(), 1.0f);
-  EXPECT_THROW(bn.backward(x, y, dy, dx), std::logic_error);
+  EXPECT_THROW(bn.backward(x, y, dy, dx, ctx), std::logic_error);
   // A fresh training forward makes backward legal again.
-  bn.forward(x, y, /*training=*/true);
-  EXPECT_NO_THROW(bn.backward(x, y, dy, dx));
+  bn.forward(x, y, /*training=*/true, ctx);
+  EXPECT_NO_THROW(bn.backward(x, y, dy, dx, ctx));
 }
 
 TEST(BatchNorm, FusedReluNameAndLiveness) {
@@ -122,9 +127,10 @@ TEST(BatchNorm, NonDecayParams) {
 }
 
 TEST(BatchNorm, RejectsWrongChannels) {
+  const ComputeContext ctx;
   nn::BatchNorm2d bn(3);
   Tensor x({1, 4, 2, 2}), y;
-  EXPECT_THROW(bn.forward(x, y, true), std::invalid_argument);
+  EXPECT_THROW(bn.forward(x, y, true, ctx), std::invalid_argument);
 }
 
 TEST(BatchNorm, InitResetsState) {
@@ -340,19 +346,21 @@ TEST(BnReluOracle, FusedGradCheck) {
 
 TEST(LRN, ForwardMatchesFormulaSingleChannelWindow) {
   // With n=1 the window is just the element itself.
+  const ComputeContext ctx;
   nn::LRN lrn(1, 2.0f, 0.75f, 1.0f);
   Tensor x({1, 1, 1, 1}, std::vector<float>{2.0f});
   Tensor y;
-  lrn.forward(x, y, false);
+  lrn.forward(x, y, false, ctx);
   const float expected = 2.0f * std::pow(1.0f + 2.0f * 4.0f, -0.75f);
   EXPECT_NEAR(y[0], expected, 1e-6);
 }
 
 TEST(LRN, WindowSpansNeighbouringChannels) {
+  const ComputeContext ctx;
   nn::LRN lrn(3, 3.0f, 1.0f, 1.0f);  // alpha/n = 1, beta = 1
   Tensor x({1, 3, 1, 1}, std::vector<float>{1, 2, 3});
   Tensor y;
-  lrn.forward(x, y, false);
+  lrn.forward(x, y, false, ctx);
   // channel 1 window = {1,2,3}: scale = 1 + (1+4+9) = 15.
   EXPECT_NEAR(y.at(0, 1, 0, 0), 2.0f / 15.0f, 1e-6);
   // channel 0 window = {1,2}: scale = 1 + 5 = 6.

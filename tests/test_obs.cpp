@@ -1,14 +1,12 @@
-// Tracer, MetricsRegistry, per-collective traffic attribution, and the
-// TrainResult exporters. Trace and metrics output is validated by
-// round-tripping through a real JSON parser (obs/json.hpp), not substring
-// greps: a trace Chrome cannot load is a bug.
+// Tracer, MetricsRegistry, per-collective traffic attribution and the
+// flight recorder. Trace and metrics output is validated by round-tripping
+// through a real JSON parser (obs/json.hpp), not substring greps: a trace
+// Chrome cannot load is a bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,26 +18,11 @@
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/trace.hpp"
-#include "tensor/threadpool.hpp"
-#include "train/metrics.hpp"
+#include "tensor/context.hpp"
 #include "postmortem_path.hpp"
 
 namespace minsgd {
 namespace {
-
-struct TempFile {
-  std::string path;
-  explicit TempFile(const char* name)
-      : path(::testing::TempDir() + "/" + name) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
-
-std::string read_all(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 /// Every test starts from an empty tracer/registry and leaves tracing off;
 /// the tracer and registry are process-wide singletons.
@@ -188,19 +171,22 @@ TEST_F(ObsTest, SummaryGroupsByCategoryAndName) {
 
 // -- concurrent recording + chrome export -----------------------------------
 
-TEST_F(ObsTest, ConcurrentSpansFromThreadPoolProduceValidChromeTrace) {
+TEST_F(ObsTest, ConcurrentSpansFromContextRegionProduceValidChromeTrace) {
   obs::tracer().set_enabled(true);
   constexpr int kTasks = 64;
-  // minsgd-analyze: allow(thread-spawn): a raw ThreadPool exercises the
-  // tracer's per-thread buffers to test cross-thread span collection.
-  ThreadPool pool(4);
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([t] {
-      obs::ScopedSpan sp("task." + std::to_string(t % 4), obs::cat::kCompute);
-      obs::ScopedSpan inner("inner", obs::cat::kData);
-    });
-  }
-  pool.wait_idle();
+  // A 4-thread region records from the caller and three pool workers, so
+  // the export must merge the tracer's per-thread buffers.
+  const ComputeContext ctx(4);
+  ctx.parallel_for(
+      0, kTasks,
+      [](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t t = lo; t < hi; ++t) {
+          obs::ScopedSpan sp("task." + std::to_string(t % 4),
+                             obs::cat::kCompute);
+          obs::ScopedSpan inner("inner", obs::cat::kData);
+        }
+      },
+      /*grain=*/1);
   obs::tracer().set_enabled(false);
   EXPECT_EQ(obs::tracer().span_count(), 2u * kTasks);
 
@@ -350,69 +336,6 @@ TEST_F(ObsTest, ClusterAttributesCollectiveTraffic) {
   EXPECT_GT(cluster.op_traffic(comm::WireOp::kAllreduceTree).messages, 0);
   EXPECT_EQ(cluster.op_traffic(comm::WireOp::kReduce).messages, 0);
   EXPECT_EQ(cluster.op_traffic(comm::WireOp::kBroadcast).messages, 0);
-}
-
-// -- TrainResult exporters --------------------------------------------------
-
-train::TrainResult make_result() {
-  train::TrainResult r;
-  for (int e = 0; e < 3; ++e) {
-    train::EpochRecord rec;
-    rec.epoch = e;
-    rec.lr = 0.1 * (e + 1);
-    rec.train_loss = 2.0 - 0.5 * e;
-    rec.train_acc = 0.2 * (e + 1);
-    rec.test_acc = 0.15 * (e + 1);
-    r.epochs.push_back(rec);
-  }
-  r.iterations_run = 96;
-  r.best_test_acc = 0.45;
-  r.final_test_acc = 0.45;
-  return r;
-}
-
-TEST_F(ObsTest, TrainResultCsvExport) {
-  TempFile f("train_result.csv");
-  train::write_csv(make_result(), f.path);
-  const auto text = read_all(f.path);
-  std::istringstream is(text);
-  std::string line;
-  ASSERT_TRUE(std::getline(is, line));
-  EXPECT_EQ(line, "epoch,lr,train_loss,train_acc,test_acc");
-  int rows = 0;
-  while (std::getline(is, line)) ++rows;
-  EXPECT_EQ(rows, 3);
-  EXPECT_NE(text.find("\n0,0.1,2,"), std::string::npos);
-}
-
-TEST_F(ObsTest, TrainResultJsonlExportParsesLineByLine) {
-  auto r = make_result();
-  r.epochs[1].train_loss = std::nan("");  // must serialize as null
-  r.diverged = true;
-  std::ostringstream os;
-  train::write_jsonl(r, os);
-  std::istringstream is(os.str());
-  std::string line;
-  int epoch_lines = 0;
-  bool saw_summary = false;
-  while (std::getline(is, line)) {
-    const auto doc = obs::json::parse(line);  // throws if malformed
-    if (doc.contains("summary")) {
-      saw_summary = true;
-      EXPECT_TRUE(doc.at("diverged").as_bool());
-      EXPECT_DOUBLE_EQ(doc.at("best_test_acc").as_number(), 0.45);
-      EXPECT_DOUBLE_EQ(doc.at("iterations_run").as_number(), 96.0);
-    } else {
-      if (epoch_lines == 1) {
-        EXPECT_TRUE(doc.at("train_loss").is_null());
-      } else {
-        doc.at("train_loss").as_number();
-      }
-      ++epoch_lines;
-    }
-  }
-  EXPECT_EQ(epoch_lines, 3);
-  EXPECT_TRUE(saw_summary);
 }
 
 // -- flight recorder --------------------------------------------------------

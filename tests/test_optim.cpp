@@ -112,41 +112,46 @@ TEST(Schedules, IterationsCeilOnNonDivisible) {
 // ---------------- SGD ----------------
 
 TEST(Sgd, PlainStepWithoutMomentum) {
+  const ComputeContext ctx;
   FakeParam p({1.0f}, {0.5f});
   optim::Sgd sgd({.momentum = 0.0, .weight_decay = 0.0});
-  sgd.step(p.refs, 0.1);
+  sgd.step(p.refs, 0.1, ctx);
   EXPECT_NEAR(p.w[0], 1.0f - 0.1f * 0.5f, 1e-7);
 }
 
 TEST(Sgd, WeightDecayAddsToGradient) {
+  const ComputeContext ctx;
   FakeParam p({2.0f}, {0.0f});
   optim::Sgd sgd({.momentum = 0.0, .weight_decay = 0.1});
-  sgd.step(p.refs, 1.0);
+  sgd.step(p.refs, 1.0, ctx);
   EXPECT_NEAR(p.w[0], 2.0f - 0.1f * 2.0f, 1e-7);
 }
 
 TEST(Sgd, NonDecayParamSkipsWeightDecay) {
+  const ComputeContext ctx;
   FakeParam p({2.0f}, {0.0f}, /*decay=*/false);
   optim::Sgd sgd({.momentum = 0.0, .weight_decay = 0.1});
-  sgd.step(p.refs, 1.0);
+  sgd.step(p.refs, 1.0, ctx);
   EXPECT_EQ(p.w[0], 2.0f);
 }
 
 TEST(Sgd, MomentumAccumulates) {
+  const ComputeContext ctx;
   FakeParam p({0.0f}, {1.0f});
   optim::Sgd sgd({.momentum = 0.5, .weight_decay = 0.0});
-  sgd.step(p.refs, 1.0);   // v=1, w=-1
-  sgd.step(p.refs, 1.0);   // v=1.5, w=-2.5
+  sgd.step(p.refs, 1.0, ctx);   // v=1, w=-1
+  sgd.step(p.refs, 1.0, ctx);   // v=1.5, w=-2.5
   EXPECT_NEAR(p.w[0], -2.5f, 1e-6);
 }
 
 TEST(Sgd, ResetClearsVelocity) {
+  const ComputeContext ctx;
   FakeParam p({0.0f}, {1.0f});
   optim::Sgd sgd({.momentum = 0.9, .weight_decay = 0.0});
-  sgd.step(p.refs, 1.0);
+  sgd.step(p.refs, 1.0, ctx);
   sgd.reset();
   p.w[0] = 0.0f;
-  sgd.step(p.refs, 1.0);
+  sgd.step(p.refs, 1.0, ctx);
   EXPECT_NEAR(p.w[0], -1.0f, 1e-6);  // no leftover momentum
 }
 
@@ -157,24 +162,26 @@ TEST(Sgd, RejectsBadConfig) {
 }
 
 TEST(Sgd, RejectsChangedParamList) {
+  const ComputeContext ctx;
   FakeParam p({1.0f}, {1.0f});
   optim::Sgd sgd;
-  sgd.step(p.refs, 0.1);
+  sgd.step(p.refs, 0.1, ctx);
   FakeParam q({1.0f, 2.0f}, {1.0f, 1.0f});
   std::vector<nn::ParamRef> two = {p.refs[0], q.refs[0]};
-  EXPECT_THROW(sgd.step(two, 0.1), std::invalid_argument);
+  EXPECT_THROW(sgd.step(two, 0.1, ctx), std::invalid_argument);
 }
 
 // ---------------- LARS ----------------
 
 TEST(Lars, TrustRatioMatchesFormula) {
   // w = [3, 4] (norm 5), g = [0.6, 0.8] (norm 1), wd = 0.
+  const ComputeContext ctx;
   FakeParam p({3.0f, 4.0f}, {0.6f, 0.8f});
   optim::Lars lars({.trust_coeff = 0.01,
                     .momentum = 0.0,
                     .weight_decay = 0.0,
                     .eps = 0.0});
-  lars.step(p.refs, 1.0);
+  lars.step(p.refs, 1.0, ctx);
   ASSERT_EQ(lars.last_local_lrs().size(), 1u);
   EXPECT_NEAR(lars.last_local_lrs()[0], 0.01 * 5.0 / 1.0, 1e-6);
   // Update = lr * local * g.
@@ -182,13 +189,14 @@ TEST(Lars, TrustRatioMatchesFormula) {
 }
 
 TEST(Lars, WeightDecayEntersDenominatorAndUpdate) {
+  const ComputeContext ctx;
   FakeParam p({3.0f, 4.0f}, {0.6f, 0.8f});
   const double wd = 0.1;
   optim::Lars lars({.trust_coeff = 0.01,
                     .momentum = 0.0,
                     .weight_decay = wd,
                     .eps = 0.0});
-  lars.step(p.refs, 1.0);
+  lars.step(p.refs, 1.0, ctx);
   const double local = 0.01 * 5.0 / (1.0 + wd * 5.0);
   EXPECT_NEAR(lars.last_local_lrs()[0], local, 1e-9);
   EXPECT_NEAR(p.w[0], 3.0f - static_cast<float>(local * (0.6 + wd * 3.0)),
@@ -196,41 +204,45 @@ TEST(Lars, WeightDecayEntersDenominatorAndUpdate) {
 }
 
 TEST(Lars, NonDecayParamFollowsGlobalLr) {
+  const ComputeContext ctx;
   FakeParam p({2.0f}, {1.0f}, /*decay=*/false);
   optim::Lars lars({.trust_coeff = 0.001, .momentum = 0.0});
-  lars.step(p.refs, 0.5);
+  lars.step(p.refs, 0.5, ctx);
   EXPECT_NEAR(p.w[0], 2.0f - 0.5f, 1e-6);  // plain step, no trust scaling
   EXPECT_DOUBLE_EQ(lars.last_local_lrs()[0], 0.0);
 }
 
 TEST(Lars, ZeroWeightNormFallsBackToGlobalLr) {
+  const ComputeContext ctx;
   FakeParam p({0.0f}, {1.0f});
   optim::Lars lars({.trust_coeff = 0.001, .momentum = 0.0,
                     .weight_decay = 0.0});
-  lars.step(p.refs, 0.1);
+  lars.step(p.refs, 0.1, ctx);
   EXPECT_NEAR(p.w[0], -0.1f, 1e-6);
 }
 
 TEST(Lars, DampsLayersWithLargeGradients) {
   // Two layers, same weights, gradient 100x larger on the second: the
   // second's effective step must be ~100x smaller relative to its gradient.
+  const ComputeContext ctx;
   FakeParam a({1.0f}, {0.01f});
   FakeParam b({1.0f}, {1.0f});
   std::vector<nn::ParamRef> both = {a.refs[0], b.refs[0]};
   optim::Lars lars({.trust_coeff = 0.1, .momentum = 0.0,
                     .weight_decay = 0.0});
-  lars.step(both, 1.0);
+  lars.step(both, 1.0, ctx);
   const auto& locals = lars.last_local_lrs();
   EXPECT_NEAR(locals[0] / locals[1], 100.0, 1.0);
 }
 
 TEST(Lars, MomentumOnScaledUpdate) {
+  const ComputeContext ctx;
   FakeParam p({3.0f, 4.0f}, {0.6f, 0.8f});
   optim::Lars lars({.trust_coeff = 0.01, .momentum = 0.5,
                     .weight_decay = 0.0, .eps = 0.0});
-  lars.step(p.refs, 1.0);
+  lars.step(p.refs, 1.0, ctx);
   const float w_after_1 = p.w[0];
-  lars.step(p.refs, 1.0);
+  lars.step(p.refs, 1.0, ctx);
   // Second velocity includes half of the first: step grows.
   EXPECT_LT(p.w[0], w_after_1);
 }
@@ -242,9 +254,10 @@ TEST(Lars, RejectsBadConfig) {
 }
 
 TEST(Lars, ResetClearsState) {
+  const ComputeContext ctx;
   FakeParam p({1.0f}, {1.0f});
   optim::Lars lars;
-  lars.step(p.refs, 0.1);
+  lars.step(p.refs, 0.1, ctx);
   lars.reset();
   EXPECT_TRUE(lars.last_local_lrs().empty());
 }
@@ -252,12 +265,13 @@ TEST(Lars, ResetClearsState) {
 // ---------------- LARC clipping ----------------
 
 TEST(LarcClip, CapsLocalMultiplierAtOne) {
+  const ComputeContext ctx;
   Tensor w({2}, std::vector<float>{30.0f, 40.0f});    // ||w|| = 50
   Tensor g({2}, std::vector<float>{0.006f, 0.008f});  // ||g|| = 0.01
   std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
   optim::Lars unclipped({.trust_coeff = 0.1, .momentum = 0.0,
                          .weight_decay = 0.0, .eps = 0.0});
-  unclipped.step(p, 1.0);
+  unclipped.step(p, 1.0, ctx);
   EXPECT_GT(unclipped.last_local_lrs()[0], 100.0);  // 0.1 * 50/0.01 = 500
 
   Tensor w2({2}, std::vector<float>{30.0f, 40.0f});
@@ -266,18 +280,19 @@ TEST(LarcClip, CapsLocalMultiplierAtOne) {
   optim::Lars clipped({.trust_coeff = 0.1, .momentum = 0.0,
                        .weight_decay = 0.0, .eps = 0.0,
                        .adapt_non_decay_params = false, .clip = true});
-  clipped.step(p2, 1.0);
+  clipped.step(p2, 1.0, ctx);
   EXPECT_DOUBLE_EQ(clipped.last_local_lrs()[0], 1.0);
 }
 
 TEST(LarcClip, LeavesSmallMultipliersAlone) {
+  const ComputeContext ctx;
   Tensor w({2}, std::vector<float>{3.0f, 4.0f});
   Tensor g({2}, std::vector<float>{30.0f, 40.0f});
   std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
   optim::Lars clipped({.trust_coeff = 0.1, .momentum = 0.0,
                        .weight_decay = 0.0, .eps = 0.0,
                        .adapt_non_decay_params = false, .clip = true});
-  clipped.step(p, 1.0);
+  clipped.step(p, 1.0, ctx);
   EXPECT_NEAR(clipped.last_local_lrs()[0], 0.01, 1e-9);  // 0.1 * 5/50
 }
 

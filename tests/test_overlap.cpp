@@ -281,6 +281,7 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
     std::vector<float> weights;
     std::vector<RngState> rng_states;
     cluster.run([&](Communicator& comm) {
+      const ComputeContext& ctx = comm.ctx();
       auto net = dropout_model();
       Rng init(7);
       net->init(init);
@@ -295,12 +296,12 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
       }
       Tensor logits, dlogits, dx;
       for (int it = 0; it < 3; ++it) {
-        auto batch = loader.load_train(0, it);
+        auto batch = loader.load_train(0, it, ctx);
         net->zero_grad();
-        net->forward(batch.x, logits, /*training=*/true);
-        loss.forward_backward(logits, batch.labels, &dlogits);
+        net->forward(batch.x, logits, /*training=*/true, ctx);
+        loss.forward_backward(logits, batch.labels, &dlogits, ctx);
         if (ov) ov->begin_iteration();
-        net->backward(batch.x, logits, dlogits, dx);
+        net->backward(batch.x, logits, dlogits, dx, ctx);
         std::span<float> flat;
         if (ov) {
           flat = ov->finish();
@@ -315,7 +316,7 @@ TEST(OverlapAllreducer, SumsGradientsAndPreservesRngState) {
           }
         }
         scale(1.0f / world, flat);  // in place: params' grads see it
-        opt.step(params, 0.05);
+        opt.step(params, 0.05, ctx);
       }
       if (comm.rank() == 0) {
         std::lock_guard lk(mu);
@@ -351,18 +352,19 @@ TEST(OverlapAllreducer, BucketSpanningTwoLayersReducesInPlace) {
   std::vector<std::vector<float>> local(world), reduced(world);
   std::size_t conv_floats = 0;
   cluster.run([&](Communicator& comm) {
+    const ComputeContext& ctx = comm.ctx();
     auto net = det_model();
     Rng init(7);
     net->init(init);
     data::ShardedLoader loader(ds, 32, comm.rank(), world, std::nullopt);
     nn::SoftmaxCrossEntropy loss;
-    const auto batch = loader.load_train(0, 0);
+    const auto batch = loader.load_train(0, 0, ctx);
     Tensor logits, dlogits, dx;
     const auto backprop = [&] {
       net->zero_grad();
-      net->forward(batch.x, logits, /*training=*/true);
-      loss.forward_backward(logits, batch.labels, &dlogits);
-      net->backward(batch.x, logits, dlogits, dx);
+      net->forward(batch.x, logits, /*training=*/true, ctx);
+      loss.forward_backward(logits, batch.labels, &dlogits, ctx);
+      net->backward(batch.x, logits, dlogits, dx, ctx);
     };
     backprop();  // this rank's own gradient, before the hook is installed
     const std::span<const float> g = net->grad_span();

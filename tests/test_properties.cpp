@@ -19,6 +19,7 @@ namespace {
 TEST(LarsProperties, TrustRatioScaleInvariant) {
   // Scaling w and g by the same c > 0 leaves the local LR unchanged
   // (with weight decay 0): LARS adapts to geometry, not magnitude.
+  const ComputeContext ctx;
   for (float c : {0.5f, 2.0f, 100.0f}) {
     Tensor w1({3}, std::vector<float>{1, 2, 2});
     Tensor g1({3}, std::vector<float>{0.3f, 0.0f, 0.4f});
@@ -30,8 +31,8 @@ TEST(LarsProperties, TrustRatioScaleInvariant) {
     optim::Lars l1({.trust_coeff = 0.02, .momentum = 0.0,
                     .weight_decay = 0.0, .eps = 0.0});
     optim::Lars l2 = l1;
-    l1.step(p1, 0.1);
-    l2.step(p2, 0.1);
+    l1.step(p1, 0.1, ctx);
+    l2.step(p2, 0.1, ctx);
     EXPECT_NEAR(l1.last_local_lrs()[0], l2.last_local_lrs()[0], 1e-6)
         << "c = " << c;
   }
@@ -39,6 +40,7 @@ TEST(LarsProperties, TrustRatioScaleInvariant) {
 
 TEST(LarsProperties, UpdateDirectionMatchesGradient) {
   // With momentum 0 and wd 0, the update must be antiparallel to g.
+  const ComputeContext ctx;
   Rng rng(5);
   Tensor w({16}), g({16});
   rng.fill_normal(w.span(), 0.0f, 1.0f);
@@ -47,7 +49,7 @@ TEST(LarsProperties, UpdateDirectionMatchesGradient) {
   std::vector<nn::ParamRef> p{{"a", &w, &g, true}};
   optim::Lars lars({.trust_coeff = 0.01, .momentum = 0.0,
                     .weight_decay = 0.0});
-  lars.step(p, 0.5);
+  lars.step(p, 0.5, ctx);
   // delta = w_before - w must be a positive multiple of g.
   std::vector<float> delta(16);
   for (int i = 0; i < 16; ++i) delta[i] = w_before[i] - w[i];
@@ -59,19 +61,20 @@ TEST(LarsProperties, UpdateDirectionMatchesGradient) {
 // ---------------- softmax-CE invariances ----------------
 
 TEST(LossProperties, ShiftInvariantPerRow) {
+  const ComputeContext ctx;
   nn::SoftmaxCrossEntropy loss;
   Rng rng(7);
   Tensor logits({3, 5});
   rng.fill_normal(logits.span(), 0.0f, 2.0f);
   std::vector<std::int32_t> labels{0, 2, 4};
   Tensor grad1, grad2;
-  const auto r1 = loss.forward_backward(logits, labels, &grad1);
+  const auto r1 = loss.forward_backward(logits, labels, &grad1, ctx);
   for (std::int64_t r = 0; r < 3; ++r) {
     for (std::int64_t c = 0; c < 5; ++c) {
       logits.at(r, c) += 37.5f;  // constant shift per row
     }
   }
-  const auto r2 = loss.forward_backward(logits, labels, &grad2);
+  const auto r2 = loss.forward_backward(logits, labels, &grad2, ctx);
   EXPECT_NEAR(r1.loss, r2.loss, 1e-4);
   for (std::int64_t i = 0; i < grad1.numel(); ++i) {
     EXPECT_NEAR(grad1[i], grad2[i], 1e-5);
@@ -79,6 +82,7 @@ TEST(LossProperties, ShiftInvariantPerRow) {
 }
 
 TEST(LossProperties, LossLowerBoundedByZero) {
+  const ComputeContext ctx;
   nn::SoftmaxCrossEntropy loss;
   Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
@@ -88,22 +92,23 @@ TEST(LossProperties, LossLowerBoundedByZero) {
     for (int i = 0; i < 4; ++i) {
       labels.push_back(static_cast<std::int32_t>(rng.uniform_int(6)));
     }
-    EXPECT_GE(loss.forward_backward(logits, labels, nullptr).loss, 0.0);
+    EXPECT_GE(loss.forward_backward(logits, labels, nullptr, ctx).loss, 0.0);
   }
 }
 
 // ---------------- conv algebra ----------------
 
 TEST(ConvProperties, LinearInInputWithoutBias) {
+  const ComputeContext ctx;
   nn::Conv2d conv(2, 3, 3, 1, 1, /*bias=*/false);
   Rng rng(13);
   conv.init(rng);
   Tensor x({1, 2, 5, 5});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor y1, y2;
-  conv.forward(x, y1, false);
+  conv.forward(x, y1, false, ctx);
   scale(2.5f, x.span());
-  conv.forward(x, y2, false);
+  conv.forward(x, y2, false, ctx);
   for (std::int64_t i = 0; i < y1.numel(); ++i) {
     EXPECT_NEAR(2.5f * y1[i], y2[i], 1e-4);
   }
@@ -111,6 +116,7 @@ TEST(ConvProperties, LinearInInputWithoutBias) {
 
 TEST(ConvProperties, GroupedConvEqualsTwoSplitConvs) {
   // A groups=2 conv must equal running each half independently.
+  const ComputeContext ctx;
   const std::int64_t c_in = 4, c_out = 6, k = 3;
   nn::Conv2d grouped(c_in, c_out, k, 1, 1, /*bias=*/false, /*groups=*/2);
   Rng rng(17);
@@ -136,9 +142,9 @@ TEST(ConvProperties, GroupedConvEqualsTwoSplitConvs) {
     }
   }
   Tensor y, ya, yb;
-  grouped.forward(x, y, false);
-  half_a.forward(xa, ya, false);
-  half_b.forward(xb, yb, false);
+  grouped.forward(x, y, false, ctx);
+  half_a.forward(xa, ya, false, ctx);
+  half_b.forward(xb, yb, false, ctx);
   for (std::int64_t n = 0; n < 2; ++n) {
     for (std::int64_t c = 0; c < c_out / 2; ++c) {
       for (std::int64_t i = 0; i < 36; ++i) {

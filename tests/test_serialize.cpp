@@ -79,13 +79,14 @@ TEST(Serialize, RejectsMissingFile) {
 }
 
 TEST(Serialize, CheckpointPreservesInference) {
+  const ComputeContext ctx;
   auto a = make_net();
   Rng rng(11);
   a->init(rng);
   Tensor x({2, 3, 16, 16});
   rng.fill_normal(x.span(), 0.0f, 1.0f);
   Tensor ya;
-  a->forward(x, ya, /*training=*/false);
+  a->forward(x, ya, /*training=*/false, ctx);
 
   std::stringstream buf;
   nn::save_checkpoint(*a, buf);
@@ -94,7 +95,7 @@ TEST(Serialize, CheckpointPreservesInference) {
   b->init(rng2);
   nn::load_checkpoint(*b, buf);
   Tensor yb;
-  b->forward(x, yb, /*training=*/false);
+  b->forward(x, yb, /*training=*/false, ctx);
   for (std::int64_t i = 0; i < ya.numel(); ++i) {
     EXPECT_NEAR(ya[i], yb[i], 1e-5);
   }
@@ -103,15 +104,16 @@ TEST(Serialize, CheckpointPreservesInference) {
 TEST(Serialize, BatchNormRunningStatsAreCheckpointed) {
   // Train-mode forwards move the running statistics; a checkpoint must
   // capture them or eval-mode inference changes after reload.
+  const ComputeContext ctx;
   auto a = make_net();
   Rng rng(21);
   a->init(rng);
   Tensor x({8, 3, 16, 16});
   rng.fill_normal(x.span(), 2.0f, 3.0f);
   Tensor y;
-  for (int i = 0; i < 5; ++i) a->forward(x, y, /*training=*/true);
+  for (int i = 0; i < 5; ++i) a->forward(x, y, /*training=*/true, ctx);
   Tensor eval_before;
-  a->forward(x, eval_before, /*training=*/false);
+  a->forward(x, eval_before, /*training=*/false, ctx);
 
   std::stringstream buf;
   nn::save_checkpoint(*a, buf);
@@ -120,7 +122,7 @@ TEST(Serialize, BatchNormRunningStatsAreCheckpointed) {
   b->init(rng2);
   nn::load_checkpoint(*b, buf);
   Tensor eval_after;
-  b->forward(x, eval_after, /*training=*/false);
+  b->forward(x, eval_after, /*training=*/false, ctx);
   for (std::int64_t i = 0; i < eval_before.numel(); ++i) {
     ASSERT_NEAR(eval_before[i], eval_after[i], 1e-5);
   }
@@ -138,6 +140,7 @@ TEST(Serialize, BuffersAreNamedAndAggregated) {
 // ---------------- legacy v1 (weight-only) files ----------------
 
 TEST(SerializeV1, LegacyWeightOnlyFileStillLoads) {
+  const ComputeContext ctx;
   auto a = make_net();
   Rng rng(13);
   a->init(rng);
@@ -145,7 +148,7 @@ TEST(SerializeV1, LegacyWeightOnlyFileStillLoads) {
   // that a v1 load leaves them alone.
   Tensor x({4, 3, 16, 16}), y;
   rng.fill_normal(x.span(), 1.0f, 2.0f);
-  a->forward(x, y, /*training=*/true);
+  a->forward(x, y, /*training=*/true, ctx);
 
   std::stringstream buf;
   nn::save_checkpoint(*a, buf, /*version=*/1);
@@ -188,14 +191,16 @@ train::TrainCheckpoint sample_meta() {
 
 /// Steps the optimizer a few times so it owns non-trivial momentum state.
 void warm_up(nn::Network& net, optim::Optimizer& opt, Rng& rng) {
+  const ComputeContext ctx;
   auto params = net.params();
   for (int s = 0; s < 3; ++s) {
     for (auto& p : params) rng.fill_normal(p.grad->span(), 0.0f, 0.1f);
-    opt.step(params, 0.05);
+    opt.step(params, 0.05, ctx);
   }
 }
 
 TEST(TrainCheckpoint, RoundTripRestoresFullTrainerState) {
+  const ComputeContext ctx;
   auto a = make_net();
   Rng rng(17);
   a->init(rng);
@@ -240,8 +245,8 @@ TEST(TrainCheckpoint, RoundTripRestoresFullTrainerState) {
     std::copy(pa[i].grad->span().begin(), pa[i].grad->span().end(),
               pb[i].grad->span().begin());
   }
-  opt_a.step(pa, 0.05);
-  opt_b.step(pb, 0.05);
+  opt_a.step(pa, 0.05, ctx);
+  opt_b.step(pb, 0.05, ctx);
   EXPECT_EQ(a->flatten_params(), b->flatten_params());
 }
 

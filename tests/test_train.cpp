@@ -314,11 +314,12 @@ TEST(SyncReplica, SteadyStateAllocsAreZero) {
 }
 
 TEST(Evaluate, PerfectAndChanceBounds) {
+  const ComputeContext ctx;
   data::SyntheticImageNet ds(tiny_data_cfg());
   auto net = det_model();
   Rng rng(3);
   net->init(rng);
-  const double acc = train::evaluate(*net, ds);
+  const double acc = train::evaluate(*net, ds, 256, ctx);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
 }

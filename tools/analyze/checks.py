@@ -658,8 +658,7 @@ def _paths(*prefixes, exempt=()):
                        and not tu.relpath.startswith(exempt))
 
 
-THREAD_LAYER = ("src/tensor/context.", "src/tensor/threadpool.", "src/comm/",
-                "tests/test_threadpool.cpp", "tests/test_context.cpp")
+THREAD_LAYER = ("src/tensor/context.", "src/comm/", "tests/test_context.cpp")
 
 # check -> (rule, which TUs it covers, message tail, [(pattern, what)]).
 # Patterns run over the TU's code with comments and strings blanked and
@@ -672,11 +671,9 @@ THREAD_LAYER = ("src/tensor/context.", "src/tensor/threadpool.", "src/comm/",
 LINE_RULES = {
     "thread-spawn": (
         "raw-thread", _paths("", exempt=THREAD_LAYER),
-        "outside src/tensor/context.*, src/tensor/threadpool.* and "
-        "src/comm/ — use a ComputeContext",
+        "outside src/tensor/context.* and src/comm/ — use a ComputeContext",
         # std::thread::hardware_concurrency() is a query, not a spawn.
-        [(r"std::j?thread\b(?!\s*::)", "std::thread"),
-         (r"ThreadPool\b", "direct ThreadPool use")]),
+        [(r"std::j?thread\b(?!\s*::)", "std::thread")]),
     "rng-source": (
         "foreign-rng", _paths("", exempt=("src/tensor/rng.",)),
         "outside src/tensor/rng.* — draw from the project Rng (seeded, "
