@@ -8,9 +8,14 @@
 # intra-op paths to be trusted. With overlap on, the comm worker reduces
 # each bucket in place inside the network's live gradient storage
 # (Network::grad_span) while backward still writes other slices of it, so
-# the bucket and layer slices must be provably disjoint. test_elastic joins the gate: the elastic
-# coordinator's rendezvous/watchdog and communicator re-forms across
-# generations add cross-thread handoffs that must also be race-free.
+# the bucket and layer slices must be provably disjoint. train_single runs
+# the same engine on a one-rank cluster: the caller's network and optimizer
+# are trained on the rank thread and read back on the caller's, so
+# test_train's TrainSingle.* cases and test_determinism's
+# TrainSingleAcrossThreadCounts are cross-thread handoffs too.
+# test_elastic joins the gate: the elastic coordinator's
+# rendezvous/watchdog and communicator re-forms across generations add
+# cross-thread handoffs that must also be race-free.
 # test_comm's rendezvous ring steps read a neighbour rank's chunk in place (Communicator::exchange), ordered only by the mailbox post/complete handshake.
 # test_obs carries the flight recorder's seqlock: concurrent writers racing
 # a snapshot reader must be exact under TSan, not just in practice.

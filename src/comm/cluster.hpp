@@ -72,9 +72,6 @@ class SimCluster {
 
   int world() const { return world_; }
 
-  /// The global intra-op thread budget the rank contexts split.
-  std::size_t compute_budget() const { return compute_budget_; }
-
   /// The rank's private compute context (budget = max(1, global/world)).
   const ComputeContext& rank_context(int rank) const;
 

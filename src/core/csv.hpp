@@ -18,7 +18,10 @@ class CsvWriter {
   CsvWriter(const std::string& path, const std::vector<std::string>& columns)
       : out_(path), ncols_(columns.size()) {
     if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-    write_row_strings(columns);
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      out_ << (i ? "," : "") << columns[i];
+    }
+    out_ << "\n";
   }
 
   /// Appends one row; values are formatted with operator<<.
@@ -34,14 +37,6 @@ class CsvWriter {
   }
 
  private:
-  void write_row_strings(const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) out_ << ",";
-      out_ << cells[i];
-    }
-    out_ << "\n";
-  }
-
   std::ofstream out_;
   std::size_t ncols_;
 };

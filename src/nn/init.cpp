@@ -11,13 +11,4 @@ void he_normal(Tensor& w, std::int64_t fan_in, Rng& rng) {
   rng.fill_normal(w.span(), 0.0f, stddev);
 }
 
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out,
-                    Rng& rng) {
-  if (fan_in <= 0 || fan_out <= 0) {
-    throw std::invalid_argument("xavier_uniform: non-positive fan");
-  }
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  rng.fill_uniform(w.span(), -a, a);
-}
-
 }  // namespace minsgd::nn

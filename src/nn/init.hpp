@@ -12,8 +12,4 @@ namespace minsgd::nn {
 /// ReLU networks (used for every conv / linear weight in the model zoo).
 void he_normal(Tensor& w, std::int64_t fan_in, Rng& rng);
 
-/// Xavier (Glorot) uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out,
-                    Rng& rng);
-
 }  // namespace minsgd::nn

@@ -18,7 +18,6 @@ const std::vector<EnergyEntry>& energy_table_45nm() {
 double energy_pj_float_add() { return 0.9; }
 double energy_pj_float_mul() { return 3.7; }
 double energy_pj_dram_access() { return 640.0; }
-double energy_pj_sram_access() { return 5.0; }
 
 IterationEnergy estimate_iteration_energy(std::int64_t flops,
                                           std::int64_t comm_words,

@@ -27,7 +27,6 @@ const std::vector<EnergyEntry>& energy_table_45nm();
 double energy_pj_float_add();
 double energy_pj_float_mul();
 double energy_pj_dram_access();
-double energy_pj_sram_access();
 
 /// Energy estimate for one training iteration, in joules.
 ///

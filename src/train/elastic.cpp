@@ -70,8 +70,6 @@ void ElasticOptions::validate() const {
                base_global_batch, " < 0");
   MINSGD_CHECK(recv_timeout.count() >= 0,
                "ElasticOptions: recv_timeout < 0");
-  MINSGD_CHECK(train.eval_every >= 1, "ElasticOptions: eval_every ",
-               train.eval_every, " < 1");
   MINSGD_CHECK(train.epochs >= 1, "ElasticOptions: epochs ", train.epochs,
                " < 1");
   for (const auto& ev : events) {
@@ -133,8 +131,9 @@ ElasticResult train_sync_elastic(
     const int phys = comm.rank();  // full-world: physical identity
     // The replica (and its network's plan) survives generation changes;
     // the plan rebuilds on the batch-geometry change after a resize.
-    SyncReplica replica(model_factory, opt_factory, t,
-                        comm::AllreduceAlgo::kRing);
+    auto net = model_factory();
+    auto opt = opt_factory();
+    SyncReplica replica(*net, *opt, t, comm::AllreduceAlgo::kRing);
     optim::ElasticLrScale lrs(schedule, base_gb);
     const RunShape shape{lrs, dataset, t, ipw, total_iters,
                          /*print_world=*/true};

@@ -51,8 +51,9 @@ FaultTolerantResult train_sync_fault_tolerant(
 
   auto rank_fn = [&](comm::Communicator& comm) {
     const bool root = comm.rank() == 0;
-    SyncReplica replica(model_factory, opt_factory, topt,
-                        comm::AllreduceAlgo::kRing);
+    auto net = model_factory();
+    auto opt = opt_factory();
+    SyncReplica replica(*net, *opt, topt, comm::AllreduceAlgo::kRing);
     data::ShardedLoader loader(dataset, topt.global_batch, comm.rank(), world,
                                topt.augment);
     replica.attach(comm, loader);

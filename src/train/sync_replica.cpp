@@ -39,6 +39,7 @@ void validate_sync_options(const TrainOptions& options,
   };
   if (world <= 0) reject("world <= 0");
   if (global_batch % world != 0) reject("global_batch % world != 0");
+  if (options.eval_every < 1) reject("eval_every < 1");
   validate_bucket_bytes(options.bucket_bytes, who);
 }
 
@@ -58,17 +59,14 @@ void publish_run_metrics(const comm::SimCluster& cluster,
   reg.counter("train.allreduce.total_ns").add(total_ns);
 }
 
-SyncReplica::SyncReplica(
-    const std::function<std::unique_ptr<nn::Network>()>& model_factory,
-    const std::function<std::unique_ptr<optim::Optimizer>()>& opt_factory,
-    const TrainOptions& options, comm::AllreduceAlgo algo)
-    : options_(options), algo_(algo), net_(model_factory()) {
+SyncReplica::SyncReplica(nn::Network& net, optim::Optimizer& opt,
+                         const TrainOptions& options, comm::AllreduceAlgo algo)
+    : options_(options), algo_(algo), net_(net), opt_(opt) {
   Rng init_rng(options.init_seed);
-  net_->init(init_rng);
+  net_.init(init_rng);
   init_rng_state_ = init_rng.state();
-  net_->grad_span();  // bind the flat storage every reducer works in
-  opt_ = opt_factory();
-  params_ = net_->params();
+  net_.grad_span();  // bind the flat storage every reducer works in
+  params_ = net_.params();
 }
 
 SyncReplica::~SyncReplica() { detach(); }
@@ -80,7 +78,7 @@ void SyncReplica::attach(comm::Communicator& comm,
   loader_ = &loader;
   if (options_.overlap_comm) {
     overlap_ = std::make_unique<OverlapAllreducer>(
-        *net_, comm, options_.bucket_bytes, algo_);
+        net_, comm, options_.bucket_bytes, algo_);
   }
 }
 
@@ -111,11 +109,11 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
     obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
     loader_->load_train_into(epoch, it, ctx, batch_);
   }
-  net_->zero_grad();
+  net_.zero_grad();
   nn::LossResult lres;
   {
     obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-    net_->forward(batch_.x, logits_, /*training=*/true, ctx);
+    net_.forward(batch_.x, logits_, /*training=*/true, ctx);
     lres = loss_.forward_backward(logits_, batch_.labels, &dlogits_, ctx);
   }
   if (overlap_) overlap_->begin_iteration();
@@ -124,7 +122,7 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
     // With overlap on, the gradient-ready hook fires in here: each
     // finalized layer credits its buckets of the gradient span, and full
     // buckets reduce in place on the comm worker while earlier layers run.
-    net_->backward(batch_.x, logits_, dlogits_, dx_, ctx);
+    net_.backward(batch_.x, logits_, dlogits_, dx_, ctx);
   }
   // Each local gradient is the mean over the local shard, so the
   // global-batch mean is the rank-sum divided by world; params_' grads are
@@ -133,7 +131,7 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
   {
     obs::ScopedSpan sp("phase.step", obs::cat::kPhase);
     scale(ctx, 1.0f / static_cast<float>(comm_->world()), flat);
-    opt_->step(params_, lr, ctx);
+    opt_.step(params_, lr, ctx);
   }
   MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
                 comm_->generation(), 0, global_iter);
@@ -148,7 +146,7 @@ SyncReplica::StepStats SyncReplica::step(std::int64_t epoch, std::int64_t it,
 
 std::span<float> SyncReplica::reduce() {
   if (overlap_) return overlap_->finish();  // waits on in-flight buckets
-  const std::span<float> flat = net_->grad_span();
+  const std::span<float> flat = net_.grad_span();
   obs::ScopedSpan sp;
   if (obs::tracer().enabled()) {
     sp.start("phase.allreduce", obs::cat::kPhase);

@@ -1,15 +1,17 @@
 // SyncReplica: the one synchronous data-parallel step engine (DESIGN.md,
 // "Synchronous step engine").
 //
-// The fixed, fault-tolerant and elastic trainers build one SyncReplica per
-// rank and differ only in which iterations it runs over which communicator.
-// The replica owns the network (which owns its execution plan), optimizer,
-// loss, activation tensors, batch storage and gradient reducer; the allreduce, the overlap
-// buckets and the optimizer all work in place on the network's flat
-// gradient storage (Network::grad_span). attach() binds it to one
-// communicator generation; step() is the paper's iteration (Figure 2(a),
-// master replaced by an allreduce). run_iteration() adds the bookkeeping
-// the drivers share: divergence guard, per-window records, window-end eval.
+// Every trainer — train_single (one rank), fixed, fault-tolerant and
+// elastic — builds one SyncReplica per rank and differs only in which
+// iterations it runs over which communicator. The replica borrows the
+// rank's network (which owns its execution plan) and optimizer, and owns
+// the loss, activation tensors, batch storage and gradient reducer; the
+// allreduce, the overlap buckets and the optimizer all work in place on
+// the network's flat gradient storage (Network::grad_span). attach() binds
+// it to one communicator generation; step() is the paper's iteration
+// (Figure 2(a), master replaced by an allreduce). run_iteration() adds the
+// bookkeeping the drivers share: divergence guard, per-window records,
+// window-end eval.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,8 @@ namespace minsgd::train {
 class OverlapAllreducer;
 
 /// Throws std::invalid_argument, before any cluster thread starts, on:
-/// world <= 0; global_batch % world; bad bucket_bytes. The message starts
-/// with `who`, the calling driver's name.
+/// world <= 0; global_batch % world; eval_every < 1; bad bucket_bytes. The
+/// message starts with `who`, the calling driver's name.
 void validate_sync_options(const TrainOptions& options,
                            std::int64_t global_batch, int world,
                            const char* who);
@@ -47,12 +49,11 @@ void publish_run_metrics(const comm::SimCluster& cluster,
 
 class SyncReplica {
  public:
-  /// Builds the replica and initializes it from options.init_seed, so every
-  /// rank (and every restart) starts from identical weights.
-  SyncReplica(
-      const std::function<std::unique_ptr<nn::Network>()>& model_factory,
-      const std::function<std::unique_ptr<optim::Optimizer>()>& opt_factory,
-      const TrainOptions& options, comm::AllreduceAlgo algo);
+  /// Borrows `net` and `opt` (both must outlive the replica) and
+  /// initializes `net` from options.init_seed, so every rank (and every
+  /// restart) starts from identical weights.
+  SyncReplica(nn::Network& net, optim::Optimizer& opt,
+              const TrainOptions& options, comm::AllreduceAlgo algo);
   ~SyncReplica();
   SyncReplica(const SyncReplica&) = delete;
   SyncReplica& operator=(const SyncReplica&) = delete;
@@ -87,8 +88,8 @@ class SyncReplica {
   std::int64_t steps_done() const { return steps_done_; }
   void set_steps_done(std::int64_t steps) { steps_done_ = steps; }
 
-  nn::Network& net() { return *net_; }
-  optim::Optimizer& opt() { return *opt_; }
+  nn::Network& net() { return net_; }
+  optim::Optimizer& opt() { return opt_; }
   // The current binding; only valid while attached.
   comm::Communicator& comm() { return *comm_; }
   const data::ShardedLoader& loader() const { return *loader_; }
@@ -105,8 +106,8 @@ class SyncReplica {
 
   TrainOptions options_;
   comm::AllreduceAlgo algo_;
-  std::unique_ptr<nn::Network> net_;
-  std::unique_ptr<optim::Optimizer> opt_;
+  nn::Network& net_;
+  optim::Optimizer& opt_;
   std::vector<nn::ParamRef> params_;
   RngState init_rng_state_;
 

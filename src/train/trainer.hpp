@@ -1,16 +1,17 @@
 // Training loops: single-process and synchronous data-parallel.
 //
-// train_single is the sequential reference. train_sync_data_parallel is the
-// fixed-world driver over the shared step engine (train/sync_replica.hpp):
-// it starts P rank threads on a SimCluster, gives each one SyncReplica, and
-// runs every rank through the same iterations — allreduce the gradient
-// sums, apply identical optimizer steps — the paper's Figure 2(a) with the
-// master replaced by an allreduce. The fault-tolerant and elastic drivers
-// run the same engine. train_single and train_sync_data_parallel produce the
+// Both are fixed-world runs of the one step engine
+// (train/sync_replica.hpp): they start a SimCluster, give each rank one
+// SyncReplica, and run every rank through the same iterations — allreduce
+// the gradient sums, apply identical optimizer steps — the paper's Figure
+// 2(a) with the master replaced by an allreduce. train_single is the
+// one-rank run on the caller's network and optimizer; train_sync_data_parallel
+// builds one replica per rank from factories. The fault-tolerant and elastic
+// drivers run the same engine. A P-rank run and the one-rank run produce the
 // same weights for the same global batch when the model has no per-replica
 // stochastic state (no dropout, no per-replica BN batches); that is the
-// "sequential consistency" property the paper leans on, and it is asserted
-// by the integration tests.
+// "sequential consistency" property the paper leans on, and the tests assert
+// it against an independent sequential loop (tests/reference_train.hpp).
 #pragma once
 
 #include <cstdint>
@@ -59,20 +60,22 @@ struct TrainOptions {
   /// waits on all of them. Bucket boundaries and reduction order are
   /// identical to the serial bucketed path, so with the same seed and
   /// bucket_bytes the trained weights are bit-identical to overlap off —
-  /// the overlap determinism tests enforce exactly that. Ignored by
-  /// train_single.
+  /// the overlap determinism tests enforce exactly that. Under
+  /// train_single (one rank) the reduce is a no-op, so overlap only adds
+  /// the comm worker.
   bool overlap_comm = false;
-  /// Intra-op compute thread budget. train_single gives the whole budget to
-  /// its one replica; the SyncReplica drivers (fixed, fault-tolerant,
-  /// elastic) split it across their rank threads via ClusterOptions so the
-  /// total number of live pool workers never exceeds it. 0 means
+  /// Intra-op compute thread budget. Every driver splits it across its rank
+  /// threads via ClusterOptions, so the total number of live pool workers
+  /// never exceeds it; train_single's one rank gets all of it. 0 means
   /// ComputeContext::default_threads() (MINSGD_THREADS env var, else
   /// hardware concurrency). Chunking is thread-count-invariant, so trained
   /// weights are bit-identical for any value.
   std::size_t compute_threads = 0;
 };
 
-/// Sequential reference trainer.
+/// One-rank run of the step engine on the caller's `net` and `opt`: `net`
+/// is initialized from options.init_seed and holds the trained weights on
+/// return. Validates `options` as the data-parallel driver does.
 TrainResult train_single(nn::Network& net, optim::Optimizer& opt,
                          const optim::LrSchedule& schedule,
                          const data::SyntheticImageNet& dataset,

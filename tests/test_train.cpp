@@ -2,8 +2,10 @@
 
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
+#include "reference_train.hpp"
 #include "data/synthetic.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
@@ -11,6 +13,7 @@
 #include "nn/models.hpp"
 #include "nn/pool.hpp"
 #include "obs/metrics.hpp"
+#include "optim/lars.hpp"
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
 #include "train/elastic.hpp"
@@ -105,9 +108,9 @@ TEST(TrainSingle, DeterministicGivenSeeds) {
 }
 
 // The paper's sequential-consistency argument, made executable: a P-way
-// synchronous data-parallel run must match the single-process run on the
-// same global batch exactly (same data order, same init, deterministic
-// model.)
+// synchronous data-parallel run must match the sequential reference loop
+// (tests/reference_train.hpp) on the same global batch exactly (same data
+// order, same init, deterministic model).
 class SequentialConsistency : public ::testing::TestWithParam<int> {};
 
 TEST_P(SequentialConsistency, DistributedMatchesSingleProcess) {
@@ -118,10 +121,11 @@ TEST_P(SequentialConsistency, DistributedMatchesSingleProcess) {
   options.epochs = 2;
   optim::ConstantLr lr(0.02);
 
-  auto single_net = det_model();
-  optim::Sgd single_opt({.momentum = 0.9, .weight_decay = 0.0005});
-  const auto single =
-      train::train_single(*single_net, single_opt, lr, ds, options);
+  const ComputeContext ctx;
+  auto ref_net = det_model();
+  optim::Sgd ref_opt({.momentum = 0.9, .weight_decay = 0.0005});
+  const auto ref =
+      testing::reference_train(*ref_net, ref_opt, lr, ds, options, ctx);
 
   const auto dist = train::train_sync_data_parallel(
       [] { return det_model(); },
@@ -131,29 +135,92 @@ TEST_P(SequentialConsistency, DistributedMatchesSingleProcess) {
       },
       lr, ds, options, world, comm::AllreduceAlgo::kTree);
 
-  ASSERT_EQ(single.epochs.size(), dist.result.epochs.size());
-  for (std::size_t e = 0; e < single.epochs.size(); ++e) {
+  ASSERT_EQ(ref.size(), dist.result.epochs.size());
+  for (std::size_t e = 0; e < ref.size(); ++e) {
     // Loss scalars go through one float allreduce; tolerance covers the
-    // different summation order.
-    EXPECT_NEAR(single.epochs[e].train_loss, dist.result.epochs[e].train_loss,
-                1e-4);
-    EXPECT_NEAR(single.epochs[e].train_acc, dist.result.epochs[e].train_acc,
-                1e-6);
+    // rounding and the different summation order.
+    EXPECT_NEAR(ref[e].train_loss, dist.result.epochs[e].train_loss, 1e-4);
+    EXPECT_NEAR(ref[e].train_acc, dist.result.epochs[e].train_acc, 1e-6);
   }
-  EXPECT_NEAR(single.final_test_acc, dist.result.final_test_acc, 0.02);
+  EXPECT_NEAR(train::evaluate(*ref_net, ds, 256, ctx),
+              dist.result.final_test_acc, 0.02);
   if (world == 1) {
-    // One rank sums nothing across replicas, so the distributed step is the
-    // sequential reference step: the weights must agree byte for byte.
-    const auto ref = single_net->flatten_params();
-    ASSERT_EQ(ref.size(), dist.final_weights.size());
-    EXPECT_EQ(std::memcmp(ref.data(), dist.final_weights.data(),
-                          ref.size() * sizeof(float)),
+    // One rank sums nothing across replicas, so the engine's step is the
+    // reference step: the weights must agree byte for byte.
+    const auto want = ref_net->flatten_params();
+    ASSERT_EQ(want.size(), dist.final_weights.size());
+    EXPECT_EQ(std::memcmp(want.data(), dist.final_weights.data(),
+                          want.size() * sizeof(float)),
               0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, SequentialConsistency,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(TrainSingle, MatchesReferenceLoopUnderLarsAugmentAndThreads) {
+  // The perfbench single-worker configuration (LARS, weak augmentation, a
+  // 4-thread budget) on a residual net with batch norm: the one-rank engine
+  // run must leave the weights the sequential reference loop computes.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  train::TrainOptions options;
+  options.global_batch = 32;
+  options.epochs = 2;
+  options.augment = data::AugmentConfig{};
+  options.compute_threads = 4;
+  const optim::WarmupLr lr(std::make_unique<optim::PolyLr>(2.0, 16), 4, 0.1);
+  const optim::LarsConfig lars{.trust_coeff = 0.02};
+
+  auto net = nn::tiny_resnet(1, 4, 12);
+  optim::Lars opt(lars);
+  const auto res = train::train_single(*net, opt, lr, ds, options);
+
+  const ComputeContext ctx(4);
+  auto ref_net = nn::tiny_resnet(1, 4, 12);
+  optim::Lars ref_opt(lars);
+  const auto ref =
+      testing::reference_train(*ref_net, ref_opt, lr, ds, options, ctx);
+
+  ASSERT_FALSE(res.diverged);
+  ASSERT_EQ(res.epochs.size(), ref.size());
+  for (std::size_t e = 0; e < ref.size(); ++e) {
+    EXPECT_NEAR(res.epochs[e].train_loss, ref[e].train_loss, 1e-5);
+    EXPECT_DOUBLE_EQ(res.epochs[e].train_acc, ref[e].train_acc);
+  }
+  const auto got = net->flatten_params();
+  const auto want = ref_net->flatten_params();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
+}
+
+TEST(TrainOptionsValidation, EvalEveryBelowOneThrowsInEveryDriver) {
+  // `% eval_every` at a window end: 0 must be rejected up front, not
+  // trapped as a division by zero on a rank thread.
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  optim::ConstantLr lr(0.01);
+  const auto sgd = [] { return std::make_unique<optim::Sgd>(); };
+  for (const std::int64_t eval_every : {0, -1}) {
+    SCOPED_TRACE(eval_every);
+    train::TrainOptions options;
+    options.global_batch = 32;
+    options.epochs = 1;
+    options.eval_every = eval_every;
+    auto net = det_model();
+    optim::Sgd opt;
+    EXPECT_THROW(train::train_single(*net, opt, lr, ds, options),
+                 std::invalid_argument);
+    EXPECT_THROW(train::train_sync_data_parallel([] { return det_model(); },
+                                                 sgd, lr, ds, options, 2),
+                 std::invalid_argument);
+    train::FaultTolerantOptions ft;
+    ft.train = options;
+    ft.checkpoint_path = "eval_every_unused.ckpt";
+    EXPECT_THROW(train::train_sync_fault_tolerant(
+                     [] { return det_model(); }, sgd, lr, ds, ft, 2),
+                 std::invalid_argument);
+  }
+}
 
 TEST(TrainDistributed, TrafficScalesWithModelAndIterations) {
   data::SyntheticImageNet ds(tiny_data_cfg());
@@ -291,13 +358,10 @@ TEST(SyncReplica, SteadyStateAllocsAreZero) {
     std::int64_t warm = 0, steady = 0;
     comm::SimCluster cluster(2);
     cluster.run([&](comm::Communicator& comm) {
-      train::SyncReplica replica(
-          [] { return det_model(); },
-          [] {
-            return std::make_unique<optim::Sgd>(
-                optim::SgdConfig{.momentum = 0.9, .weight_decay = 0.0005});
-          },
-          options, comm::AllreduceAlgo::kRing);
+      auto net = det_model();
+      optim::Sgd opt({.momentum = 0.9, .weight_decay = 0.0005});
+      train::SyncReplica replica(*net, opt, options,
+                                 comm::AllreduceAlgo::kRing);
       data::ShardedLoader loader(ds, options.global_batch, comm.rank(), 2);
       replica.attach(comm, loader);
       std::int64_t it = 0;
